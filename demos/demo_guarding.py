@@ -26,7 +26,7 @@ comb = SimplePolygon(
      (5, 2), (4, 2), (4, 1), (3, 1), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)]
 )
 cells = decompose(comb, 0)
-print(f"comb gallery: {comb.n} corners, {len(cells.cells)} visibility cells")
+print(f"comb gallery: {comb.n} corners, {len(cells.cells)} coverage classes")
 
 optimal = optimal_cover_bruteforce(comb, 0)
 greedy = greedy_cover(comb, 0)
@@ -39,7 +39,7 @@ print(f"guard graph edges (one bounce of mutual sight): {sorted(graph.edges)}")
 reduced = spanning_tree_reduce(comb, optimal, 4)
 bound = -(-len(optimal.guards) // 2)
 print(f"with 4 diffuse bounces: {reduced.guards} ({len(reduced.guards)} <= {bound}), "
-      f"coverage certified over {len(reduced.coverage_certificate)} cells")
+      f"coverage certified over {len(reduced.coverage_certificate)} classes")
 
 svg = render_scene(comb, highlight_edges=[])
 (OUT / "guard_comb.svg").write_text(svg)

@@ -212,7 +212,7 @@ def cmd_reduce_gen(args) -> int:
     text = format_instance(instance_to_file(ri, expect))
     _write(args.out, text)
     if args.solve:
-        witness = solve_by_enumeration(ri)
+        witness = solve_by_enumeration(ri, report.added if report else ())
         print(f"witness: {'none' if witness is None else ' '.join(map(str, witness))}")
     return code
 

@@ -29,8 +29,8 @@ class BitBlowup(MirrorGalleryError):
     """Coordinate bit-length exceeded the configured safety cap during a bounce cascade."""
 
 
-class BudgetExceeded(MirrorGalleryError):
-    """A decomposition would exceed the configured segment budget."""
+class InvariantViolated(MirrorGalleryError):
+    """An invariant the algorithm guarantees did not hold: a library bug, not bad input."""
 
 
 class TooLarge(MirrorGalleryError):
@@ -42,7 +42,7 @@ class GraphDisconnected(MirrorGalleryError):
 
 
 class CoverageCertificationFailed(MirrorGalleryError):
-    """A reduced guard set failed its explicit reflection-coverage check."""
+    """A guard set failed its exact reflection-coverage certificate."""
 
 
 class NotAFunnel(MirrorGalleryError):

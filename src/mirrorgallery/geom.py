@@ -434,20 +434,23 @@ class _SweepSeg:
         return self.ay + (x - self.ax) * (self.by - self.ay) / (self.bx - self.ax)
 
 
-def overlay(
-    layers: Sequence[Region],
-    keep: Callable[[Sequence[int]], bool],
-    *,
-    splitters: Iterable[Segment] = (),
-    merge_runs: bool = True,
-) -> Region:
+def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> Region:
     """Partition the plane into slab cells and keep those selected by `keep`.
 
     `keep` receives, for each input layer, the number of that layer's parts
-    covering the cell; it must reject the all-zero vector. Splitter segments
-    refine the cell structure without contributing coverage. With
-    merge_runs=False every elementary cell is emitted separately, which is
-    what the guarding decomposition needs.
+    covering the cell; it must reject the all-zero vector.
+    """
+    return Region(cell for _, cell in _sweep(layers, keep))
+
+
+def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
+    """Slab sweep over the layers' cells, yielding (key value, trapezoid).
+
+    Within each slab the elementary cells between consecutive edges get the
+    value of `key` on their per-layer count vector (how many of each layer's
+    parts cover the cell). Every maximal vertical run of cells with one
+    truthy value is yielded as one trapezoid; runs with a falsy value and
+    runs of zero area are skipped.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
@@ -459,11 +462,8 @@ def overlay(
                 segs.append(_SweepSeg(e.a, e.b, li, part_id, order))
                 order += 1
             part_id += 1
-    for s in splitters:
-        segs.append(_SweepSeg(s.a, s.b, None, None, order))
-        order += 1
     if not segs:
-        return Region.empty()
+        return
 
     xs = set()
     for s in segs:
@@ -499,8 +499,6 @@ def overlay(
 
     active: list[_SweepSeg] = []
     pi = 0
-    out_parts: list[SimplePolygon] = []
-
     for k in range(len(xs) - 1):
         xl = xs[k]
         xr = xs[k + 1]
@@ -514,42 +512,39 @@ def overlay(
         rows = sorted(((s.y_at(xm), s.order, s) for s in active), key=lambda r: (r[0], r[1]))
         counts = [0] * nlayers
         inside_parts = set()
+        last = len(rows) - 1
+        run_key = None
         run_bottom = None  # sweep segment bounding the open run from below
         for idx, row in enumerate(rows):
             seg = row[2]
-            if seg.layer is not None:
-                if seg.part_id in inside_parts:
-                    inside_parts.discard(seg.part_id)
-                    counts[seg.layer] -= 1
-                else:
-                    inside_parts.add(seg.part_id)
-                    counts[seg.layer] += 1
-            status = idx + 1 < len(rows) and keep(counts)
-            if merge_runs:
-                if status and run_bottom is None:
-                    run_bottom = seg
-                elif not status and run_bottom is not None:
-                    _emit_cell(out_parts, xl, xr, run_bottom, seg)
-                    run_bottom = None
-            elif status:
-                _emit_cell(out_parts, xl, xr, seg, rows[idx + 1][2])
-        if run_bottom is not None:
-            _emit_cell(out_parts, xl, xr, run_bottom, rows[-1][2])
-    return Region(out_parts)
+            if seg.part_id in inside_parts:
+                inside_parts.discard(seg.part_id)
+                counts[seg.layer] -= 1
+            else:
+                inside_parts.add(seg.part_id)
+                counts[seg.layer] += 1
+            value = key(counts) if idx < last else None
+            if value != run_key:
+                if run_key:
+                    cell = _trapezoid(xl, xr, run_bottom, seg)
+                    if cell is not None:
+                        yield run_key, cell
+                run_key = value
+                run_bottom = seg
 
 
-def _emit_cell(out, xl, xr, bottom: _SweepSeg, top: _SweepSeg):
+def _trapezoid(xl, xr, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon | None:
     ybl = bottom.y_at(xl)
     ybr = bottom.y_at(xr)
     ytl = top.y_at(xl)
     ytr = top.y_at(xr)
     if ybl == ytl and ybr == ytr:
-        return
+        return None
     ring = [Point(xl, ybl), Point(xr, ybr), Point(xr, ytr), Point(xl, ytl)]
     try:
-        out.append(SimplePolygon.unchecked(ring))
+        return SimplePolygon.unchecked(ring)
     except GeometryError:
-        pass
+        return None
 
 
 # ---------------------------------------------------------------------------

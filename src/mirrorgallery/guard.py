@@ -1,13 +1,14 @@
 """Reflection-aware vertex guarding of simple polygons.
 
-The decomposition refines the polygon by the windows of all vertex
-visibility polygons (plus, for positive bounce budgets, chords joining
-co-visible boundary points contributed by extended visibility), yielding
-convex cells on which vertex visibility is combinatorially constant.
-Guarding is then exact set cover over the cells: greedy with
-deterministic tie-breaking, brute-force optimal for small instances, and
-a spanning-tree class reduction whose output is certified by an explicit
-reflection-coverage check instead of being trusted.
+One exact overlay of the polygon and the r-bounce extended region of
+every candidate guard splits the polygon into coverage classes: the parts
+covered by exactly the same guards. Every class boundary is a boundary of
+some guard's region, so a guard covers a class wholly or not at all, and
+the class areas must sum exactly to the polygon's area. Guarding is then
+exact set cover over the classes: greedy with deterministic tie-breaking,
+brute-force optimal for small instances, and a spanning-tree class
+reduction whose output is certified by the same overlay over the kept
+guards instead of being trusted.
 """
 
 from __future__ import annotations
@@ -16,23 +17,22 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from .errors import (
-    BudgetExceeded,
     CoverageCertificationFailed,
     GraphDisconnected,
+    InvariantViolated,
+    SpecMismatch,
     TooLarge,
 )
 from .geom import (
     Point,
-    PointLocation,
     Region,
     Segment,
     SimplePolygon,
-    merge_region,
-    overlay,
+    _sweep,
     region_union,
-    sees,
 )
 from .reflect import extend_all_edges
 from .visibility import visibility_polygon
@@ -45,21 +45,17 @@ class GuardKind(Enum):
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    level: int
-    cells: tuple[SimplePolygon, ...]
-    generating_segments: tuple[Segment, ...]
+    """Coverage classes of a polygon for a list of guard points.
 
-    def sample_points(self, i: int) -> tuple[Point, Point, Point]:
-        """Centroid plus two points along the centroid-to-vertex median."""
-        cell = self.cells[i]
-        verts = cell.vertices
-        cx = sum((v.x for v in verts), Fraction(0)) / len(verts)
-        cy = sum((v.y for v in verts), Fraction(0)) / len(verts)
-        c = Point(cx, cy)
-        v0 = verts[0]
-        quarter = Point(c.x + (v0.x - c.x) / 4, c.y + (v0.y - c.y) / 4)
-        three_q = Point(c.x + 3 * (v0.x - c.x) / 4, c.y + 3 * (v0.y - c.y) / 4)
-        return (c, quarter, three_q)
+    `cells[i]` is the part of the polygon covered by exactly the guard
+    points `signatures[i]` (indices into the list the classes were built
+    for); `generating_segments` are the boundary edges the overlay swept.
+    """
+
+    level: int
+    cells: tuple[Region, ...]
+    signatures: tuple[frozenset[int], ...]
+    generating_segments: tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class GuardSolution:
     guards: tuple[int, ...]
     r: int
     kind: GuardKind
-    coverage_certificate: tuple[int, ...]  # per-cell index into `guards`
+    coverage_certificate: tuple[int, ...]  # per coverage class, an index into `guards`
 
 
 @dataclass(frozen=True)
@@ -94,166 +90,63 @@ def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
     return region
 
 
-def _boundary_points_of_region(P: SimplePolygon, region: Region) -> set[Point]:
-    pts = set()
-    for part in region.parts:
-        for v in part.vertices:
-            if P.contains(v) is PointLocation.BOUNDARY:
-                pts.add(v)
-    return pts
+def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellDecomposition:
+    """Group the polygon by which guard points cover it under r bounces.
+
+    One overlay of P and every point's extended region; the elementary
+    cells inside P with the same set of covering points form one class, so
+    every class boundary is a boundary of some layer and coverage is exact.
+    Certified before returning: the class areas sum exactly to the area of
+    P, and every class is covered by some point.
+    """
+    layers = [Region.of(P)] + [extended_region(P, p, r) for p in points]
+    classes: dict[frozenset[int], list[SimplePolygon]] = {}
+    for counts, cell in _sweep(layers, lambda c: tuple(c) if c[0] else None):
+        classes.setdefault(frozenset(i for i, c in enumerate(counts[1:]) if c), []).append(cell)
+    cells = tuple(Region(parts) for parts in classes.values())
+    area = sum((c.area for c in cells), Fraction(0))
+    if area != P.area:
+        raise CoverageCertificationFailed(f"coverage classes sum to {area}, polygon area is {P.area}")
+    if frozenset() in classes:
+        raise CoverageCertificationFailed(
+            f"{len(points)} guard points leave area {Region(classes[frozenset()]).area} "
+            f"uncovered at {r} bounces"
+        )
+    edges = tuple(e for layer in layers for part in layer._query_parts for e in part.edges())
+    return CellDecomposition(r, cells, tuple(classes), edges)
 
 
-def decompose(P: SimplePolygon, r: int, *, budget: int = 10**6) -> CellDecomposition:
-    """Convex cells on which vertex visibility under r bounces is constant."""
-    gen: list[Segment] = []
-    seen = set()
-
-    def push(seg: Segment):
-        key = (seg.a, seg.b) if (seg.a.x, seg.a.y) <= (seg.b.x, seg.b.y) else (seg.b, seg.a)
-        if key not in seen:
-            seen.add(key)
-            gen.append(Segment(*key))
-
-    for v in P.vertices:
-        for w in visibility_polygon(P, v).windows:
-            push(w)
-
-    qpoints: set[Point] = set(P.vertices)
-    for seg in list(gen):
-        qpoints.add(seg.a)
-        qpoints.add(seg.b)
-
-    for level in range(1, r + 1):
-        for v in P.vertices:
-            region = extended_region(P, v, level)
-            merged = merge_region(region)
-            qpoints |= _boundary_points_of_region(P, merged)
-        qlist = sorted(qpoints, key=lambda p: (p.x, p.y))
-        if len(qlist) ** 2 + len(gen) > budget:
-            raise BudgetExceeded(
-                f"projected {len(qlist) ** 2} join segments exceed budget {budget}"
-            )
-        for a, b in combinations(qlist, 2):
-            if sees(P, a, b):
-                push(Segment(a, b))
-        if len(gen) > budget:
-            raise BudgetExceeded(f"{len(gen)} generating segments exceed budget {budget}")
-
-    raw = overlay(
-        [Region.of(P)],
-        lambda c: c[0] > 0,
-        splitters=gen,
-        merge_runs=False,
-    )
-    cells = _merge_faces(list(raw.parts), P, gen)
-    return CellDecomposition(level=r, cells=tuple(cells), generating_segments=tuple(gen))
-
-
-def _cell_profile(cell: SimplePolygon):
-    xs = sorted({v.x for v in cell.vertices})
-    xl, xr = xs[0], xs[-1]
-    left = [v.y for v in cell.vertices if v.x == xl]
-    right = [v.y for v in cell.vertices if v.x == xr]
-    return xl, xr, (min(left), max(left)), (min(right), max(right))
-
-
-def _merge_faces(cells: list[SimplePolygon], P: SimplePolygon, gen: list[Segment]):
-    """Union-find sweep cells into arrangement faces across slab walls."""
-    vertical: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
-    for seg in list(P.edges()) + list(gen):
-        if seg.a.x == seg.b.x:
-            lo, hi = sorted((seg.a.y, seg.b.y))
-            vertical.setdefault(seg.a.x, []).append((lo, hi))
-
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    profiles = [_cell_profile(c) for c in cells]
-    by_left: dict[Fraction, list[int]] = {}
-    for i, (xl, _, _, _) in enumerate(profiles):
-        by_left.setdefault(xl, []).append(i)
-    for i, (_, xr, _, right) in enumerate(profiles):
-        for j in by_left.get(xr, ()):
-            left_j = profiles[j][2]
-            lo = max(right[0], left_j[0])
-            hi = min(right[1], left_j[1])
-            if lo >= hi:
-                continue
-            walls = vertical.get(xr, ())
-            free = [(lo, hi)]
-            for wlo, whi in walls:
-                nxt = []
-                for flo, fhi in free:
-                    if whi <= flo or wlo >= fhi:
-                        nxt.append((flo, fhi))
-                        continue
-                    if wlo > flo:
-                        nxt.append((flo, wlo))
-                    if whi < fhi:
-                        nxt.append((whi, fhi))
-                free = nxt
-                if not free:
-                    break
-            if any(fhi > flo for flo, fhi in free):
-                union(i, j)
-
-    groups: dict[int, list[SimplePolygon]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(find(i), []).append(cell)
-    out: list[SimplePolygon] = []
-    for group in groups.values():
-        if len(group) == 1:
-            out.append(group[0])
-            continue
-        merged = merge_region(Region(group))
-        if len(merged.parts) == 1 and _is_convex(merged.parts[0]):
-            out.append(merged.parts[0])
-        else:
-            out.extend(group)
-    out.sort(key=lambda c: (c.bbox[0], c.bbox[1], c.bbox[2], c.bbox[3]))
-    return out
-
-
-def _is_convex(poly: SimplePolygon) -> bool:
-    n = poly.n
-    for i in range(n):
-        a = poly.vertices[i]
-        b = poly.vertices[(i + 1) % n]
-        c = poly.vertices[(i + 2) % n]
-        if (b - a).cross(c - b) <= 0:
-            return False
-    return True
+def decompose(P: SimplePolygon, r: int) -> CellDecomposition:
+    """Coverage classes of P for all its vertices under r bounces."""
+    return coverage_classes(P, P.vertices, r)
 
 
 def coverage_sets(
     P: SimplePolygon, decomposition: CellDecomposition, guard_points: list[Point], r: int
 ) -> list[set[int]]:
-    """For each guard point, the set of cell indices it covers under r bounces."""
+    """For each guard vertex, the set of class indices of `decompose(P, r)` it covers."""
+    if r != decomposition.level:
+        raise SpecMismatch(f"classes were built for {decomposition.level} bounces, not {r}")
+    index = {v: i for i, v in enumerate(P.vertices)}
     out = []
     for p in guard_points:
-        region = extended_region(P, p, r)
-        covered = set()
-        for ci in range(len(decomposition.cells)):
-            if all(region.covers(s) for s in decomposition.sample_points(ci)):
-                covered.add(ci)
-        out.append(covered)
+        if p not in index:
+            raise SpecMismatch(f"{p!r} is not a vertex of the polygon")
+        vi = index[p]
+        out.append({ci for ci, sig in enumerate(decomposition.signatures) if vi in sig})
     return out
+
+
+def _refuse_specular(kind: GuardKind):
+    if kind is GuardKind.SPECULAR:
+        raise SpecMismatch("vertex guarding covers with diffuse bounces only")
 
 
 def greedy_cover(
     P: SimplePolygon, r: int, kind: GuardKind = GuardKind.DIFFUSE
 ) -> GuardSolution:
-    """Greedy set cover over decomposition cells; lowest vertex index wins ties."""
+    """Greedy set cover over coverage classes; lowest vertex index wins ties."""
+    _refuse_specular(kind)
     decomposition = decompose(P, r)
     points = list(P.vertices)
     sets = coverage_sets(P, decomposition, points, r)
@@ -269,7 +162,7 @@ def greedy_cover(
                 best = vi
                 best_gain = gain
         if best_gain <= 0:
-            raise CoverageCertificationFailed("some cell is covered by no vertex")
+            raise CoverageCertificationFailed("some class is covered by no vertex")
         chosen.append(best)
         uncovered -= sets[best]
     certificate = _certificate(ncells, chosen, sets)
@@ -284,7 +177,7 @@ def _certificate(ncells: int, chosen: list[int], sets: list[set[int]]) -> tuple[
                 cert.append(gi)
                 break
         else:
-            raise CoverageCertificationFailed(f"cell {ci} uncovered")
+            raise CoverageCertificationFailed(f"class {ci} uncovered")
     return tuple(cert)
 
 
@@ -294,6 +187,7 @@ def optimal_cover_bruteforce(
     """Minimum-cardinality vertex guard set by subset enumeration (n <= 16)."""
     if P.n > 16:
         raise TooLarge(f"{P.n} vertices exceeds the brute-force limit of 16")
+    _refuse_specular(kind)
     decomposition = decompose(P, r)
     points = list(P.vertices)
     sets = coverage_sets(P, decomposition, points, r)
@@ -307,7 +201,7 @@ def optimal_cover_bruteforce(
             if covered == universe:
                 certificate = _certificate(ncells, list(combo), sets)
                 return GuardSolution(tuple(combo), r, kind, certificate)
-    raise CoverageCertificationFailed("no vertex subset covers all cells")
+    raise CoverageCertificationFailed("no vertex subset covers all classes")
 
 
 def _mutual_one_bounce(P: SimplePolygon, a: Point, b: Point) -> bool:
@@ -353,13 +247,14 @@ def _bfs_levels(nodes: list[int], edges: frozenset[tuple[int, int]], root: int):
 
 
 def reduce_guard_points(
-    P: SimplePolygon, points: list[Point], r: int, *, certify_cells: CellDecomposition | None = None
+    P: SimplePolygon, points: list[Point], r: int
 ) -> tuple[list[int], tuple[int, ...]]:
     """Spanning-tree class reduction over arbitrary guard positions.
 
-    Returns indices (into `points`) of the kept class plus a per-cell
-    certificate, after explicitly checking that the kept guards cover the
-    polygon with r diffuse bounces over all edges.
+    Returns indices (into `points`) of the kept class plus a per-class
+    certificate (the first kept guard covering each coverage class of the
+    kept guards), after the coverage classes certify that the kept guards
+    cover the polygon with r diffuse bounces over all edges.
     """
     idx = list(range(len(points)))
     edges = graph_from_points(P, points)
@@ -376,21 +271,11 @@ def reduce_guard_points(
     if not kept:
         kept = [root]
     bound = -(-len(points) // k)  # ceil
-    assert len(kept) <= bound, "pigeonhole bound violated"
+    if len(kept) > bound:
+        raise InvariantViolated(f"kept {len(kept)} guards, pigeonhole bound is {bound}")
 
-    cells = certify_cells if certify_cells is not None else decompose(P, 0)
-    sets = coverage_sets(P, cells, [points[i] for i in kept], r)
-    cert = []
-    for ci in range(len(cells.cells)):
-        for gi in range(len(kept)):
-            if ci in sets[gi]:
-                cert.append(gi)
-                break
-        else:
-            raise CoverageCertificationFailed(
-                f"reduced guard set fails {r}-bounce coverage at cell {ci}"
-            )
-    return kept, tuple(cert)
+    certified = coverage_classes(P, [points[i] for i in kept], r)
+    return kept, tuple(min(sig) for sig in certified.signatures)
 
 
 def spanning_tree_reduce(P: SimplePolygon, S: GuardSolution, r: int) -> GuardSolution:

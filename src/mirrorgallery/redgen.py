@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvalidInstance, TooLarge, VerificationFailed
 from .geom import (
@@ -89,6 +90,7 @@ class ReductionInstance:
 @dataclass(frozen=True)
 class VerificationReport:
     clauses: tuple[tuple[str, bool, str], ...]
+    added: tuple[Region, ...] = ()  # per main candidate edge, in order
 
     @property
     def ok(self) -> bool:
@@ -345,29 +347,26 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
                     break
             clauses.append(("opaque", ok_all, detail))
 
-    report = VerificationReport(tuple(clauses))
+    report = VerificationReport(tuple(clauses), tuple(added_regions.values()))
     if not report.ok:
         name, detail = report.first_failure()
         raise VerificationFailed(f"clause {name} failed: {detail}", report=report)
     return report
 
 
-def solve_by_enumeration(ri: ReductionInstance):
+def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
     """Subset of main edges whose exact combined added area equals the target.
 
     Enumerates subsets in increasing bitmask order; returns the edge index
     tuple or None. Candidate added regions are pairwise disjoint (verified),
-    so the union area is the plain sum.
+    so the union area is the plain sum. `added` may pass the main edges'
+    added regions a `verify_instance` report already holds.
     """
     m = len(ri.candidates.main)
     if m > 20:
         raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
-    areas = []
-    regions = []
-    for e in ri.candidates.main:
-        region = added_region_for_edge(ri, e)
-        regions.append(region)
-        areas.append(region.area)
+    regions = list(added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
+    areas = [region.area for region in regions]
     union_area = region_union_all(regions).area
     if union_area != sum(areas, Fraction(0)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CertificationFailed, NotAFunnel, NotWeaklyVisible, QueryOutside
+from .errors import (
+    CertificationFailed,
+    InvariantViolated,
+    NotAFunnel,
+    NotWeaklyVisible,
+    QueryOutside,
+)
 from .geom import (
     Point,
     PointLocation,
@@ -186,7 +192,8 @@ def funnel_best_mirrors(F: Funnel, q: Point, *, include_chord: bool = False) -> 
                 candidates.append(e)
     if include_chord and F.chord not in candidates:
         candidates.append(F.chord)
-    assert len(candidates) <= 8, "tangent candidate set exceeded its cap"
+    if len(candidates) > 8:
+        raise InvariantViolated(f"{len(candidates)} tangent candidate edges exceed the cap of 8")
     candidates.sort()
 
     vp_region = Region.of(visibility_polygon(P, q).polygon)

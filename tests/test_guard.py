@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction as F
 from math import ceil, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrorgallery.errors import GraphDisconnected, TooLarge
-from mirrorgallery.geom import SimplePolygon, sees
+from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, SpecMismatch, TooLarge
+from mirrorgallery.geom import PointLocation, SimplePolygon, region_sample_points, sees
 from mirrorgallery.guard import (
     GuardKind,
     GuardSolution,
     build_guard_graph,
+    coverage_classes,
     decompose,
     extended_region,
     greedy_cover,
@@ -17,9 +21,15 @@ from mirrorgallery.guard import (
     spanning_tree_reduce,
 )
 
-from conftest import comb, histogram_polygon, lshape
+from conftest import comb, histogram_polygon, lshape, radial_polygon
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+
+
+def _convex(poly: SimplePolygon) -> bool:
+    n = poly.n
+    return all((poly.vertices[(i + 1) % n] - poly.vertices[i]).cross(
+        poly.vertices[(i + 2) % n] - poly.vertices[(i + 1) % n]) > 0 for i in range(n))
 
 
 class TestDecompose:
@@ -29,40 +39,55 @@ class TestDecompose:
         assert d.cells[0].area == SQUARE.area
 
     def test_lshape_cells(self):
-        # windows through the reflex corner: the two edge extensions plus the
-        # full diagonal (0,2)-(1,1)-(2,0); their arrangement has five faces
+        # the windows through the reflex corner (the two edge extensions and
+        # the diagonal (0,2)-(1,1)-(2,0)) bound five sets of seeing vertices
         L = lshape()
         d = decompose(L, 0)
         assert sum((c.area for c in d.cells), F(0)) == L.area
         assert len(d.cells) == 5
 
     def test_cells_convex_and_sampled_inside(self):
+        # every class is a union of convex trapezoids; its seeded samples lie
+        # in that class and strictly outside every other one
         L = lshape()
         d = decompose(L, 0)
+        rng = random.Random(5)
         for i, cell in enumerate(d.cells):
-            for s in d.sample_points(i):
-                assert cell.contains(s).value != "exterior"
+            assert all(_convex(part) for part in cell.parts)
+            for s in region_sample_points(cell, rng, 6):
+                assert cell.covers(s)
+                assert not any(other.contains(s) is PointLocation.INTERIOR
+                               for j, other in enumerate(d.cells) if j != i)
 
     def test_signature_constant_r0(self):
-        L = lshape()
-        d = decompose(L, 0)
-        for i in range(len(d.cells)):
-            sigs = []
-            for s in d.sample_points(i):
-                sigs.append({v for v in range(L.n) if sees(L, s, L.vertices[v])})
-            assert sigs[0] == sigs[1] == sigs[2]
+        for P in (lshape(), comb(3), histogram_polygon(random.Random(3), 5)):
+            d = decompose(P, 0)
+            rng = random.Random(7)
+            for cell, sig in zip(d.cells, d.signatures):
+                for s in region_sample_points(cell, rng, 4):
+                    assert sig == {v for v in range(P.n) if sees(P, s, P.vertices[v])}
 
     def test_signature_constant_r1(self):
-        L = lshape()
-        d = decompose(L, 1)
-        assert sum((c.area for c in d.cells), F(0)) == L.area
-        for i in range(len(d.cells)):
-            sigs = []
-            for s in d.sample_points(i):
-                sigs.append(
-                    {v for v in range(L.n) if extended_region(L, L.vertices[v], 1).covers(s)}
-                )
-            assert sigs[0] == sigs[1] == sigs[2]
+        for P in (lshape(), comb(2)):
+            d = decompose(P, 1)
+            assert sum((c.area for c in d.cells), F(0)) == P.area
+            rng = random.Random(11)
+            for cell, sig in zip(d.cells, d.signatures):
+                for s in region_sample_points(cell, rng, 4):
+                    assert sig == {
+                        v for v in range(P.n) if extended_region(P, P.vertices[v], 1).covers(s)
+                    }
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "radial"]))
+    def test_classes_partition_polygon(self, seed, shape):
+        rng = random.Random(seed)
+        P = histogram_polygon(rng, rng.randint(3, 5)) if shape == "histogram" else radial_polygon(
+            rng, rng.randint(5, 8))
+        d = decompose(P, 0)
+        assert sum((c.area for c in d.cells), F(0)) == P.area
+        assert len(set(d.signatures)) == len(d.signatures)
+        assert all(d.signatures)
 
 
 class TestCovers:
@@ -108,10 +133,19 @@ class TestCovers:
         sol = greedy_cover(c, 0)
         d = decompose(c, 0)
         assert len(sol.coverage_certificate) == len(d.cells)
+        rng = random.Random(13)
         for ci, gi in enumerate(sol.coverage_certificate):
-            guard_pt = c.vertices[sol.guards[gi]]
-            for s in d.sample_points(ci):
-                assert sees(c, guard_pt, s)
+            guard = sol.guards[gi]
+            assert guard in d.signatures[ci]
+            for s in region_sample_points(d.cells[ci], rng, 4):
+                assert sees(c, c.vertices[guard], s)
+
+    def test_specular_refused(self):
+        # vertex guarding computes diffuse coverage; it must not label it specular
+        with pytest.raises(SpecMismatch):
+            greedy_cover(lshape(), 1, GuardKind.SPECULAR)
+        with pytest.raises(SpecMismatch):
+            optimal_cover_bruteforce(lshape(), 1, GuardKind.SPECULAR)
 
 
 class TestGuardGraph:
@@ -162,7 +196,16 @@ class TestSpanningTreeReduce:
         red = spanning_tree_reduce(c, base, 4)
         k = 1 + 4 // 4
         assert len(red.guards) <= -(-len(base.guards) // k)
-        assert len(red.coverage_certificate) == len(decompose(c, 0).cells)
+        kept = coverage_classes(c, [c.vertices[g] for g in red.guards], 4)
+        assert len(red.coverage_certificate) == len(kept.cells)
+        for gi, sig in zip(red.coverage_certificate, kept.signatures):
+            assert gi == min(sig)
+
+    def test_uncovering_guards_fail_certification(self):
+        # at r=0 every guard is kept, and one corner of a comb cannot see every tooth
+        c = comb(3)
+        with pytest.raises(CoverageCertificationFailed):
+            reduce_guard_points(c, [c.vertices[0]], 0)
 
     def test_boundary_guards_same_bound(self):
         # the reduction never assumes guards sit at vertices: edge midpoints work

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mirrorgallery import redgen
 from mirrorgallery.errors import InvalidInstance, TooLarge, VerificationFailed
 from mirrorgallery.geom import Point, Region, SimplePolygon, region_intersection
 from mirrorgallery.redgen import (
@@ -158,6 +159,19 @@ class TestEnumeration:
     def test_witness_matches_arithmetic(self):
         ri = gen_specular(SubsetSumInstance((3, 5, 7), 12))
         got = solve_by_enumeration(ri)
+        assert got == (ri.candidates.main[1], ri.candidates.main[2])
+
+    def test_reuses_verified_regions(self, monkeypatch):
+        # the regions a verification report holds serve the solver; none is recomputed
+        ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 12))
+        report = verify_instance(ri)
+        assert len(report.added) == len(ri.candidates.main)
+
+        def recomputed(ri, e):
+            raise AssertionError(f"added region of edge {e} recomputed")
+
+        monkeypatch.setattr(redgen, "added_region_for_edge", recomputed)
+        got = solve_by_enumeration(ri, report.added)
         assert got == (ri.candidates.main[1], ri.candidates.main[2])
 
     def test_equivalence_both_generators(self, rng):
