@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import GeometryError, ParseError
 from .geom import Point, SimplePolygon
-from .redgen import CandidateEdges, ReductionInstance, ReductionKind, SubsetSumInstance
+from .redgen import CandidateEdges, ReductionInstance
 
 FORMAT_HEADER = "mgv1"
 
@@ -151,7 +151,7 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError("polygon section missing or too short")
     try:
         polygon = SimplePolygon(vertices)
-    except Exception as ex:
+    except GeometryError as ex:
         raise ParseError(f"invalid polygon: {ex}") from ex
     candidates = None
     if main or second or base is not None:
@@ -180,21 +180,3 @@ def instance_to_file(ri: ReductionInstance, expect: dict[str, str] | None = None
         expect=dict(expect or {}),
     )
 
-
-def file_to_instance(f: InstanceFile) -> ReductionInstance:
-    """Rebuild a reduction instance from a parsed file (spikes recomputed lazily)."""
-    if f.query is None or f.kind is None or f.k is None or f.values is None or f.candidates is None:
-        raise ParseError("file does not carry a full reduction instance")
-    kind = ReductionKind(f.kind)
-    ss = SubsetSumInstance(f.values, int(f.k)) if f.k.denominator == 1 else None
-    if ss is None:
-        raise ParseError("reduction target must be an integer")
-    from .redgen import gen_diffuse, gen_specular
-
-    if kind is ReductionKind.SPECULAR_SINGLE:
-        ri = gen_specular(ss)
-    else:
-        ri = gen_diffuse(ss, multi=kind is ReductionKind.DIFFUSE_MULTI)
-    if ri.polygon != f.polygon or ri.q != f.query or ri.candidates != f.candidates:
-        raise ParseError("file does not match its regenerated reduction instance")
-    return ri

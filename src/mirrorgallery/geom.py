@@ -832,10 +832,6 @@ def sees(P: SimplePolygon, x: Point, y: Point) -> bool:
     return True
 
 
-def segment_inside_polygon(P: SimplePolygon, seg: Segment) -> bool:
-    return sees(P, seg.a, seg.b)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic and randomized interior sampling.
 # ---------------------------------------------------------------------------
@@ -872,10 +868,6 @@ def region_interior_points(region: Region, k: int) -> list[Point]:
         if i % len(cells) == 0:
             round_ += 1
     return pts
-
-
-def polygon_interior_point(P: SimplePolygon) -> Point:
-    return region_interior_points(Region.of(P), 1)[0]
 
 
 def region_sample_points(region: Region, rng, k: int, *, grid: int = 1 << 20) -> list[Point]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -72,22 +73,16 @@ class GuardGraph:
     edges: frozenset[tuple[int, int]]
 
 
-_EXTENDED_CACHE: dict[tuple[SimplePolygon, Point, int], Region] = {}
-
-
+@lru_cache(maxsize=256)
 def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
-    """Closed region reachable from p with up to r diffuse bounces, all edges reflective."""
-    key = (P, p, r)
-    cached = _EXTENDED_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Closed region reachable from p with up to r diffuse bounces, all edges reflective.
+
+    The last 256 results are kept in an LRU cache (see `cache_info()`).
+    """
     if r == 0:
-        region = Region.of(visibility_polygon(P, p).polygon)
-    else:
-        ev = extend_all_edges(P, p, r)
-        region = region_union(Region.of(ev.direct.polygon), ev.added)
-    _EXTENDED_CACHE[key] = region
-    return region
+        return Region.of(visibility_polygon(P, p).polygon)
+    ev = extend_all_edges(P, p, r)
+    return region_union(Region.of(ev.direct.polygon), ev.added)
 
 
 def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellDecomposition:

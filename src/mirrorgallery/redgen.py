@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInstance, TooLarge, VerificationFailed
+from .errors import GeometryError, InvalidInstance, TooLarge, VerificationFailed
 from .geom import (
     Point,
     PointLocation,
@@ -268,7 +268,7 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
     try:
         SimplePolygon(list(P.vertices))
         clauses.append(("simple", True, "boundary is simple"))
-    except Exception as ex:  # pragma: no cover - generator guards this already
+    except GeometryError as ex:  # pragma: no cover - generator guards this already
         clauses.append(("simple", False, str(ex)))
 
     spike_regions = [Region.of(s) for s in ri.spikes]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BitBlowup, QueryOutsidePolygon, SourceOnMirrorLine, SpecMismatch
+from .errors import BitBlowup, GeometryError, QueryOutsidePolygon, SourceOnMirrorLine, SpecMismatch
 from .geom import (
     Orientation,
     Point,
@@ -35,7 +35,13 @@ from .geom import (
     segment_parts_inside,
     subtract_intervals,
 )
-from .visibility import VisibilityPolygon, visibility_polygon, weak_visibility_polygon
+from .visibility import (
+    VisibilityPolygon,
+    _Frame,
+    _primitive_direction,
+    visibility_polygon,
+    weak_visibility_polygon,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -222,6 +228,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         return ExtendedVisibility(vp, Region.empty(), (IlluminatedEdgePart(e, tuple(vis), 0),))
 
     q2 = reflect_point_across_line(q, a, b)
+    frame = _Frame(P, q2)
     pieces: list[SimplePolygon] = []
     for sigma in vis:
         params = {edge_seg.param_of(sigma.a), edge_seg.param_of(sigma.b)}
@@ -249,21 +256,18 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
             w0 = edge_seg.point_at(t0)
             w1 = edge_seg.point_at(t1)
             wm = edge_seg.point_at((t0 + t1) / 2)
-            d = wm - q2
-            hit = _first_hit_beyond(P, wm, d)
-            if hit is None:
+            # the ray from q2 through wm, past the mirror, passes through no vertex
+            far_edge = frame.first_hit(*_primitive_direction(wm - q2), beyond=e)
+            if far_edge is None:
                 continue
-            far_edge = hit
-            fa = P.vertices[far_edge]
-            fb = P.vertices[(far_edge + 1) % P.n]
-            x0 = _ray_line_point(q2, w0 - q2, fa, fb)
-            x1 = _ray_line_point(q2, w1 - q2, fa, fb)
+            x0 = frame.ray_point(_primitive_direction(w0 - q2), far_edge)
+            x1 = frame.ray_point(_primitive_direction(w1 - q2), far_edge)
             ring = [w0, w1, x1, x0]
             if _shoelace2(ring) < 0:
                 ring.reverse()
             try:
                 pieces.append(SimplePolygon.unchecked(ring))
-            except Exception:
+            except GeometryError:
                 continue
     if not pieces:
         added = Region.empty()
@@ -271,38 +275,6 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         added = region_difference(merge_region(Region(pieces)), vp_region)
         _check_bits(added, "specular bounce")
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
-
-
-def _first_hit_beyond(P: SimplePolygon, origin: Point, direction: Point):
-    """Edge index of the nearest proper crossing with t > 0, ignoring the
-    host edge the origin sits on (which intersects at t == 0)."""
-    best_t = None
-    best_i = None
-    for i in range(P.n):
-        ea = P.vertices[i]
-        eb = P.vertices[(i + 1) % P.n]
-        ed = eb - ea
-        denom = direction.cross(ed)
-        if denom == 0:
-            continue
-        w = ea - origin
-        t = w.cross(ed) / denom
-        if t <= 0:
-            continue
-        s = w.cross(direction) / denom
-        if s < 0 or s > 1:
-            continue
-        if best_t is None or t < best_t:
-            best_t = t
-            best_i = i
-    return best_i
-
-
-def _ray_line_point(origin: Point, direction: Point, a: Point, b: Point) -> Point:
-    e = b - a
-    denom = direction.cross(e)
-    t = (a - origin).cross(e) / denom
-    return origin + direction * t
 
 
 def extend_all_edges(P: SimplePolygon, q: Point, r: int) -> ExtendedVisibility:

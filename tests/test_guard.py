@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, SpecMismatch, TooLarge
-from mirrorgallery.geom import PointLocation, SimplePolygon, region_sample_points, sees
+from mirrorgallery.geom import Point, PointLocation, SimplePolygon, region_sample_points, sees
 from mirrorgallery.guard import (
     GuardKind,
     GuardSolution,
@@ -88,6 +88,17 @@ class TestDecompose:
         assert sum((c.area for c in d.cells), F(0)) == P.area
         assert len(set(d.signatures)) == len(d.signatures)
         assert all(d.signatures)
+
+
+    def test_extended_region_cache_is_bounded(self):
+        maxsize = extended_region.cache_info().maxsize
+        for i in range(1, maxsize + 11):
+            extended_region(SQUARE, Point(F(4 * i, maxsize + 11), 1), 0)
+        assert extended_region.cache_info().currsize <= maxsize
+        first = extended_region(SQUARE, Point(1, 3), 0)
+        hits = extended_region.cache_info().hits
+        assert extended_region(SQUARE, Point(1, 3), 0) is first
+        assert extended_region.cache_info().hits == hits + 1
 
 
 class TestCovers:

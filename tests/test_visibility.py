@@ -10,14 +10,11 @@ from mirrorgallery.geom import (
     Region,
     Segment,
     SimplePolygon,
+    region_difference,
     region_sample_points,
     sees,
 )
-from mirrorgallery.visibility import (
-    visibility_polygon,
-    weak_visibility_polygon,
-    windows_of,
-)
+from mirrorgallery.visibility import visibility_polygon, weak_visibility_polygon
 
 from conftest import histogram_polygon, lshape, radial_polygon, random_funnel
 from oracles import visibility_area_oracle
@@ -106,19 +103,43 @@ class TestVisibilityPolygon:
             vp = visibility_polygon(poly, q)
             assert vp.polygon.area == visibility_area_oracle(poly, q)
 
+    def test_oracle_equivalence_boundary_sources(self, rng):
+        # from a vertex or from inside an edge, some wedges leave the polygon;
+        # the lit test decides them without a point-location query
+        polys = [histogram_polygon(rng, 4), histogram_polygon(rng, 5), radial_polygon(rng, 7),
+                 radial_polygon(rng, 8)]
+        for poly in polys:
+            edge = poly.edge(rng.randrange(poly.n))
+            sources = [*poly.vertices, edge.point_at(F(rng.randint(1, 7), 8))]
+            for q in sources:
+                vp = visibility_polygon(poly, q)
+                assert vp.polygon.area == visibility_area_oracle(poly, q), (poly, q)
+
+    def test_cache_is_bounded(self):
+        sq = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        maxsize = visibility_polygon.cache_info().maxsize
+        for i in range(1, maxsize + 11):
+            visibility_polygon(sq, Point(F(i, maxsize + 11), F(1, 2)))
+        assert visibility_polygon.cache_info().currsize <= maxsize
+        q = Point(F(1, 3), F(1, 3))
+        first = visibility_polygon(sq, q)
+        hits = visibility_polygon.cache_info().hits
+        assert visibility_polygon(sq, q) is first
+        assert visibility_polygon.cache_info().hits == hits + 1
+
 
 class TestWindows:
     def test_convex_no_windows(self):
         sq = SimplePolygon([(0, 0), (3, 0), (3, 3), (0, 3)])
         vp = visibility_polygon(sq, Point(1, 2))
-        assert windows_of(vp, sq) == []
+        assert vp.windows == ()
 
     def test_lshape_single_window_through_reflex(self):
         # a viewer in the right leg loses the far side of the upper leg; the
         # single window is anchored at the reflex corner (1,1)
         L = lshape()
         vp = visibility_polygon(L, Point(F(3, 2), F(1, 2)))
-        wins = windows_of(vp, L)
+        wins = vp.windows
         assert len(wins) == 1
         (w,) = wins
         assert Segment(w.a, w.b).contains_point(Point(1, 1))
@@ -129,7 +150,7 @@ class TestWindows:
 
         ri = gen_specular(SubsetSumInstance((1, 2), 2))
         vp = visibility_polygon(ri.polygon, ri.q)
-        wins = windows_of(vp, ri.polygon)
+        wins = vp.windows
         spike_mouth_windows = 0
         for spike in ri.spikes:
             rim_left, _, rim_right = spike.vertices
@@ -140,7 +161,47 @@ class TestWindows:
         assert spike_mouth_windows == len(ri.spikes)
 
 
+def _sees_some_point(P: SimplePolygon, p: Point, s: Segment) -> bool:
+    """Brute force: along s, what p sees changes only where the line from p
+    through a vertex crosses s, so s's endpoints, those crossings and the
+    midpoints between consecutive ones decide it."""
+    d = s.b - s.a
+    ts = {F(0), F(1)}
+    for v in P.vertices:
+        if v == p:
+            continue
+        u = v - p
+        denom = d.cross(u)
+        if denom != 0:
+            t = (p - s.a).cross(u) / denom
+            if 0 < t < 1:
+                ts.add(t)
+    ts = sorted(ts)
+    ts += [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
+    return any(sees(P, p, s.point_at(t)) for t in ts)
+
+
 class TestWeakVisibility:
+    def test_pointwise_oracle(self, rng):
+        L = lshape()
+        cases = [(L, L.edge(i)) for i in range(L.n)]
+        cases.append((L, Segment(Point(F(1, 2), 0), Point(1, 0))))
+        # the pivot cone at the reflex corner (1,1) spans its exterior angle
+        # and is pinched there into two parts
+        cases.append((L, Segment(Point(0, F(3, 2)), Point(F(3, 2), 0))))
+        for poly in [histogram_polygon(rng, 4), histogram_polygon(rng, 5), radial_polygon(rng, 7),
+                     radial_polygon(rng, 8)]:
+            cases += [(poly, poly.edge(rng.randrange(poly.n))) for _ in range(2)]
+        outcomes = set()
+        for poly, s in cases:
+            w = weak_visibility_polygon(poly, s)
+            assert region_difference(w, Region.of(poly)).is_empty
+            for p in region_sample_points(Region.of(poly), rng, 20):
+                seen = _sees_some_point(poly, p, s)
+                assert w.covers(p) == seen, (poly, s, p)
+                outcomes.add(seen)
+        assert outcomes == {True, False}
+
     def test_convex_chord(self):
         sq = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
         w = weak_visibility_polygon(sq, Segment(Point(1, 0), Point(3, 0)))
