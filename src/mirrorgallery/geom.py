@@ -4,7 +4,9 @@ Everything downstream (visibility, reflection, guarding, reduction
 generators) is built on the primitives here: orientation and intersection
 predicates over arbitrary-precision rationals, point location, exact areas,
 and a slab-sweep overlay that implements boolean operations on regions.
-No floating point is used anywhere; all results are exact.
+The sweep crosses and orders edges on integer line coefficients and emits
+its trapezoids already normalized, with their areas. No floating point is
+used anywhere; all results are exact.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .errors import GeometryError
+from .errors import GeometryError, InvariantViolated
 
 logger = logging.getLogger(__name__)
-
-Rational = Fraction
 
 
 def rational(value) -> Fraction:
@@ -43,7 +44,7 @@ class PointLocation(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: Fraction
     y: Fraction
@@ -84,11 +85,6 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def orient_sign(p: Point, q: Point, r: Point) -> int:
-    d = (q - p).cross(r - p)
-    return (d > 0) - (d < 0)
-
-
 @dataclass(frozen=True)
 class Segment:
     a: Point
@@ -118,9 +114,6 @@ class Segment:
 
     def midpoint(self) -> Point:
         return Point((self.a.x + self.b.x) / 2, (self.a.y + self.b.y) / 2)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
 
     def __repr__(self):
         return f"Segment({self.a!r}, {self.b!r})"
@@ -188,7 +181,7 @@ class SimplePolygon:
         self.vertices = tuple(verts)
         self._area = area2 / 2
         self._bbox = None
-        self._hash = hash(self.vertices)
+        self._hash = None
         if not _skip_simplicity_check:
             self._check_simple()
 
@@ -196,6 +189,18 @@ class SimplePolygon:
     def unchecked(cls, vertices: Iterable) -> "SimplePolygon":
         """Fast path for internally constructed rings known to be simple."""
         return cls(vertices, _skip_simplicity_check=True)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[Point, ...], area: Fraction) -> "SimplePolygon":
+        """A ring the caller built normalized, counterclockwise and simple, with its area."""
+        if area <= 0:
+            raise InvariantViolated(f"trusted ring {vertices!r} has area {area}")
+        self = object.__new__(cls)
+        self.vertices = vertices
+        self._area = area
+        self._bbox = None
+        self._hash = None
+        return self
 
     def _check_simple(self):
         n = len(self.vertices)
@@ -269,6 +274,8 @@ class SimplePolygon:
         return isinstance(other, SimplePolygon) and self.vertices == other.vertices
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.vertices)
         return self._hash
 
     def __repr__(self):
@@ -295,14 +302,6 @@ def _normalize_ring(verts: list[Point]) -> list[Point]:
                 changed = True
                 break
     return out
-
-
-def polygon_area(p: SimplePolygon) -> Fraction:
-    return p.area
-
-
-def point_in_polygon(q: Point, p: SimplePolygon) -> PointLocation:
-    return p.contains(q)
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +348,15 @@ class Region:
 
     @property
     def bbox(self):
-        if self._bbox is None:
-            if not self.parts:
-                self._bbox = None
-            else:
-                boxes = [p.bbox for p in self.parts]
-                self._bbox = (
-                    min(b[0] for b in boxes),
-                    min(b[1] for b in boxes),
-                    max(b[2] for b in boxes),
-                    max(b[3] for b in boxes),
-                )
+        if self._bbox is None and self.parts:
+            boxes = [p.bbox for p in self.parts]
+            self._bbox = (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                          max(b[2] for b in boxes), max(b[3] for b in boxes))
         return self._bbox
 
     def _build_locator(self):
-        entries = sorted(
-            ((p.bbox[0], p.bbox[2], p) for p in self._query_parts),
-            key=lambda e: (e[0], e[1]),
-        )
-        self._locator = entries
+        entries = ((p.bbox[0], p.bbox[2], p) for p in self._query_parts)
+        self._locator = sorted(entries, key=lambda e: (e[0], e[1]))
 
     def contains(self, p: Point) -> PointLocation:
         if not self._query_parts:
@@ -416,22 +405,38 @@ class Region:
 # ---------------------------------------------------------------------------
 
 
+def _int_line(a: Point, b: Point) -> tuple[int, int, int]:
+    """Integer (A, B, C) with A*x + B*y = C through a and b.
+
+    The cross product of the points' homogeneous integer forms
+    (x*qx*qy, y*qx*qy, qx*qy): no Fraction is built and no gcd is taken.
+    B > 0 when a is left of b.
+    """
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    xa, ya = ax.numerator * ay.denominator, ay.numerator * ax.denominator
+    xb, yb = bx.numerator * by.denominator, by.numerator * bx.denominator
+    wa, wb = ax.denominator * ay.denominator, bx.denominator * by.denominator
+    return ya * wb - wa * yb, wa * xb - xa * wb, ya * xb - xa * yb
+
+
 class _SweepSeg:
-    __slots__ = ("ax", "ay", "bx", "by", "layer", "part_id", "order")
+    """A non-vertical edge: its line A*x + B*y = C with B > 0, and its x-extent
+    [x0, x1] as fractions, as numerator/denominator pairs and, once the slab
+    boundaries are known, as their indices k0 and k1."""
+
+    __slots__ = ("A", "B", "C", "x0", "x1", "x0n", "x0d", "x1n", "x1d", "k0", "k1",
+                 "layer", "part_id", "order")
 
     def __init__(self, a: Point, b: Point, layer, part_id, order):
-        if a.x <= b.x:
-            self.ax, self.ay, self.bx, self.by = a.x, a.y, b.x, b.y
-        else:
-            self.ax, self.ay, self.bx, self.by = b.x, b.y, a.x, a.y
+        if a.x > b.x:
+            a, b = b, a
+        self.A, self.B, self.C = _int_line(a, b)
+        self.x0, self.x1 = a.x, b.x
+        self.x0n, self.x0d = a.x.numerator, a.x.denominator
+        self.x1n, self.x1d = b.x.numerator, b.x.denominator
         self.layer = layer
         self.part_id = part_id
         self.order = order
-
-    def y_at(self, x: Fraction) -> Fraction:
-        if self.ax == self.bx:
-            return self.ay
-        return self.ay + (x - self.ax) * (self.by - self.ay) / (self.bx - self.ax)
 
 
 def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> Region:
@@ -450,73 +455,66 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
     value of `key` on their per-layer count vector (how many of each layer's
     parts cover the cell). Every maximal vertical run of cells with one
     truthy value is yielded as one trapezoid; runs with a falsy value and
-    runs of zero area are skipped.
+    runs of zero area are skipped. Edges are crossed and ordered on their
+    integer lines; a Fraction is built only per crossing, per slab row and
+    per trapezoid corner.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
-    order = 0
+    xs = set()
     part_id = 0
     for li, region in enumerate(layers):
         for part in region._query_parts:
-            for e in part.edges():
-                segs.append(_SweepSeg(e.a, e.b, li, part_id, order))
-                order += 1
+            verts = part.vertices
+            for a, b in zip(verts, verts[1:] + verts[:1]):
+                xs.add(a.x)
+                if a.x != b.x:
+                    segs.append(_SweepSeg(a, b, li, part_id, len(segs)))
             part_id += 1
     if not segs:
         return
-
-    xs = set()
-    for s in segs:
-        xs.add(s.ax)
-        xs.add(s.bx)
-    # Pairwise proper crossings contribute new slab boundaries.
-    nonvert = [s for s in segs if s.ax != s.bx]
-    nonvert.sort(key=lambda s: s.ax)
-    for i in range(len(nonvert)):
-        si = nonvert[i]
-        lo_i, hi_i = (si.ay, si.by) if si.ay <= si.by else (si.by, si.ay)
-        for j in range(i + 1, len(nonvert)):
-            sj = nonvert[j]
-            if sj.ax > si.bx:
+    # Proper crossings strictly inside both x-extents add slab boundaries;
+    # a crossing at an extent end is at a vertex's x, already a boundary.
+    segs.sort(key=lambda s: s.x0)
+    for i, si in enumerate(segs):
+        Ai, Bi, Ci, x1n, x1d = si.A, si.B, si.C, si.x1n, si.x1d
+        for j in range(i + 1, len(segs)):
+            sj = segs[j]
+            if sj.x0n * x1d >= x1n * sj.x0d:
                 break
-            lo_j, hi_j = (sj.ay, sj.by) if sj.ay <= sj.by else (sj.by, sj.ay)
-            if hi_i < lo_j or hi_j < lo_i:
+            det = Ai * sj.B - sj.A * Bi
+            if det == 0:
                 continue
-            d1x = si.bx - si.ax
-            d1y = si.by - si.ay
-            d2x = sj.bx - sj.ax
-            d2y = sj.by - sj.ay
-            denom = d1x * d2y - d1y * d2x
-            if denom == 0:
-                continue
-            wx = sj.ax - si.ax
-            wy = sj.ay - si.ay
-            t = (wx * d2y - wy * d2x) / denom
-            u = (wx * d1y - wy * d1x) / denom
-            if 0 <= t <= 1 and 0 <= u <= 1:
-                xs.add(si.ax + t * d1x)
+            xn = Ci * sj.B - sj.C * Bi
+            if det < 0:
+                det, xn = -det, -xn
+            # sj starts no left of si, so x = xn/det must lie in (sj.x0, min(si.x1, sj.x1))
+            if xn * sj.x0d > sj.x0n * det and xn * x1d < x1n * det and xn * sj.x1d < sj.x1n * det:
+                xs.add(Fraction(xn, det))
     xs = sorted(xs)
+    index = {x: k for k, x in enumerate(xs)}
+    for s in segs:
+        s.k0, s.k1 = index[s.x0], index[s.x1]
 
     active: list[_SweepSeg] = []
     pi = 0
     for k in range(len(xs) - 1):
-        xl = xs[k]
-        xr = xs[k + 1]
-        while pi < len(nonvert) and nonvert[pi].ax <= xl:
-            active.append(nonvert[pi])
+        while pi < len(segs) and segs[pi].k0 <= k:
+            active.append(segs[pi])
             pi += 1
-        active = [s for s in active if s.bx > xl]
+        active = [s for s in active if s.k1 > k]
         if not active:
             continue
+        xl, xr = xs[k], xs[k + 1]
         xm = (xl + xr) / 2
-        rows = sorted(((s.y_at(xm), s.order, s) for s in active), key=lambda r: (r[0], r[1]))
+        p, q = xm.numerator, xm.denominator
+        rows = sorted(active, key=lambda s: (Fraction(s.C * q - s.A * p, s.B), s.order))
         counts = [0] * nlayers
         inside_parts = set()
         last = len(rows) - 1
         run_key = None
         run_bottom = None  # sweep segment bounding the open run from below
-        for idx, row in enumerate(rows):
-            seg = row[2]
+        for idx, seg in enumerate(rows):
             if seg.part_id in inside_parts:
                 inside_parts.discard(seg.part_id)
                 counts[seg.layer] -= 1
@@ -533,18 +531,27 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
                 run_bottom = seg
 
 
-def _trapezoid(xl, xr, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon | None:
-    ybl = bottom.y_at(xl)
-    ybr = bottom.y_at(xr)
-    ytl = top.y_at(xl)
-    ytr = top.y_at(xr)
-    if ybl == ytl and ybr == ytr:
+def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon | None:
+    """The cell between two edges over the slab [xl, xr], or None if it has no area.
+
+    The edges do not cross inside the slab and `top` is above `bottom`, so the
+    ring is counterclockwise; a side of zero height leaves a triangle, as
+    `_normalize_ring` would.
+    """
+    ln, ld, rn, rd = xl.numerator, xl.denominator, xr.numerator, xr.denominator
+    ybl = Fraction(bottom.C * ld - bottom.A * ln, bottom.B * ld)
+    ybr = Fraction(bottom.C * rd - bottom.A * rn, bottom.B * rd)
+    ytl = Fraction(top.C * ld - top.A * ln, top.B * ld)
+    ytr = Fraction(top.C * rd - top.A * rn, top.B * rd)
+    left, right = ytl != ybl, ytr != ybr
+    if not (left or right):
         return None
-    ring = [Point(xl, ybl), Point(xr, ybr), Point(xr, ytr), Point(xl, ytl)]
-    try:
-        return SimplePolygon.unchecked(ring)
-    except GeometryError:
-        return None
+    ring = (Point(xl, ybl), Point(xr, ybr))
+    if right:
+        ring += (Point(xr, ytr),)
+    if left:
+        ring += (Point(xl, ytl),)
+    return SimplePolygon._trusted(ring, (xr - xl) * (ytl - ybl + ytr - ybr) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +562,11 @@ def _trapezoid(xl, xr, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon | Non
 def _line_key(a: Point, b: Point):
     # Normalized (A, B, C) for the line A*x + B*y = C, primitive integers,
     # sign-canonical, so collinear segments share a key.
-    A = b.y - a.y
-    B = a.x - b.x
-    C = A * a.x + B * a.y
-    from math import gcd
-
-    denom = A.denominator * B.denominator * C.denominator
-    ai = int(A * denom)
-    bi = int(B * denom)
-    ci = int(C * denom)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
-    ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return (ai, bi, ci)
+    A, B, C = _int_line(a, b)
+    g = gcd(A, B, C) or 1
+    if A < 0 or (A == 0 and B < 0):
+        g = -g
+    return (A // g, B // g, C // g)
 
 
 def merge_region(region: Region) -> Region:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BitBlowup, GeometryError, QueryOutsidePolygon, SourceOnMirrorLine, SpecMismatch
+from .errors import (BitBlowup, GeometryError, ParseError, QueryOutsidePolygon,
+                     SourceOnMirrorLine, SpecMismatch)
 from .geom import (
     Orientation,
     Point,
@@ -50,7 +51,12 @@ DEFAULT_BIT_CAP = 4096
 
 def _bit_cap() -> int:
     raw = os.environ.get("MG_BIT_CAP")
-    return int(raw) if raw else DEFAULT_BIT_CAP
+    if not raw:
+        return DEFAULT_BIT_CAP
+    cap = int(raw) if raw.strip().isdecimal() else 0
+    if cap <= 0:
+        raise ParseError(f"MG_BIT_CAP must be a positive integer, not {raw!r}")
+    return cap
 
 
 class ReflectionKind(Enum):
@@ -115,8 +121,9 @@ def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
 def _check_bits(region: Region, where: str):
     bits = region.max_coordinate_bits()
     logger.debug("coordinate bits after %s: %d", where, bits)
-    if bits > _bit_cap():
-        raise BitBlowup(f"{bits} coordinate bits after {where} exceeds cap {_bit_cap()}")
+    cap = _bit_cap()
+    if bits > cap:
+        raise BitBlowup(f"{bits} coordinate bits after {where} exceeds cap {cap}")
 
 
 def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> ExtendedVisibility:

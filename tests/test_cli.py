@@ -175,6 +175,15 @@ class TestExitCodes:
         assert cli.main(["extend", str(inp), "--edges", "5", "--kind", "diffuse",
                          "--bounces", "1"]) == 5
 
+    @pytest.mark.parametrize("cap", ["abc", "-5", "0"])
+    def test_bad_bit_cap_is_2(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("MG_BIT_CAP", cap)
+        inp = tmp_path / "l.mg"
+        f = InstanceFile(polygon=lshape(), query=Point(F(3, 2), F(1, 2)))
+        inp.write_text(format_instance(f))
+        assert cli.main(["extend", str(inp), "--edges", "0,1,2,3,4,5", "--bounces", "1"]) == 2
+        assert "MG_BIT_CAP" in capsys.readouterr().err
+
     def test_verification_failure_is_6_and_writes_file(self, tmp_path, monkeypatch):
         from mirrorgallery import cli as cli_mod
         from mirrorgallery.errors import VerificationFailed

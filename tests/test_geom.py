@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mirrorgallery.errors import GeometryError
+from mirrorgallery.errors import GeometryError, InvariantViolated
 from mirrorgallery.geom import (
     Orientation,
     Point,
@@ -10,11 +13,11 @@ from mirrorgallery.geom import (
     Region,
     Segment,
     SimplePolygon,
+    _line_key,
+    _sweep,
     merge_intervals,
     merge_region,
     orientation,
-    point_in_polygon,
-    polygon_area,
     region_clip_halfplane,
     region_difference,
     region_intersection,
@@ -103,21 +106,21 @@ class TestSegmentIntersection:
 
 class TestPolygonBasics:
     def test_unit_square_area(self):
-        assert polygon_area(UNIT) == 1
+        assert UNIT.area == 1
 
     def test_triangle_area(self):
-        assert polygon_area(SimplePolygon([(0, 0), (4, 0), (0, 3)])) == 6
+        assert SimplePolygon([(0, 0), (4, 0), (0, 3)]).area == 6
 
     def test_rectangle_area_exact(self, rng):
         for _ in range(50):
             w = F(rng.randint(1, 40), rng.randint(1, 7))
             h = F(rng.randint(1, 40), rng.randint(1, 7))
-            assert polygon_area(rect(0, 0, w, h)) == w * h
+            assert rect(0, 0, w, h).area == w * h
 
     def test_point_location(self):
-        assert point_in_polygon(Point(F(1, 2), F(1, 2)), UNIT) is PointLocation.INTERIOR
-        assert point_in_polygon(Point(0, F(1, 2)), UNIT) is PointLocation.BOUNDARY
-        assert point_in_polygon(Point(2, 2), UNIT) is PointLocation.EXTERIOR
+        assert UNIT.contains(Point(F(1, 2), F(1, 2))) is PointLocation.INTERIOR
+        assert UNIT.contains(Point(0, F(1, 2))) is PointLocation.BOUNDARY
+        assert UNIT.contains(Point(2, 2)) is PointLocation.EXTERIOR
 
     def test_rejects_cw_ring(self):
         with pytest.raises(GeometryError):
@@ -231,3 +234,104 @@ class TestSegmentHelpers:
         assert sees(L, Point(F(7, 4), F(1, 2)), Point(F(1, 2), F(7, 4))) is False
         assert sees(L, Point(2, 0), Point(0, 2)) is True  # tangent through the notch corner
         assert sees(L, Point(0, 0), Point(2, 0)) is True  # along the bottom edge
+
+
+# ---------------------------------------------------------------------------
+# Integer slab sweep on slanted shapes with non-integer rational corners.
+# ---------------------------------------------------------------------------
+
+coords = st.builds(F, st.integers(-(2**24), 2**24), st.integers(1, 2**20))
+points = st.builds(Point, coords, coords)
+
+
+def _cross(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def _hull(pts):
+    """Counterclockwise convex hull without collinear vertices (monotone chain)."""
+    pts = sorted(set(pts), key=lambda p: (p.x, p.y))
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+@st.composite
+def convex_regions(draw):
+    """A slanted triangle or a convex polygon of up to six vertices."""
+    ring = _hull(draw(st.lists(points, min_size=3, max_size=draw(st.sampled_from([3, 6])))))
+    assume(len(ring) >= 3)
+    return Region.of(SimplePolygon(ring))
+
+
+def _clip_area(subject, clip):
+    """Area of the intersection of two convex CCW rings (Sutherland-Hodgman)."""
+    ring = list(subject)
+    for c0, c1 in zip(clip, clip[1:] + clip[:1]):
+        inside = [_cross(c0, c1, p) >= 0 for p in ring]
+        out = []
+        for i, p in enumerate(ring):
+            q, q_in = ring[(i + 1) % len(ring)], inside[(i + 1) % len(ring)]
+            if inside[i]:
+                out.append(p)
+            if inside[i] != q_in:
+                t = _cross(c0, c1, p) / (_cross(c0, c1, p) - _cross(c0, c1, q))
+                out.append(p + (q - p) * t)
+        ring = out
+    n = len(ring)
+    return sum((ring[i].cross(ring[(i + 1) % n]) for i in range(n)), F(0)) / 2
+
+
+def _line_key_reference(a, b):
+    """The Fraction formula the integer line key replaced."""
+    A = b.y - a.y
+    B = a.x - b.x
+    C = A * a.x + B * a.y
+    denom = A.denominator * B.denominator * C.denominator
+    ai, bi, ci = int(A * denom), int(B * denom), int(C * denom)
+    g = math.gcd(math.gcd(abs(ai), abs(bi)), abs(ci)) or 1
+    ai, bi, ci = ai // g, bi // g, ci // g
+    if ai < 0 or (ai == 0 and bi < 0):
+        ai, bi, ci = -ai, -bi, -ci
+    return (ai, bi, ci)
+
+
+class TestIntegerSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(a=convex_regions(), b=convex_regions())
+    def test_inclusion_exclusion(self, a, b):
+        inter = region_intersection(a, b).area
+        assert inter == _clip_area(a.parts[0].vertices, b.parts[0].vertices)
+        assert region_union(a, b).area + inter == a.area + b.area
+        assert region_difference(a, b).area + inter == a.area
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=convex_regions(), b=convex_regions())
+    def test_cells_are_normalized_rings(self, a, b):
+        for _, cell in _sweep([a, b], tuple):
+            ref = SimplePolygon.unchecked(cell.vertices)
+            assert cell.vertices == ref.vertices
+            assert cell.area == ref.area
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=points, b=points, t=coords, u=coords)
+    def test_line_key(self, a, b, t, u):
+        assume(a != b and t != u)
+        key = _line_key(a, b)
+        assert key == _line_key_reference(a, b) == _line_key(b, a)
+        d = b - a
+        assert _line_key(a + d * t, a + d * u) == key
+
+    def test_trusted_refuses_non_positive_area(self):
+        ring = (Point(0, 0), Point(1, 0), Point(0, 1))
+        assert SimplePolygon._trusted(ring, F(1, 2)).area == F(1, 2)
+        for area in (F(0), F(-1, 2)):
+            with pytest.raises(InvariantViolated):
+                SimplePolygon._trusted(ring, area)
