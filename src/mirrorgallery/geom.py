@@ -312,21 +312,27 @@ def _normalize_ring(verts: list[Point]) -> list[Point]:
 class Region:
     """A finite set of simple polygons whose interiors are pairwise disjoint.
 
-    The area of a region is the exact sum of part areas. Parts may be the
-    raw convex cells produced by the overlay sweep or merged maximal
-    polygons; membership queries go through an x-interval locator over the
-    original cells, so both representations answer identically.
+    The area of a region is the exact sum of part areas. A region built by
+    a boolean holds the convex cells of the overlay sweep as its parts;
+    areas, membership queries (through an x-interval locator) and later
+    sweeps all read those cells. `merge_region` glues them into maximal
+    polygons only where merged rings are wanted: SVG output and the
+    coordinate bit cap.
     """
 
-    __slots__ = ("parts", "_query_parts", "_area", "_bbox", "_locator", "_cells")
+    __slots__ = ("parts", "_area", "_bbox", "_locator")
 
-    def __init__(self, parts: Iterable[SimplePolygon] = (), _query_parts=None):
+    def __init__(self, parts: Iterable[SimplePolygon] = ()):
         self.parts = tuple(parts)
-        self._query_parts = tuple(_query_parts) if _query_parts is not None else self.parts
         self._area = None
         self._bbox = None
         self._locator = None
-        self._cells = None
+
+    @property
+    def _query_parts(self) -> tuple[SimplePolygon, ...]:
+        # Read-only alias of `parts`, only for bench/layertrace.py, which still
+        # reads it; it goes with the next change to the benchmark.
+        return self.parts
 
     @classmethod
     def empty(cls) -> "Region":
@@ -355,11 +361,11 @@ class Region:
         return self._bbox
 
     def _build_locator(self):
-        entries = ((p.bbox[0], p.bbox[2], p) for p in self._query_parts)
+        entries = ((p.bbox[0], p.bbox[2], p) for p in self.parts)
         self._locator = sorted(entries, key=lambda e: (e[0], e[1]))
 
     def contains(self, p: Point) -> PointLocation:
-        if not self._query_parts:
+        if not self.parts:
             return PointLocation.EXTERIOR
         if self._locator is None:
             self._build_locator()
@@ -464,7 +470,7 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
     xs = set()
     part_id = 0
     for li, region in enumerate(layers):
-        for part in region._query_parts:
+        for part in region.parts:
             verts = part.vertices
             for a, b in zip(verts, verts[1:] + verts[:1]):
                 xs.add(a.x)
@@ -572,9 +578,10 @@ def _line_key(a: Point, b: Point):
 def merge_region(region: Region) -> Region:
     """Glue region parts into maximal simple polygons by boundary tracing.
 
-    Falls back to the input (still correct, just fragmented) whenever the
-    union pinches to a point, produces a hole, or any consistency check
-    fails. Membership queries keep using the original cells either way.
+    For output only (SVG rendering and the coordinate bit cap): regions
+    keep their cells for every query and boolean. Falls back to the input
+    (still correct, just fragmented) whenever the union pinches to a
+    point, produces a hole, or any consistency check fails.
     """
     if len(region.parts) <= 1:
         return region
@@ -649,7 +656,7 @@ def merge_region(region: Region) -> Region:
     merged_area = sum((p.area for p in polys), Fraction(0))
     if merged_area != region.area:
         return region
-    return Region(polys, _query_parts=region._query_parts)
+    return Region(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +674,13 @@ def region_union_all(regions: Sequence[Region]) -> Region:
         return Region.empty()
     if len(regions) == 1:
         return regions[0]
-    raw = overlay(regions, lambda c: any(c))
-    return merge_region(raw)
+    return overlay(regions, any)
 
 
 def region_intersection(a: Region, b: Region) -> Region:
     if a.is_empty or b.is_empty:
         return Region.empty()
-    raw = overlay([a, b], lambda c: c[0] > 0 and c[1] > 0)
-    return merge_region(raw)
+    return overlay([a, b], lambda c: c[0] > 0 and c[1] > 0)
 
 
 def region_difference(a: Region, b: Region) -> Region:
@@ -683,8 +688,7 @@ def region_difference(a: Region, b: Region) -> Region:
         return Region.empty()
     if b.is_empty:
         return a
-    raw = overlay([a, b], lambda c: c[0] > 0 and c[1] == 0)
-    return merge_region(raw)
+    return overlay([a, b], lambda c: c[0] > 0 and c[1] == 0)
 
 
 def bbox_pad(bbox, pad) -> tuple:
@@ -835,11 +839,9 @@ def sees(P: SimplePolygon, x: Point, y: Point) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _region_cells(region: Region) -> list[SimplePolygon]:
-    if region._cells is None:
-        raw = overlay([region], lambda c: any(c))
-        region._cells = list(raw.parts)
-    return region._cells
+def _region_cells(region: Region) -> tuple[SimplePolygon, ...]:
+    # a caller's part need not be convex; the samplers below need convex cells
+    return overlay([region], any).parts
 
 
 def region_interior_points(region: Region, k: int) -> list[Point]:

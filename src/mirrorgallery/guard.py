@@ -14,7 +14,6 @@ guards instead of being trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -39,11 +38,6 @@ from .reflect import extend_all_edges
 from .visibility import visibility_polygon
 
 
-class GuardKind(Enum):
-    DIFFUSE = "diffuse"
-    SPECULAR = "specular"
-
-
 @dataclass(frozen=True)
 class CellDecomposition:
     """Coverage classes of a polygon for a list of guard points.
@@ -63,7 +57,6 @@ class CellDecomposition:
 class GuardSolution:
     guards: tuple[int, ...]
     r: int
-    kind: GuardKind
     coverage_certificate: tuple[int, ...]  # per coverage class, an index into `guards`
 
 
@@ -107,7 +100,7 @@ def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellD
             f"{len(points)} guard points leave area {Region(classes[frozenset()]).area} "
             f"uncovered at {r} bounces"
         )
-    edges = tuple(e for layer in layers for part in layer._query_parts for e in part.edges())
+    edges = tuple(e for layer in layers for part in layer.parts for e in part.edges())
     return CellDecomposition(r, cells, tuple(classes), edges)
 
 
@@ -132,16 +125,8 @@ def coverage_sets(
     return out
 
 
-def _refuse_specular(kind: GuardKind):
-    if kind is GuardKind.SPECULAR:
-        raise SpecMismatch("vertex guarding covers with diffuse bounces only")
-
-
-def greedy_cover(
-    P: SimplePolygon, r: int, kind: GuardKind = GuardKind.DIFFUSE
-) -> GuardSolution:
+def greedy_cover(P: SimplePolygon, r: int) -> GuardSolution:
     """Greedy set cover over coverage classes; lowest vertex index wins ties."""
-    _refuse_specular(kind)
     decomposition = decompose(P, r)
     points = list(P.vertices)
     sets = coverage_sets(P, decomposition, points, r)
@@ -161,7 +146,7 @@ def greedy_cover(
         chosen.append(best)
         uncovered -= sets[best]
     certificate = _certificate(ncells, chosen, sets)
-    return GuardSolution(tuple(chosen), r, kind, certificate)
+    return GuardSolution(tuple(chosen), r, certificate)
 
 
 def _certificate(ncells: int, chosen: list[int], sets: list[set[int]]) -> tuple[int, ...]:
@@ -176,13 +161,10 @@ def _certificate(ncells: int, chosen: list[int], sets: list[set[int]]) -> tuple[
     return tuple(cert)
 
 
-def optimal_cover_bruteforce(
-    P: SimplePolygon, r: int, kind: GuardKind = GuardKind.DIFFUSE
-) -> GuardSolution:
+def optimal_cover_bruteforce(P: SimplePolygon, r: int) -> GuardSolution:
     """Minimum-cardinality vertex guard set by subset enumeration (n <= 16)."""
     if P.n > 16:
         raise TooLarge(f"{P.n} vertices exceeds the brute-force limit of 16")
-    _refuse_specular(kind)
     decomposition = decompose(P, r)
     points = list(P.vertices)
     sets = coverage_sets(P, decomposition, points, r)
@@ -195,7 +177,7 @@ def optimal_cover_bruteforce(
                 covered |= sets[vi]
             if covered == universe:
                 certificate = _certificate(ncells, list(combo), sets)
-                return GuardSolution(tuple(combo), r, kind, certificate)
+                return GuardSolution(tuple(combo), r, certificate)
     raise CoverageCertificationFailed("no vertex subset covers all classes")
 
 
@@ -279,4 +261,4 @@ def spanning_tree_reduce(P: SimplePolygon, S: GuardSolution, r: int) -> GuardSol
     points = [P.vertices[g] for g in guards]
     kept_local, cert = reduce_guard_points(P, points, r)
     kept = tuple(guards[i] for i in kept_local)
-    return GuardSolution(kept, r, GuardKind.DIFFUSE, cert)
+    return GuardSolution(kept, r, cert)

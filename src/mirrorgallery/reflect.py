@@ -114,12 +114,14 @@ def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
         vp = visibility_polygon(P, src)
         return segment_parts_inside(edge_seg, [vp.polygon])
     if isinstance(src, Region):
-        return segment_parts_inside(edge_seg, list(src._query_parts))
+        return segment_parts_inside(edge_seg, src.parts)
     raise SpecMismatch(f"unsupported source {src!r}")
 
 
 def _check_bits(region: Region, where: str):
-    bits = region.max_coordinate_bits()
+    # the cap measures merged rings: the sweep's slab crossings give cells
+    # more bits than the region's own boundary
+    bits = merge_region(region).max_coordinate_bits()
     logger.debug("coordinate bits after %s: %d", where, bits)
     cap = _bit_cap()
     if bits > cap:
@@ -186,7 +188,7 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
         newly = {}
         for e in sorted(spec.edges):
             edge_seg = P.edge(e)
-            parts = segment_parts_inside(edge_seg, list(covered._query_parts))
+            parts = segment_parts_inside(edge_seg, covered.parts)
             if not parts:
                 continue
             ivals = [
@@ -279,7 +281,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     if not pieces:
         added = Region.empty()
     else:
-        added = region_difference(merge_region(Region(pieces)), vp_region)
+        added = region_difference(Region(pieces), vp_region)
         _check_bits(added, "specular bounce")
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 

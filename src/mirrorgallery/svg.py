@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geom import Point, Region, Segment, SimplePolygon, bbox_pad
+from .geom import Point, Region, Segment, SimplePolygon, bbox_pad, merge_region
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -56,7 +56,7 @@ class SvgCanvas:
         )
 
     def region_fill(self, region: Region, fill="#1f77b4", opacity="0.35"):
-        for part in region.parts:
+        for part in merge_region(region).parts:
             pts = " ".join(self._pt(v) for v in part.vertices)
             self.body.append(
                 f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" stroke="none"/>'

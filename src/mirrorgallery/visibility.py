@@ -244,8 +244,9 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
     Composed of the endpoint visibility polygons plus the pivot cones of
-    every reflex vertex over its visible subsegments of s; the union is a
-    single simple polygon for well-behaved inputs.
+    every reflex vertex over its visible subsegments of s. The region holds
+    the union's sweep cells; `merge_region` glues them into a single simple
+    polygon for well-behaved inputs.
     """
     if not sees(P, s.a, s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")

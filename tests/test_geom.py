@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -311,6 +312,18 @@ class TestIntegerSweep:
         assert inter == _clip_area(a.parts[0].vertices, b.parts[0].vertices)
         assert region_union(a, b).area + inter == a.area + b.area
         assert region_difference(a, b).area + inter == a.area
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=convex_regions(), b=convex_regions())
+    def test_boolean_cells_merge_to_the_same_set(self, a, b):
+        # booleans return disjoint cells; merging them for output keeps the set
+        rng = random.Random(7)
+        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b)):
+            assert r.validate_disjoint()
+            merged = merge_region(r)
+            assert merged.area == r.area
+            for p in region_sample_points(r, rng, 8) + region_sample_points(merged, rng, 8):
+                assert merged.covers(p) == r.covers(p)
 
     @settings(max_examples=60, deadline=None)
     @given(a=convex_regions(), b=convex_regions())

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, SpecMismatch, TooLarge
+from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, TooLarge
 from mirrorgallery.geom import Point, PointLocation, SimplePolygon, region_sample_points, sees
 from mirrorgallery.guard import (
-    GuardKind,
     GuardSolution,
     build_guard_graph,
     coverage_classes,
@@ -151,23 +150,16 @@ class TestCovers:
             for s in region_sample_points(d.cells[ci], rng, 4):
                 assert sees(c, c.vertices[guard], s)
 
-    def test_specular_refused(self):
-        # vertex guarding computes diffuse coverage; it must not label it specular
-        with pytest.raises(SpecMismatch):
-            greedy_cover(lshape(), 1, GuardKind.SPECULAR)
-        with pytest.raises(SpecMismatch):
-            optimal_cover_bruteforce(lshape(), 1, GuardKind.SPECULAR)
-
 
 class TestGuardGraph:
     def test_single_guard(self):
-        g = build_guard_graph(SQUARE, GuardSolution((0,), 0, GuardKind.DIFFUSE, ()))
+        g = build_guard_graph(SQUARE, GuardSolution((0,), 0, ()))
         assert g.nodes == (0,)
         assert g.edges == frozenset()
 
     def test_lshape_direct_edge(self):
         L = lshape()
-        g = build_guard_graph(L, GuardSolution((0, 3), 0, GuardKind.DIFFUSE, ()))
+        g = build_guard_graph(L, GuardSolution((0, 3), 0, ()))
         assert (0, 3) in {tuple(sorted(e)) for e in g.edges}
 
     def test_optimal_cover_connected(self, rng):

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from mirrorgallery.errors import SourceOnMirrorLine, SpecMismatch
+from mirrorgallery.errors import BitBlowup, SourceOnMirrorLine, SpecMismatch
 from mirrorgallery.geom import (
     Orientation,
     Point,
     Region,
     SimplePolygon,
+    merge_region,
     orientation,
+    region_difference,
+    region_intersection,
     region_sample_points,
     sees,
 )
@@ -24,7 +28,7 @@ from mirrorgallery.reflect import (
 )
 from mirrorgallery.visibility import visibility_polygon
 
-from conftest import lshape
+from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -126,6 +130,22 @@ class TestDiffuseExtend:
         for p in region_sample_points(ev.added, rng, 200):
             assert (b - a).cross(p - a) >= 0
 
+    def test_cells_agree_with_merged_rings(self):
+        # added regions hold the sweep's cells; merging them for output keeps
+        # area and membership, and the cells stay off the VP and inside P
+        rng = random.Random(29)
+        for P in [lshape(), comb(3), histogram_polygon(rng, 4), radial_polygon(rng, 7)]:
+            q = interior_point(rng, P)
+            vp = Region.of(visibility_polygon(P, q).polygon)
+            for ev in (extend_all_edges(P, q, 1), extend_all_edges(P, q, 2)):
+                added, merged = ev.added, merge_region(ev.added)
+                assert added.validate_disjoint()
+                assert merged.area == added.area
+                for p in region_sample_points(added, rng, 20) + region_sample_points(merged, rng, 20):
+                    assert merged.covers(p) == added.covers(p)
+                assert region_intersection(added, vp).area == 0
+                assert region_difference(added, Region.of(P)).is_empty
+
     def test_illumination_records(self):
         L = lshape()
         q = Point(F(3, 2), F(1, 2))
@@ -185,3 +205,19 @@ class TestSpecular:
         diff_added = diffuse_extend(L, q, diffuse({5}, 1)).added
         for p in region_sample_points(spec_added, rng, 200):
             assert diff_added.covers(p)
+
+
+class TestBitCap:
+    # the cells of this cascade are cut at slab crossings with 4-bit
+    # coordinates; the merged rings of each depth region need only 3
+    HIST = SimplePolygon([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (2, 1), (2, 5), (1, 5), (1, 2), (0, 2)])
+    Q = Point(F(3, 2), F(5, 2))
+
+    def test_cap_measures_merged_rings(self, monkeypatch):
+        ev = extend_all_edges(self.HIST, self.Q, 2)
+        assert merge_region(ev.added).max_coordinate_bits() == 3 < ev.added.max_coordinate_bits()
+        monkeypatch.setenv("MG_BIT_CAP", "3")
+        assert extend_all_edges(self.HIST, self.Q, 2).added.area == ev.added.area
+        monkeypatch.setenv("MG_BIT_CAP", "2")
+        with pytest.raises(BitBlowup):
+            extend_all_edges(self.HIST, self.Q, 2)
