@@ -696,47 +696,6 @@ def bbox_pad(bbox, pad) -> tuple:
     return (bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad)
 
 
-def bbox_rect(bbox) -> SimplePolygon:
-    xmin, ymin, xmax, ymax = bbox
-    return SimplePolygon.unchecked(
-        [Point(xmin, ymin), Point(xmax, ymin), Point(xmax, ymax), Point(xmin, ymax)]
-    )
-
-
-def halfplane_polygon(bbox, a: Point, b: Point) -> SimplePolygon | None:
-    """Clip the bbox rectangle to the closed half-plane left of a->b."""
-    d = b - a
-    ring = bbox_rect(bbox).vertices
-    out: list[Point] = []
-    n = len(ring)
-    for i in range(n):
-        s = ring[i]
-        e = ring[(i + 1) % n]
-        s_in = d.cross(s - a) >= 0
-        e_in = d.cross(e - a) >= 0
-        if s_in != e_in:
-            seg_d = e - s
-            denom = d.cross(seg_d)
-            t = d.cross(a - s) / denom
-            out.append(s + seg_d * t)
-        if e_in:
-            out.append(e)
-    try:
-        return SimplePolygon.unchecked(out)
-    except GeometryError:
-        return None
-
-
-def region_clip_halfplane(r: Region, a: Point, b: Point) -> Region:
-    """Intersect a region with the closed half-plane left of a->b."""
-    if r.is_empty:
-        return r
-    hp = halfplane_polygon(bbox_pad(r.bbox, 1), a, b)
-    if hp is None:
-        return Region.empty()
-    return region_intersection(r, Region.of(hp))
-
-
 # ---------------------------------------------------------------------------
 # Segment-level helpers used throughout the visibility machinery.
 # ---------------------------------------------------------------------------

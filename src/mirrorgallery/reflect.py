@@ -1,12 +1,13 @@
 """Visibility extension through reflecting edges.
 
-Diffuse extension runs a bounce cascade: edge parts lit by the source
-re-emit into the inner half-plane of their host edge via weak visibility,
-newly lit parts of other designated edges re-emit at the next depth, and
-so on up to the bounce budget. Specular extension unfolds the source
-across the mirror line and fans exact wedge quads through the visible
-part of the mirror. Added regions are kept disjoint from direct
-visibility so their exact areas can be summed and thresholded.
+Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
+source re-emits into the inner half-plane of e as star-shaped fans (see
+`visibility`), the fans of one depth are unioned in one sweep, and newly
+lit parts of other designated edges re-emit at the next depth, up to the
+bounce budget. Specular extension unfolds the source across the mirror
+line and fans exact wedge quads through the visible part of the mirror.
+Added regions are kept disjoint from direct visibility so their exact
+areas can be summed and thresholded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .errors import (BitBlowup, GeometryError, ParseError, QueryOutsidePolygon,
                      SourceOnMirrorLine, SpecMismatch)
@@ -30,7 +32,7 @@ from .geom import (
     merge_intervals,
     merge_region,
     orientation,
-    region_clip_halfplane,
+    overlay,
     region_difference,
     region_union_all,
     segment_parts_inside,
@@ -38,10 +40,11 @@ from .geom import (
 )
 from .visibility import (
     VisibilityPolygon,
+    _cone,
     _Frame,
+    _pivot_cones,
     _primitive_direction,
     visibility_polygon,
-    weak_visibility_polygon,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,6 +115,8 @@ def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
     edge_seg = P.edge(e)
     if isinstance(src, Point):
         vp = visibility_polygon(P, src)
+        if orientation(edge_seg.a, edge_seg.b, src) is not Orientation.COLLINEAR:
+            return vp.edge_parts(e)
         return segment_parts_inside(edge_seg, [vp.polygon])
     if isinstance(src, Region):
         return segment_parts_inside(edge_seg, src.parts)
@@ -142,72 +147,60 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
     vp_region = Region.of(vp.polygon)
     records: list[IlluminatedEdgePart] = []
     lit: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    newly: dict[int, list[Segment]] = {}
 
-    for e in sorted(spec.edges):
-        edge_seg = P.edge(e)
-        a, b = edge_seg.a, edge_seg.b
-        # an edge collinear with the source receives only grazing light and
-        # re-emits nothing
-        if orientation(a, b, q) is Orientation.COLLINEAR:
-            continue
-        parts = segment_parts_inside(edge_seg, [vp.polygon])
-        if not parts:
-            continue
-        newly[e] = parts
-        lit[e] = merge_intervals(
-            [tuple(sorted((edge_seg.param_of(s.a), edge_seg.param_of(s.b)))) for s in parts]
-        )
-        records.append(IlluminatedEdgePart(e, tuple(parts), 0))
+    def light(depth: int, parts_of) -> dict[int, list[Segment]]:
+        """Record and return the parts of each designated edge first lit at this depth."""
+        newly = {}
+        for e in sorted(spec.edges):
+            edge_seg = P.edge(e)
+            ivals = [tuple(sorted((edge_seg.param_of(s.a), edge_seg.param_of(s.b)))) for s in parts_of(e)]
+            fresh = subtract_intervals(merge_intervals(ivals), lit.get(e, []))
+            if fresh:
+                newly[e] = [Segment(edge_seg.point_at(t0), edge_seg.point_at(t1)) for t0, t1 in fresh]
+                lit[e] = merge_intervals(lit.get(e, []) + fresh)
+                records.append(IlluminatedEdgePart(e, tuple(newly[e]), depth))
+        return newly
 
+    # an edge collinear with the source is only grazed and re-emits nothing
+    newly = light(0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
+                  else vp.edge_parts(e))
     if vp.polygon.area == P.area:
         # direct visibility already saturates; no bounce can add anything
         return ExtendedVisibility(vp, Region.empty(), tuple(records))
 
+    reflex = [P.vertices[i] for i in P.reflex_indices()]
+    frame = cache(lambda p: _Frame(P, p))
     depth_regions: list[Region] = []
     covered = vp_region
     for depth in range(1, spec.max_bounces + 1):
-        pieces = []
+        # s re-emits to the points left of e that see it; each sees an
+        # interval of s that ends toward s.a at s.a or on a tangent through a
+        # reflex vertex left of e: the half-turn fan of s.a and those cones
+        fans: list[Region] = []
         for e in sorted(newly):
-            edge_seg = P.edge(e)
+            a, b = P.edge(e).a, P.edge(e).b
+            d = _primitive_direction(b - a)
+            pivots = [frame(v) for v in reflex if orientation(a, b, v) is Orientation.CCW]
             for s in newly[e]:
-                w = weak_visibility_polygon(P, s)
-                w = region_clip_halfplane(w, edge_seg.a, edge_seg.b)
-                if not w.is_empty:
-                    pieces.append(w)
-        if not pieces:
+                fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
+                fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
+        dr = region_union_all(fans)
+        if dr.is_empty:
             break
-        dr = region_union_all(pieces)
         _check_bits(dr, f"bounce depth {depth}")
         depth_regions.append(dr)
+        if depth == spec.max_bounces:
+            break
         covered = region_union_all([covered, dr])
         if covered.area == P.area:
             break  # saturated: nothing further to light
-        if depth == spec.max_bounces:
-            break
-        newly = {}
-        for e in sorted(spec.edges):
-            edge_seg = P.edge(e)
-            parts = segment_parts_inside(edge_seg, covered.parts)
-            if not parts:
-                continue
-            ivals = [
-                tuple(sorted((edge_seg.param_of(s.a), edge_seg.param_of(s.b)))) for s in parts
-            ]
-            fresh = subtract_intervals(merge_intervals(ivals), lit.get(e, []))
-            if not fresh:
-                continue
-            segs = [Segment(edge_seg.point_at(t0), edge_seg.point_at(t1)) for t0, t1 in fresh]
-            newly[e] = segs
-            lit[e] = merge_intervals(lit.get(e, []) + fresh)
-            records.append(IlluminatedEdgePart(e, tuple(segs), depth))
+        newly = light(depth, lambda e: segment_parts_inside(P.edge(e), covered.parts))
         if not newly:
             break
 
-    if depth_regions:
-        added = region_difference(region_union_all(depth_regions), vp_region)
-    else:
-        added = Region.empty()
+    # the cells outside the VP covered at some depth
+    added = (overlay([vp_region, *depth_regions], lambda c: not c[0] and any(c[1:]))
+             if depth_regions else Region.empty())
     return ExtendedVisibility(vp, added, tuple(records))
 
 
@@ -231,7 +224,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         raise SourceOnMirrorLine(f"{q!r} lies on the supporting line of edge {e}")
     vp = visibility_polygon(P, q)
     vp_region = Region.of(vp.polygon)
-    vis = segment_parts_inside(edge_seg, [vp.polygon])
+    vis = vp.edge_parts(e)
     if side is Orientation.CW or not vis:
         # the mirror faces away from the source, or receives no light
         return ExtendedVisibility(vp, Region.empty(), (IlluminatedEdgePart(e, tuple(vis), 0),))

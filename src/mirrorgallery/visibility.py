@@ -14,11 +14,16 @@ interior, left of the host edge from inside an edge, and inside the
 interior angle from a vertex. The mid direction passes through no vertex,
 so the open sight segment lies wholly inside or wholly outside.
 
-Weak visibility from a segment is the union of the visibility polygons of
-its endpoints and, for every reflex vertex v and every part of the segment
-v sees, the cone of sight lines pivoting through v. VP(v) is star-shaped
-from v, so the cone is the same sweep from v run over only the directions
-between the two pivot rays; each maximal run of lit sub-wedges is one part.
+Each ring edge is labelled with the host edge it lies on, or -1 along a
+sight ray, so the lit parts of an edge not collinear with the source are
+read off the ring.
+
+Weak visibility from a segment s is the union of the visibility polygons
+of its endpoints and, for every reflex vertex v, the pivot cones of sight
+lines from s through v. One sweep from v over the directions toward s
+finds the sub-wedges across which v sees s and blocks the view toward
+one end; each maximal run of them is swept again beyond v. A diffuse
+bounce takes the half-turn fan and the cones of one end only (`reflect`).
 
 The windows of a visibility polygon are computed on first access and kept
 on it. `visibility_polygon` keeps its last 256 results in an LRU cache;
@@ -42,7 +47,6 @@ from .geom import (
     merge_intervals,
     orientation,
     region_union_all,
-    segment_parts_inside,
     sees,
 )
 
@@ -52,6 +56,14 @@ class VisibilityPolygon:
     polygon: SimplePolygon
     source: Point
     host: SimplePolygon
+    # per ring edge k (vertex k to k + 1): the host edge it lies on, -1 along a sight ray
+    edge_hosts: tuple[int, ...]
+
+    def edge_parts(self, e: int) -> list[Segment]:
+        """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
+        vs = self.polygon.vertices
+        parts = [Segment(vs[k], vs[(k + 1) % len(vs)]) for k, h in enumerate(self.edge_hosts) if h == e]
+        return sorted(parts, key=lambda s: self.host.edge(e).param_of(s.a))
 
     @cached_property
     def windows(self) -> tuple[Segment, ...]:
@@ -119,7 +131,7 @@ class _Frame:
     `inside` is False when o is outside the polygon.
     """
 
-    __slots__ = ("origin", "scale", "points", "edges", "sides", "convex", "inside")
+    __slots__ = ("origin", "scale", "points", "dirs", "edges", "sides", "convex", "inside")
 
     def __init__(self, P: SimplePolygon, o: Point):
         scale = lcm(o.x.denominator, o.y.denominator,
@@ -131,6 +143,7 @@ class _Frame:
         ox, oy = scaled(o.x), scaled(o.y)
         pts = [(scaled(v.x) - ox, scaled(v.y) - oy) for v in P.vertices]
         self.origin, self.scale, self.points = o, scale, pts
+        self.dirs = {_primitive(x, y) for x, y in pts if x or y}
         # per edge a->b: a, b - a and a x b, the numerator of every hit parameter
         self.edges = [(ax, ay, bx - ax, by - ay, ax * by - ay * bx)
                       for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
@@ -148,8 +161,18 @@ class _Frame:
             if (ay > 0) != (ay + ey > 0) and c * ey > 0:
                 self.inside = not self.inside
 
-    def directions(self) -> set[tuple[int, int]]:
-        return {_primitive(x, y) for x, y in self.points if x or y}
+    def between(self, lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
+        """Vertex directions strictly between lo and hi (at most a half turn), counterclockwise."""
+        inner = {d for d in self.dirs
+                 if lo[0] * d[1] - lo[1] * d[0] > 0 and d[0] * hi[1] - d[1] * hi[0] > 0}
+        return sorted(inner, key=cmp_to_key(lambda a, b: b[0] * a[1] - b[1] * a[0]))
+
+    def hit(self, mx: int, my: int) -> int | None:
+        """Nearest edge along the ray in direction (mx, my); None if the ray leaves o outward."""
+        lit = (sx * my - sy * mx > 0 for sx, sy in self.sides)
+        if not (all(lit) if self.convex else any(lit)):
+            return None
+        return self.first_hit(mx, my)
 
     def first_hit(self, mx: int, my: int, beyond: int | None = None) -> int | None:
         """Edge nearest along the open ray o + t*(mx, my), t > 0, among those it crosses.
@@ -183,8 +206,8 @@ class _Frame:
         den = (d[0] * ey - d[1] * ex) * self.scale
         return Point(self.origin.x + Fraction(d[0] * tn, den), self.origin.y + Fraction(d[1] * tn, den))
 
-    def arc(self, da: tuple[int, int], db: tuple[int, int]) -> tuple[Point, Point] | None:
-        """Ends of the wedge from da counterclockwise to db on its nearest edge; None if dark."""
+    def arc(self, da: tuple[int, int], db: tuple[int, int]) -> tuple[int, Point, Point] | None:
+        """Nearest edge of the wedge from da counterclockwise to db and its ends on it; None if dark."""
         cr = da[0] * db[1] - da[1] * db[0]
         if cr > 0:
             mx, my = da[0] + db[0], da[1] + db[1]
@@ -194,13 +217,10 @@ class _Frame:
             mx, my = -da[0] - db[0], -da[1] - db[1]
         else:
             mx, my = -da[1], da[0]  # opposite directions: bisect with a quarter turn
-        lit = (sx * my - sy * mx > 0 for sx, sy in self.sides)
-        if not (all(lit) if self.convex else any(lit)):
-            return None
-        i = self.first_hit(mx, my)
+        i = self.hit(mx, my)
         if i is None:
             return None
-        return self.ray_point(da, i), self.ray_point(db, i)
+        return i, self.ray_point(da, i), self.ray_point(db, i)
 
 
 @lru_cache(maxsize=256)
@@ -209,29 +229,36 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     f = _Frame(P, q)
     if not f.inside:
         raise QueryOutsidePolygon(f"{q!r} is outside the polygon")
-    dirs = sorted(f.directions(), key=cmp_to_key(_dir_cmp))
+    dirs = sorted(f.dirs, key=cmp_to_key(_dir_cmp))
     ring: list[Point] = []
+    into: list[int] = []  # host edge of the ring edge ending at ring[k]
     for da, db in zip(dirs, dirs[1:] + dirs[:1]):
-        for p in f.arc(da, db) or (q,):
+        arc = f.arc(da, db)
+        # the edge to an arc's first point, or to q, runs along the ray da
+        for p, h in zip(arc[1:], (-1, arc[0])) if arc else ((q, -1),):
             if not ring or ring[-1] != p:
                 ring.append(p)
+                into.append(h)
     if len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
-    return VisibilityPolygon(SimplePolygon.unchecked(ring), q, P)
+        into[0] = into.pop()
+    polygon = SimplePolygon.unchecked(ring)
+    # collinear ring edges that normalizing merges share their label: no arc
+    # lies on an edge collinear with q, and no two host edges on a line meet
+    host_from = dict(zip(ring[-1:] + ring[:-1], into))
+    return VisibilityPolygon(polygon, q, P, tuple(host_from[v] for v in polygon.vertices))
 
 
 def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:
-    """The part of VP(origin) between directions lo and hi (< a half turn), one
-    polygon per maximal run of lit sub-wedges."""
-    inner = {d for d in f.directions()
-             if lo[0] * d[1] - lo[1] * d[0] > 0 and d[0] * hi[1] - d[1] * hi[0] > 0}
-    dirs = [lo, *sorted(inner, key=cmp_to_key(lambda a, b: b[0] * a[1] - b[1] * a[0])), hi]
+    """The part of VP(origin) between directions lo and hi (at most a half
+    turn), one polygon per maximal run of lit sub-wedges."""
+    dirs = [lo, *f.between(lo, hi), hi]
     parts: list[SimplePolygon] = []
     ring = [f.origin]
     for da, db in zip(dirs, dirs[1:]):
         arc = f.arc(da, db)
         if arc is not None:
-            ring += arc if arc[0] != ring[-1] else arc[1:]
+            ring += arc[1:] if arc[1] != ring[-1] else arc[2:]
         elif len(ring) > 1:
             parts.append(SimplePolygon.unchecked(ring))
             ring = [f.origin]
@@ -240,34 +267,55 @@ def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePol
     return parts
 
 
+def _pivot_cones(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
+    """Sight lines from the segment ab through the frame's origin, a reflex
+    vertex v off ab's line, that v bounds toward a, continued past v: one
+    `_cone` beyond v per run of sub-wedges toward ab that are lit at v, hit
+    no edge before ab's line and are not wholly with v's exterior on b's side."""
+    o = f.origin
+    lo, hi = _primitive_direction(a - o), _primitive_direction(b - o)
+    side = -1  # a is right of every direction toward ab
+    if lo[0] * hi[1] - lo[1] * hi[0] < 0:
+        lo, hi, side = hi, lo, 1
+    walls = ((-f.sides[0][0], -f.sides[0][1]), f.sides[1])  # toward v's neighbours
+    # in frame coordinates the line of ab is (dx, dy) x p = cn / cd
+    dx, dy = _primitive_direction(b - a)
+    c = ((a.y - o.y) * dx - (a.x - o.x) * dy) * f.scale
+    cn, cd = c.numerator, c.denominator
+    dirs = [lo, *f.between(lo, hi), hi]
+    runs: list[list[tuple[int, int]]] = []  # first and last direction of each run
+    for da, db in zip(dirs, dirs[1:]):
+        if not any(side * (d[0] * wy - d[1] * wx) >= 0 for d in (da, db) for wx, wy in walls):
+            continue
+        mx, my = da[0] + db[0], da[1] + db[1]
+        i = f.hit(mx, my)
+        if i is None:
+            continue
+        _, _, ex, ey, tn = f.edges[i]
+        den = mx * ey - my * ex  # the edge is hit at t = tn / den
+        ln = cd * (dx * my - dy * mx)  # the line of ab at t = cn / ln
+        if (tn * ln - cn * den) * den * ln < 0:
+            continue
+        if runs and runs[-1][1] == da:
+            runs[-1][1] = db
+        else:
+            runs.append([da, db])
+    return [part for r0, r1 in runs for part in _cone(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))]
+
+
 def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
-    Composed of the endpoint visibility polygons plus the pivot cones of
-    every reflex vertex over its visible subsegments of s. The region holds
-    the union's sweep cells; `merge_region` glues them into a single simple
-    polygon for well-behaved inputs.
+    Composed of the endpoint visibility polygons plus the pivot cones, on
+    both sides, of every reflex vertex not on the line of s. The region
+    holds the union's sweep cells; `merge_region` glues them into a single
+    simple polygon for well-behaved inputs.
     """
     if not sees(P, s.a, s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")
-    pieces = [
-        Region.of(visibility_polygon(P, s.a).polygon),
-        Region.of(visibility_polygon(P, s.b).polygon),
-    ]
-    for i in P.reflex_indices():
-        v = P.vertices[i]
-        if orientation(s.a, s.b, v) is Orientation.COLLINEAR:
-            continue
-        f = None
-        for sigma in segment_parts_inside(s, [visibility_polygon(P, v).polygon]):
-            d1 = v - sigma.a
-            d2 = v - sigma.b
-            sign = d1.cross(d2)
-            if sign == 0:
-                continue
-            lo, hi = (d1, d2) if sign > 0 else (d2, d1)
-            f = f or _Frame(P, v)
-            parts = _cone(f, _primitive_direction(lo), _primitive_direction(hi))
-            if parts:
-                pieces.append(Region(parts))
+    pieces = [Region.of(visibility_polygon(P, p).polygon) for p in (s.a, s.b)]
+    for v in (P.vertices[i] for i in P.reflex_indices()):
+        if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
+            f = _Frame(P, v)
+            pieces += [Region(_pivot_cones(f, s.a, s.b)), Region(_pivot_cones(f, s.b, s.a))]
     return region_union_all(pieces)

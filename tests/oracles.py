@@ -1,17 +1,38 @@
-"""Brute-force oracles, independent of the algorithms they check.
+"""Brute-force oracles and references for the algorithms they check.
 
 The visibility-area oracle classifies every cell of the arrangement of
 the polygon's edges and the source-to-vertex sight lines: within a cell
 the blocked/visible status is constant, so one closed-visibility test of
 the cell midpoint decides the whole cell. Everything is exact rational
 arithmetic; nothing here shares code with the angular sweep it verifies.
+
+The diffuse-cascade reference rebuilds every bounce from public calls
+only: the weak visibility polygon of each lit part, clipped to its edge's
+inner half-plane by a region intersection, and lit edge parts found by
+segment-in-polygon tests, never from ring labels or fans.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mirrorgallery.geom import Point, PointLocation, SimplePolygon, sees
+from mirrorgallery.geom import (
+    Orientation,
+    Point,
+    PointLocation,
+    Region,
+    Segment,
+    SimplePolygon,
+    merge_intervals,
+    orientation,
+    region_difference,
+    region_intersection,
+    region_union_all,
+    sees,
+    segment_parts_inside,
+    subtract_intervals,
+)
+from mirrorgallery.visibility import visibility_polygon, weak_visibility_polygon
 
 
 def _line_through_box(a: Point, b: Point, box) -> tuple[Point, Point] | None:
@@ -83,3 +104,70 @@ def visibility_area_oracle(P: SimplePolygon, q: Point) -> Fraction:
             if sees(P, q, c):
                 area += (xr - xl) * (y1 - y0)
     return area
+
+
+def halfplane_rect(a: Point, b: Point, box) -> SimplePolygon:
+    """The box rectangle clipped to the closed half-plane left of a->b."""
+    xmin, ymin, xmax, ymax = box
+    ring = [Point(xmin, ymin), Point(xmax, ymin), Point(xmax, ymax), Point(xmin, ymax)]
+    d = b - a
+    out = []
+    for s, e in zip(ring, ring[1:] + ring[:1]):
+        s_in, e_in = d.cross(s - a) >= 0, d.cross(e - a) >= 0
+        if s_in != e_in:
+            out.append(s + (e - s) * (d.cross(a - s) / d.cross(e - s)))
+        if e_in:
+            out.append(e)
+    return SimplePolygon(out)
+
+
+def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
+    """The diffuse cascade of `reflect.diffuse_extend`, from public calls.
+
+    Returns the added region and the illumination records as
+    (edge, subsegments, bounce depth) tuples.
+    """
+    xmin, ymin, xmax, ymax = P.bbox
+    box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
+    vp = Region.of(visibility_polygon(P, q).polygon)
+    records = []
+    lit: dict[int, list] = {}
+    newly: dict[int, list[Segment]] = {}
+    for e in sorted(edges):
+        s = P.edge(e)
+        if orientation(s.a, s.b, q) is Orientation.COLLINEAR:
+            continue
+        parts = segment_parts_inside(s, vp.parts)
+        if parts:
+            newly[e] = parts
+            lit[e] = merge_intervals([tuple(sorted((s.param_of(p.a), s.param_of(p.b)))) for p in parts])
+            records.append((e, tuple(parts), 0))
+    if vp.area == P.area:
+        return Region.empty(), tuple(records)
+    covered = vp
+    depth_regions = []
+    for depth in range(1, r + 1):
+        pieces = []
+        for e in sorted(newly):
+            inner = Region.of(halfplane_rect(P.edge(e).a, P.edge(e).b, box))
+            pieces += [region_intersection(weak_visibility_polygon(P, s), inner) for s in newly[e]]
+        dr = region_union_all(pieces)
+        if dr.is_empty:
+            break
+        depth_regions.append(dr)
+        covered = region_union_all([covered, dr])
+        if covered.area == P.area or depth == r:
+            break
+        newly = {}
+        for e in sorted(edges):
+            s = P.edge(e)
+            ivals = [tuple(sorted((s.param_of(p.a), s.param_of(p.b))))
+                     for p in segment_parts_inside(s, covered.parts)]
+            fresh = subtract_intervals(merge_intervals(ivals), lit.get(e, []))
+            if fresh:
+                newly[e] = [Segment(s.point_at(t0), s.point_at(t1)) for t0, t1 in fresh]
+                lit[e] = merge_intervals(lit.get(e, []) + fresh)
+                records.append((e, tuple(newly[e]), depth))
+        if not newly:
+            break
+    return region_difference(region_union_all(depth_regions), vp), tuple(records)

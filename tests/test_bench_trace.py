@@ -52,3 +52,5 @@ def test_traced_operations_record_overlay_and_merge():
     assert metrics["geom.overlay.calls"] > 0
     assert metrics["geom.merge_region.calls"] > 0
     assert metrics["reflect.diffuse_extend.calls"] > 1  # direct, and inside greedy_cover
+    # the cascade re-emits light as fans, never through weak visibility
+    assert metrics["visibility.weak_visibility_polygon.calls"] == 0

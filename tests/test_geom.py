@@ -19,7 +19,6 @@ from mirrorgallery.geom import (
     merge_intervals,
     merge_region,
     orientation,
-    region_clip_halfplane,
     region_difference,
     region_intersection,
     region_sample_points,
@@ -29,6 +28,10 @@ from mirrorgallery.geom import (
     segment_parts_inside,
     subtract_intervals,
 )
+from mirrorgallery.visibility import _cone, _Frame, _primitive_direction, visibility_polygon
+
+from conftest import comb, histogram_polygon, lshape, radial_polygon
+from oracles import halfplane_rect
 
 UNIT = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -193,10 +196,29 @@ class TestRegionOps:
             b = Region.of(rect(x1, y1, x1 + F(rng.randint(1, 20), 4), y1 + F(rng.randint(1, 20), 4)))
             assert region_union(a, b).area == a.area + b.area - region_intersection(a, b).area
 
-    def test_halfplane_clip(self):
-        a = Region.of(UNIT)
-        clipped = region_clip_halfplane(a, Point(F(1, 2), 0), Point(F(1, 2), 1))
-        assert clipped.area == F(1, 2)
+    def test_halfplane_clip(self, rng):
+        # the half-turn fan of a boundary point p left of its edge is VP(p)
+        # clipped to the closed half-plane left of that edge, also where p is
+        # a reflex vertex whose VP reaches past the edge's line
+        assert region_intersection(Region.of(UNIT), Region.of(
+            halfplane_rect(Point(F(1, 2), 0), Point(F(1, 2), 1), (-1, -1, 2, 2)))).area == F(1, 2)
+        reaching = 0
+        for P in [lshape(), comb(3), histogram_polygon(rng, 5), radial_polygon(rng, 8)]:
+            xmin, ymin, xmax, ymax = P.bbox
+            box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
+            samples = region_sample_points(Region.of(P), rng, 12)
+            for e in range(P.n):
+                s = P.edge(e)
+                d = _primitive_direction(s.direction)
+                for p in (s.a, s.midpoint(), s.b):
+                    fan = Region(_cone(_Frame(P, p), d, (-d[0], -d[1])))
+                    vp = Region.of(visibility_polygon(P, p).polygon)
+                    clipped = region_intersection(vp, Region.of(halfplane_rect(s.a, s.b, box)))
+                    assert fan.area == clipped.area, (P, e, p)
+                    reaching += fan.area < vp.area
+                    for x in samples:
+                        assert fan.covers(x) == clipped.covers(x), (P, e, p, x)
+        assert reaching > 0
 
     def test_merge_region_rebuilds_square(self):
         pieces = Region((rect(0, 0, 1, 1), rect(1, 0, 2, 1), rect(0, 1, 2, 2)))

@@ -28,10 +28,14 @@ from mirrorgallery.reflect import (
 )
 from mirrorgallery.visibility import visibility_polygon
 
-from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
+from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
+from oracles import diffuse_added_reference
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
+# a corridor folded by two walls: light from the bottom needs three bounces
+SNAKE = SimplePolygon([(0, 0), (5, 0), (5, 2), (1, 2), (1, 3), (5, 3), (5, 7), (0, 7), (0, 5), (4, 5), (4, 4),
+                       (0, 4)])
 
 
 def diffuse(edges, r):
@@ -151,6 +155,30 @@ class TestDiffuseExtend:
         q = Point(F(3, 2), F(1, 2))
         ev = diffuse_extend(L, q, diffuse({5}, 1))
         assert any(rec.edge == 5 and rec.bounce_depth == 0 for rec in ev.per_edge_illumination)
+
+
+class TestCascadeReference:
+    # the fan cascade against the same cascade built from weak visibility,
+    # half-plane intersection and segment-in-polygon tests
+    def test_added_and_records_match_reference(self):
+        rng = random.Random(41)
+        polys = [lshape(), comb(3), DEEP_FUNNEL, SNAKE, histogram_polygon(rng, 4), histogram_polygon(rng, 5),
+                 radial_polygon(rng, 8), random_funnel(rng, 3, 2).polygon]
+        deepest = 0
+        for P in polys:
+            sources = [interior_point(rng, P), interior_point(rng, P), P.vertices[rng.randrange(P.n)]]
+            if P is SNAKE:
+                sources += [Point(4, 1), Point(5, 0)]
+            for q in sources:
+                edge_sets = [range(P.n), {rng.randrange(P.n), rng.randrange(P.n)}]
+                for edges, r in [(edge_sets[0], 1), (edge_sets[0], 2), (edge_sets[0], 3), (edge_sets[1], 2)]:
+                    ev = diffuse_extend(P, q, diffuse(edges, r))
+                    added, records = diffuse_added_reference(P, q, edges, r)
+                    assert ev.added.area == added.area, (P, q, sorted(edges), r)
+                    assert tuple((x.edge, x.subsegments, x.bounce_depth)
+                                 for x in ev.per_edge_illumination) == records, (P, q, sorted(edges), r)
+                    deepest = max([deepest, *(x.bounce_depth for x in ev.per_edge_illumination)])
+        assert deepest == 2  # parts first lit at depth 2 re-emit at depth 3
 
 
 class TestSpecular:

@@ -5,20 +5,26 @@ import pytest
 
 from mirrorgallery.errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from mirrorgallery.geom import (
+    Orientation,
     Point,
     PointLocation,
     Region,
     Segment,
     SimplePolygon,
     merge_region,
+    orientation,
     region_difference,
+    region_intersection,
     region_sample_points,
+    region_union_all,
     sees,
+    segment_parts_inside,
 )
-from mirrorgallery.visibility import visibility_polygon, weak_visibility_polygon
+from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, _primitive_direction, visibility_polygon,
+                                      weak_visibility_polygon)
 
-from conftest import histogram_polygon, lshape, radial_polygon, random_funnel
-from oracles import visibility_area_oracle
+from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
+from oracles import halfplane_rect, visibility_area_oracle
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -180,6 +186,102 @@ def _sees_some_point(P: SimplePolygon, p: Point, s: Segment) -> bool:
     ts = sorted(ts)
     ts += [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
     return any(sees(P, p, s.point_at(t)) for t in ts)
+
+
+class TestEdgeHosts:
+    def test_labels_give_lit_edge_parts(self, rng):
+        # every ring edge lies on the host edge it names, or on a sight ray;
+        # the parts read from the labels are the edge's parts inside the
+        # closed VP, for every edge not collinear with the source
+        polys = [lshape(), comb(3), PENTA_FUNNEL, histogram_polygon(rng, 4), histogram_polygon(rng, 6),
+                 radial_polygon(rng, 8), radial_polygon(rng, 10), random_funnel(rng, 3, 3).polygon]
+        lit = 0
+        for P in polys:
+            sources = [interior_point(rng, P) for _ in range(3)]
+            sources += [P.vertices[i] for i in range(0, P.n, 2)]
+            sources += [P.edge(e).point_at(F(1, 3)) for e in range(1, P.n, 2)]
+            for q in sources:
+                vp = visibility_polygon(P, q)
+                ring = vp.polygon.edges()
+                assert len(vp.edge_hosts) == len(ring)
+                for h, re in zip(vp.edge_hosts, ring):
+                    if h < 0:
+                        assert orientation(re.a, re.b, q) is Orientation.COLLINEAR
+                    else:
+                        assert P.edge(h).contains_point(re.a) and P.edge(h).contains_point(re.b)
+                for e in range(P.n):
+                    s = P.edge(e)
+                    if orientation(s.a, s.b, q) is Orientation.COLLINEAR:
+                        continue
+                    parts = vp.edge_parts(e)
+                    assert parts == segment_parts_inside(s, [vp.polygon]), (P, q, e)
+                    lit += len(parts)
+        assert lit > 0
+
+
+def _beyond(P: SimplePolygon, v: Point, s: Segment) -> SimplePolygon:
+    """The triangle of rays from s through v, continued past v to beyond P's bbox."""
+    xmin, ymin, xmax, ymax = P.bbox
+    d = s.b - s.a
+    far = (xmax - xmin + ymax - ymin) * (abs(d.x) + abs(d.y)) / abs(d.cross(v - s.a)) + 1
+    ring = [v, v + (v - s.a) * far, v + (v - s.b) * far]
+    return SimplePolygon(ring if (ring[1] - v).cross(ring[2] - v) > 0 else ring[::-1])
+
+
+class TestPivotCones:
+    CASES = [lshape(), comb(3), PENTA_FUNNEL]
+
+    @staticmethod
+    def _segments(P: SimplePolygon) -> list[Segment]:
+        segs = [P.edge(e) for e in range(P.n)]
+        segs += [Segment(P.edge(e).point_at(F(1, 3)), P.edge(e).point_at(F(3, 4))) for e in range(P.n)]
+        mids = [P.edge(e).midpoint() for e in range(P.n)]
+        return segs + [Segment(a, b) for i, a in enumerate(mids) for b in mids[i + 2:i + 4] if sees(P, a, b)]
+
+    def test_both_sides_are_vp_of_pivot_beyond_its_visible_parts(self, rng):
+        # the pivot cones of v, from both ends, are VP(v) cut to the rays
+        # from the parts of s that v sees, continued past v: the reference
+        # finds those parts on the full VP(v) and cuts with a region
+        # intersection
+        one_sided = 0
+        for P in self.CASES + [histogram_polygon(rng, 5), radial_polygon(rng, 8), random_funnel(rng, 3, 3).polygon]:
+            samples = region_sample_points(Region.of(P), rng, 10)
+            for v in (P.vertices[i] for i in P.reflex_indices()):
+                vp = visibility_polygon(P, v).polygon
+                for s in self._segments(P):
+                    if orientation(s.a, s.b, v) is Orientation.COLLINEAR:
+                        continue
+                    f = _Frame(P, v)
+                    sides = [Region(_pivot_cones(f, s.a, s.b)), Region(_pivot_cones(f, s.b, s.a))]
+                    cones = region_union_all(sides)
+                    ref = region_union_all([region_intersection(Region.of(vp), Region.of(_beyond(P, v, sigma)))
+                                            for sigma in segment_parts_inside(s, [vp])])
+                    assert cones.area == ref.area, (P, v, s)
+                    for x in samples:
+                        assert cones.covers(x) == ref.covers(x), (P, v, s, x)
+                    one_sided += any(side.area < cones.area for side in sides)
+        assert one_sided > 0
+
+    def test_one_end_and_its_side_cover_a_diffuse_bounce(self, rng):
+        # a point strictly inside edge e's half-plane that sees a part s of e
+        # sees an interval of s whose end on a's side is a or a tangent
+        # through a reflex vertex blocking on a's side: the half-turn fan of a
+        # and the cones from a's side make up weak visibility cut to e's side
+        for P in self.CASES + [histogram_polygon(rng, 5), radial_polygon(rng, 8), random_funnel(rng, 3, 3).polygon]:
+            xmin, ymin, xmax, ymax = P.bbox
+            box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
+            for e in range(P.n):
+                edge = P.edge(e)
+                d = _primitive_direction(edge.direction)
+                inner = Region.of(halfplane_rect(edge.a, edge.b, box))
+                reflex = [P.vertices[i] for i in P.reflex_indices()
+                          if orientation(edge.a, edge.b, P.vertices[i]) is Orientation.CCW]
+                for s in (edge, Segment(edge.point_at(F(1, 3)), edge.point_at(F(3, 4)))):
+                    lit = region_intersection(weak_visibility_polygon(P, s), inner)
+                    for a, b in [(s.a, s.b), (s.b, s.a)]:
+                        pieces = [Region(_cone(_Frame(P, a), d, (-d[0], -d[1])))]
+                        pieces += [Region(_pivot_cones(_Frame(P, v), a, b)) for v in reflex]
+                        assert region_union_all(pieces).area == lit.area, (P, s, a)
 
 
 class TestWeakVisibility:
