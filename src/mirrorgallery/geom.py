@@ -15,12 +15,14 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from functools import wraps
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import GeometryError, InvariantViolated
 
 logger = logging.getLogger(__name__)
+MEMO_SIZE = 256  # results kept per polygon by `memo_per_polygon`
 
 
 def rational(value) -> Fraction:
@@ -151,39 +153,46 @@ def segment_intersection(s1: Segment, s2: Segment):
     return Segment(s1.point_at(lo), s1.point_at(hi))
 
 
-def _shoelace2(vertices: Sequence[Point]) -> Fraction:
-    n = len(vertices)
-    total = Fraction(0)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        total += a.cross(b)
-    return total
+def _integer_ring(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """The least common denominator of the points' coordinates, and the points scaled by it."""
+    scale = lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    return scale, [(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+                   for p in points]
+
+
+def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _shoelace2(scale: int, pts: list[tuple[int, int]]) -> Fraction:
+    """Twice the signed area of a ring given as `_integer_ring` returns it."""
+    return Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])),
+                    scale * scale)
 
 
 class SimplePolygon:
     """Counterclockwise simple polygon over exact rationals.
 
-    Construction normalizes away repeated and collinear-through vertices,
-    requires positive signed area, and verifies boundary simplicity.
+    Construction drops repeated and collinear-through vertices, requires a
+    positive signed area and checks simplicity, all on an integer copy of the ring.
     """
 
-    __slots__ = ("vertices", "_area", "_bbox", "_hash")
+    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo")
 
     def __init__(self, vertices: Iterable, *, _skip_simplicity_check: bool = False):
         verts = [v if isinstance(v, Point) else Point(*v) for v in vertices]
-        verts = _normalize_ring(verts)
+        scale, pts = _integer_ring(verts)
+        verts, pts = _normalize_ring(verts, pts)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least three non-collinear vertices")
-        area2 = _shoelace2(verts)
+        area2 = _shoelace2(scale, pts)
         if area2 <= 0:
             raise GeometryError("polygon must be counterclockwise with positive area")
         self.vertices = tuple(verts)
         self._area = area2 / 2
-        self._bbox = None
-        self._hash = None
+        self._bbox = self._hash = self._memo = None
         if not _skip_simplicity_check:
-            self._check_simple()
+            self._check_simple(pts)
 
     @classmethod
     def unchecked(cls, vertices: Iterable) -> "SimplePolygon":
@@ -198,23 +207,29 @@ class SimplePolygon:
         self = object.__new__(cls)
         self.vertices = vertices
         self._area = area
-        self._bbox = None
-        self._hash = None
+        self._bbox = self._hash = self._memo = None
         return self
 
-    def _check_simple(self):
-        n = len(self.vertices)
-        edges = self.edges()
-        for i in range(n):
+    def _check_simple(self, pts: list[tuple[int, int]]):
+        # integer bounding boxes and orientation signs pass on only the edge pairs
+        # that meet other than at a shared vertex; segment_intersection names where
+        n = len(pts)
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])) for a, b in edges]
+        for i, (a, b) in enumerate(edges):
+            x0, x1, y0, y1 = boxes[i]
             for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                inter = segment_intersection(edges[i], edges[j])
-                if inter is None:
+                u0, u1, v0, v1 = boxes[j]
+                if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0:
                     continue
+                c, d = edges[j]
+                adjacent = j == i + 1 or (i == 0 and j == n - 1)
+                s, t = _turn(a, b, c), _turn(a, b, d)  # one is 0 for adjacent edges
+                if s * t > 0 or (adjacent and (s or t)) or _turn(c, d, a) * _turn(c, d, b) > 0:
+                    continue
+                inter = segment_intersection(self.edge(i), self.edge(j))
                 if adjacent and isinstance(inter, Point):
-                    shared = edges[i].b if j == i + 1 else edges[i].a
-                    if inter == shared:
-                        continue
+                    continue  # collinear edges that only share their vertex
                 raise GeometryError(
                     f"polygon boundary is not simple: edges {i} and {j} meet at {inter!r}"
                 )
@@ -282,26 +297,39 @@ class SimplePolygon:
         return f"SimplePolygon({list(self.vertices)!r})"
 
 
-def _normalize_ring(verts: list[Point]) -> list[Point]:
-    """Drop repeated vertices and collinear run-through vertices."""
-    out = []
-    for v in verts:
-        if not out or v != out[-1]:
-            out.append(v)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            prev = out[i - 1]
-            cur = out[i]
-            nxt = out[(i + 1) % len(out)]
-            if orientation(prev, cur, nxt) is Orientation.COLLINEAR:
-                out.pop(i)
-                changed = True
-                break
-    return out
+def _normalize_ring(verts: list[Point], pts: list[tuple[int, int]]) -> tuple[list[Point], list]:
+    """Drop repeated and collinear run-through vertices of verts, tested on its integer copy pts."""
+    keep = [k for k in range(len(pts)) if k == 0 or pts[k] != pts[k - 1]]
+    if len(keep) > 1 and pts[keep[0]] == pts[keep[-1]]:
+        keep.pop()
+    i = 0
+    while len(keep) >= 3 and i < len(keep):
+        if _turn(pts[keep[i - 1]], pts[keep[i]], pts[keep[(i + 1) % len(keep)]]):
+            i += 1
+            continue
+        del keep[i]
+        # the first collinear vertex goes first: resume at its predecessor, or
+        # at 0 when it was the last vertex, the predecessor of vertex 0
+        i = i - 1 if 0 < i < len(keep) else 0
+    return [verts[k] for k in keep], [pts[k] for k in keep]
+
+
+def memo_per_polygon(fn):
+    """Keep the results of fn(P, *args) on P, the last MEMO_SIZE per polygon, so they die with it."""
+
+    @wraps(fn)
+    def memoized(P: SimplePolygon, *args):
+        if P._memo is None:
+            P._memo = {}
+        key = (fn, *args)
+        if key not in P._memo:
+            value = fn(P, *args)  # may add entries of its own
+            if len(P._memo) >= MEMO_SIZE:
+                del P._memo[next(iter(P._memo))]
+            P._memo[key] = value
+        return P._memo[key]
+
+    return memoized
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +675,10 @@ def merge_region(region: Region) -> Region:
         loops.append(loop)
     polys = []
     for loop in loops:
-        if _shoelace2(loop) <= 0:
-            return region  # hole or degenerate loop: keep the cell soup
         try:
             polys.append(SimplePolygon.unchecked(loop))
         except GeometryError:
-            return region
+            return region  # hole or degenerate loop: keep the cell soup
     merged_area = sum((p.area for p in polys), Fraction(0))
     if merged_area != region.area:
         return region

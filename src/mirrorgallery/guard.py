@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .geom import (
     Segment,
     SimplePolygon,
     _sweep,
+    memo_per_polygon,
     region_union,
 )
 from .reflect import extend_all_edges
@@ -66,11 +66,11 @@ class GuardGraph:
     edges: frozenset[tuple[int, int]]
 
 
-@lru_cache(maxsize=256)
+@memo_per_polygon
 def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
     """Closed region reachable from p with up to r diffuse bounces, all edges reflective.
 
-    The last 256 results are kept in an LRU cache (see `cache_info()`).
+    The last 256 results per polygon are kept on it (`geom.memo_per_polygon`).
     """
     if r == 0:
         return Region.of(visibility_polygon(P, p).polygon)

@@ -28,6 +28,7 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
+    _integer_ring,
     _shoelace2,
     merge_intervals,
     merge_region,
@@ -265,7 +266,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
             x0 = frame.ray_point(_primitive_direction(w0 - q2), far_edge)
             x1 = frame.ray_point(_primitive_direction(w1 - q2), far_edge)
             ring = [w0, w1, x1, x0]
-            if _shoelace2(ring) < 0:
+            if _shoelace2(*_integer_ring(ring)) < 0:
                 ring.reverse()
             try:
                 pieces.append(SimplePolygon.unchecked(ring))

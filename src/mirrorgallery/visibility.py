@@ -19,23 +19,23 @@ sight ray, so the lit parts of an edge not collinear with the source are
 read off the ring.
 
 Weak visibility from a segment s is the union of the visibility polygons
-of its endpoints and, for every reflex vertex v, the pivot cones of sight
-lines from s through v. One sweep from v over the directions toward s
-finds the sub-wedges across which v sees s and blocks the view toward
+of its endpoints and reflex vertices inside it and, for every reflex vertex
+v off its line, the pivot cones of sight lines from s through v. One sweep
+from v over the directions toward s finds the sub-wedges across which v sees s and blocks the view toward
 one end; each maximal run of them is swept again beyond v. A diffuse
 bounce takes the half-turn fan and the cones of one end only (`reflect`).
 
 The windows of a visibility polygon are computed on first access and kept
-on it. `visibility_polygon` keeps its last 256 results in an LRU cache;
-`visibility_polygon.cache_info()` reports hits and misses.
+on it. `visibility_polygon` keeps its last 256 results per polygon on the
+polygon (`geom.memo_per_polygon`), so they die with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
-from math import gcd, lcm
+from functools import cached_property, cmp_to_key
+from math import gcd
 
 from .errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from .geom import (
@@ -44,6 +44,8 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
+    _integer_ring,
+    memo_per_polygon,
     merge_intervals,
     orientation,
     region_union_all,
@@ -131,18 +133,12 @@ class _Frame:
     `inside` is False when o is outside the polygon.
     """
 
-    __slots__ = ("origin", "scale", "points", "dirs", "edges", "sides", "convex", "inside")
+    __slots__ = ("origin", "scale", "dirs", "edges", "sides", "convex", "inside")
 
     def __init__(self, P: SimplePolygon, o: Point):
-        scale = lcm(o.x.denominator, o.y.denominator,
-                    *(c.denominator for v in P.vertices for c in (v.x, v.y)))
-
-        def scaled(c: Fraction) -> int:
-            return c.numerator * (scale // c.denominator)
-
-        ox, oy = scaled(o.x), scaled(o.y)
-        pts = [(scaled(v.x) - ox, scaled(v.y) - oy) for v in P.vertices]
-        self.origin, self.scale, self.points = o, scale, pts
+        self.origin = o
+        self.scale, ((ox, oy), *pts) = _integer_ring((o, *P.vertices))
+        pts = [(x - ox, y - oy) for x, y in pts]
         self.dirs = {_primitive(x, y) for x, y in pts if x or y}
         # per edge a->b: a, b - a and a x b, the numerator of every hit parameter
         self.edges = [(ax, ay, bx - ax, by - ay, ax * by - ay * bx)
@@ -223,7 +219,7 @@ class _Frame:
         return i, self.ray_point(da, i), self.ray_point(db, i)
 
 
-@lru_cache(maxsize=256)
+@memo_per_polygon
 def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     """All points of the closed polygon visible from q, as a star-shaped ring."""
     f = _Frame(P, q)
@@ -306,10 +302,10 @@ def _pivot_cones(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
 def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
-    Composed of the endpoint visibility polygons plus the pivot cones, on
-    both sides, of every reflex vertex not on the line of s. The region
-    holds the union's sweep cells; `merge_region` glues them into a single
-    simple polygon for well-behaved inputs.
+    Composed of the visibility polygons of the endpoints and of the reflex
+    vertices strictly inside s plus the pivot cones, on both sides, of every
+    reflex vertex off the line of s. The region holds the union's sweep cells;
+    `merge_region` glues them into a single simple polygon for well-behaved inputs.
     """
     if not sees(P, s.a, s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")
@@ -318,4 +314,6 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
             f = _Frame(P, v)
             pieces += [Region(_pivot_cones(f, s.a, s.b)), Region(_pivot_cones(f, s.b, s.a))]
+        elif v not in (s.a, s.b) and s.contains_point(v):
+            pieces.append(Region.of(visibility_polygon(P, v).polygon))
     return region_union_all(pieces)

@@ -10,12 +10,17 @@ The diffuse-cascade reference rebuilds every bounce from public calls
 only: the weak visibility polygon of each lit part, clipped to its edge's
 inner half-plane by a region intersection, and lit edge parts found by
 segment-in-polygon tests, never from ring labels or fans.
+
+The ring references are the Fraction construction of `SimplePolygon`
+(normalization, shoelace area and pairwise simplicity check) that the
+integer construction must reproduce exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from mirrorgallery.errors import GeometryError
 from mirrorgallery.geom import (
     Orientation,
     Point,
@@ -29,6 +34,7 @@ from mirrorgallery.geom import (
     region_intersection,
     region_union_all,
     sees,
+    segment_intersection,
     segment_parts_inside,
     subtract_intervals,
 )
@@ -171,3 +177,63 @@ def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
         if not newly:
             break
     return region_difference(region_union_all(depth_regions), vp), tuple(records)
+
+
+def normalize_ring_reference(verts: list[Point]) -> list[Point]:
+    """Drop repeated vertices and collinear run-through vertices."""
+    out = []
+    for v in verts:
+        if not out or v != out[-1]:
+            out.append(v)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        for i in range(len(out)):
+            prev = out[i - 1]
+            cur = out[i]
+            nxt = out[(i + 1) % len(out)]
+            if orientation(prev, cur, nxt) is Orientation.COLLINEAR:
+                out.pop(i)
+                changed = True
+                break
+    return out
+
+
+def shoelace2_reference(vertices: list[Point]) -> Fraction:
+    n = len(vertices)
+    total = Fraction(0)
+    for i in range(n):
+        total += vertices[i].cross(vertices[(i + 1) % n])
+    return total
+
+
+def check_simple_reference(vertices: list[Point]):
+    n = len(vertices)
+    edges = [Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            inter = segment_intersection(edges[i], edges[j])
+            if inter is None:
+                continue
+            if adjacent and isinstance(inter, Point):
+                shared = edges[i].b if j == i + 1 else edges[i].a
+                if inter == shared:
+                    continue
+            raise GeometryError(
+                f"polygon boundary is not simple: edges {i} and {j} meet at {inter!r}"
+            )
+
+
+def polygon_reference(vertices) -> tuple[tuple[Point, ...], Fraction]:
+    """Vertices and area `SimplePolygon(vertices)` must have, or the GeometryError it must raise."""
+    verts = normalize_ring_reference([v if isinstance(v, Point) else Point(*v) for v in vertices])
+    if len(verts) < 3:
+        raise GeometryError("polygon needs at least three non-collinear vertices")
+    area2 = shoelace2_reference(verts)
+    if area2 <= 0:
+        raise GeometryError("polygon must be counterclockwise with positive area")
+    check_simple_reference(verts)
+    return tuple(verts), area2 / 2

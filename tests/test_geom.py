@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,10 +29,10 @@ from mirrorgallery.geom import (
     segment_parts_inside,
     subtract_intervals,
 )
-from mirrorgallery.visibility import _cone, _Frame, _primitive_direction, visibility_polygon
+from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, _primitive_direction, visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
-from oracles import halfplane_rect
+from oracles import halfplane_rect, polygon_reference
 
 UNIT = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -370,3 +371,85 @@ class TestIntegerSweep:
         for area in (F(0), F(-1, 2)):
             with pytest.raises(InvariantViolated):
                 SimplePolygon._trusted(ring, area)
+
+
+# ---------------------------------------------------------------------------
+# Integer ring construction against the Fraction reference.
+# ---------------------------------------------------------------------------
+
+
+def _built(ring):
+    """Vertices and area of SimplePolygon(ring), or the type and message it raised."""
+    try:
+        P = SimplePolygon(ring)
+    except GeometryError as ex:
+        return type(ex), str(ex)
+    return P.vertices, P.area
+
+
+def _reference(ring):
+    try:
+        return polygon_reference(ring)
+    except GeometryError as ex:
+        return type(ex), str(ex)
+
+
+@st.composite
+def rings(draw):
+    """Rings of large rational points, or of small grid points (touching and
+    collinear edges), sorted by angle around their centroid (mostly simple)
+    or not (mostly crossing), with repeated vertices and points on the line
+    of an edge (inside it, or folding back) inserted."""
+    grid = st.builds(Point, st.integers(0, 4), st.integers(0, 4))
+    ring = draw(st.lists(draw(st.sampled_from([points, grid])), min_size=3, max_size=9, unique=True))
+    if draw(st.booleans()):
+        c = Point(sum((p.x for p in ring), F(0)) / len(ring), sum((p.y for p in ring), F(0)) / len(ring))
+        assume(c not in ring)
+        ring.sort(key=cmp_to_key(lambda a, b: _dir_cmp(((a - c).x, (a - c).y), ((b - c).x, (b - c).y))))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(ring) - 1))
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        t = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(-1, 2), F(3, 2), F(7, 5)]))
+        ring.insert(i + 1, a + (b - a) * t)
+    if draw(st.booleans()):
+        ring.reverse()
+    return ring
+
+
+def _spike_square():
+    # a spike from the top whose tip touches the bottom edge
+    return [(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)]
+
+
+REJECTED_RINGS = {
+    "bowtie": [(0, 0), (4, 0), (0, 2), (1, 3)],
+    "vertex on a non-adjacent edge": _spike_square(),
+    "collinear overlap": [(0, 0), (4, 0), (4, -1), (8, -1), (8, 0), (-2, 0), (-2, -3), (10, -3), (10, 6), (0, 6)],
+    "fold-back across an edge": [(0, 0), (4, 0), (4, 4), (2, 4), (2, -2), (2, -1), (0, 4)],
+    "fold-back to a segment": [(0, 0), (2, 0), (1, 0)],
+    "repeated vertices only": [(1, 1), (1, 1), (1, 1)],
+    "clockwise": [(0, 0), (0, 1), (1, 1), (1, 0)],
+}
+
+
+class TestIntegerRing:
+    @settings(max_examples=300, deadline=None)
+    @given(ring=rings())
+    def test_matches_fraction_reference(self, ring):
+        assert _built(ring) == _reference(ring)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_RINGS))
+    def test_rejects_like_the_reference(self, name):
+        ring = REJECTED_RINGS[name]
+        got = _built(ring)
+        assert got[0] is GeometryError
+        assert got == _reference(ring)
+
+    def test_normalizes_like_the_reference(self):
+        # repeated vertices, a closing repeat and fold-backs along edges
+        for ring in ([(0, 0), (0, 0), (4, 0), (4, 4), (4, 4), (0, 4), (0, 0)],
+                     [(0, 0), (4, 0), (6, 0), (4, 0), (4, 4), (0, 4)],
+                     [(0, 0), (4, 0), (4, 4), (0, 4), (0, 6), (0, 2)],
+                     [(F(1, 3), 0), (F(2, 3), 0), (1, 0), (1, F(5, 7)), (0, F(5, 7)), (0, 0)]):
+            got = _built(ring)
+            assert got == _reference(ring) and got[0] != GeometryError

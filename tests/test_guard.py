@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from math import ceil, log
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, TooLarge
-from mirrorgallery.geom import Point, PointLocation, SimplePolygon, region_sample_points, sees
+from mirrorgallery.geom import MEMO_SIZE, Point, PointLocation, SimplePolygon, region_sample_points, sees
 from mirrorgallery.guard import (
     GuardSolution,
     build_guard_graph,
@@ -19,6 +21,7 @@ from mirrorgallery.guard import (
     reduce_guard_points,
     spanning_tree_reduce,
 )
+from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
 
@@ -90,14 +93,19 @@ class TestDecompose:
 
 
     def test_extended_region_cache_is_bounded(self):
-        maxsize = extended_region.cache_info().maxsize
-        for i in range(1, maxsize + 11):
-            extended_region(SQUARE, Point(F(4 * i, maxsize + 11), 1), 0)
-        assert extended_region.cache_info().currsize <= maxsize
-        first = extended_region(SQUARE, Point(1, 3), 0)
-        hits = extended_region.cache_info().hits
-        assert extended_region(SQUARE, Point(1, 3), 0) is first
-        assert extended_region.cache_info().hits == hits + 1
+        # results live on their polygon: repeats are served, at most
+        # MEMO_SIZE per polygon are kept, and they die with the polygon
+        P = SimplePolygon(SQUARE.vertices)
+        first = extended_region(P, Point(1, 3), 1)
+        assert extended_region(P, Point(1, 3), 1) is first
+        for i in range(1, MEMO_SIZE + 11):
+            extended_region(P, Point(F(4 * i, MEMO_SIZE + 11), 1), 0)
+        assert len(P._memo) == MEMO_SIZE
+        assert extended_region(P, Point(1, 3), 1) is not first  # the oldest entry was dropped
+        ref = weakref.ref(visibility_polygon(P, Point(1, 3)))  # memoized by the call above
+        del P, first
+        gc.collect()
+        assert ref() is None
 
 
 class TestCovers:

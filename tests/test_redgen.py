@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from mirrorgallery import redgen
-from mirrorgallery.errors import InvalidInstance, TooLarge, VerificationFailed
+from mirrorgallery import geom, redgen
+from mirrorgallery.errors import GeometryError, InvalidInstance, TooLarge, VerificationFailed
 from mirrorgallery.geom import Point, Region, SimplePolygon, region_intersection
 from mirrorgallery.redgen import (
     ReductionInstance,
@@ -75,6 +76,24 @@ class TestSpecularGenerator:
         first_two = ri.candidates.main[:2]
         assert areas[third] == 3
         assert sum(areas[e] for e in first_two) == 3
+
+    def test_construction_decides_edge_pairs_on_integers(self, monkeypatch):
+        # building the m=8 polygon, as gen_specular does and verify_instance's
+        # `simple` clause repeats, runs no Fraction predicate; segment_intersection
+        # runs only to name where a failing pair meets
+        ri = gen_specular(SubsetSumInstance((5, 1, 12, 7, 3, 9, 2, 11), 20))
+        ring = list(ri.polygon.vertices)
+        assert len(ring) == 6 * 8 + 8  # the generator's ring: nothing to normalize away
+        calls = Counter()
+        for name in ("orientation", "segment_intersection"):
+            fn = getattr(geom, name)
+            monkeypatch.setattr(geom, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+        SimplePolygon(ring)
+        assert calls == Counter()
+        ring[5], ring[6] = ring[6], ring[5]
+        with pytest.raises(GeometryError, match="edges 4 and 6 meet"):
+            SimplePolygon(ring)
+        assert calls == Counter({"segment_intersection": 1})
 
     def test_coordinate_bits_stay_polynomial(self):
         for values in [(1,), (1, 2, 3), (12, 12, 12, 12, 12, 12)]:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 from math import gcd
 
@@ -5,6 +7,7 @@ import pytest
 
 from mirrorgallery.errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from mirrorgallery.geom import (
+    MEMO_SIZE,
     Orientation,
     Point,
     PointLocation,
@@ -123,16 +126,20 @@ class TestVisibilityPolygon:
                 assert vp.polygon.area == visibility_area_oracle(poly, q), (poly, q)
 
     def test_cache_is_bounded(self):
+        # results live on their polygon: repeats are served, at most
+        # MEMO_SIZE per polygon are kept, and they die with the polygon
         sq = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        maxsize = visibility_polygon.cache_info().maxsize
-        for i in range(1, maxsize + 11):
-            visibility_polygon(sq, Point(F(i, maxsize + 11), F(1, 2)))
-        assert visibility_polygon.cache_info().currsize <= maxsize
         q = Point(F(1, 3), F(1, 3))
         first = visibility_polygon(sq, q)
-        hits = visibility_polygon.cache_info().hits
         assert visibility_polygon(sq, q) is first
-        assert visibility_polygon.cache_info().hits == hits + 1
+        for i in range(1, MEMO_SIZE + 11):
+            visibility_polygon(sq, Point(F(i, MEMO_SIZE + 11), F(1, 2)))
+        assert len(sq._memo) == MEMO_SIZE
+        assert visibility_polygon(sq, q) is not first  # the oldest entry was dropped
+        ref = weakref.ref(visibility_polygon(sq, q))
+        del sq, first
+        gc.collect()
+        assert ref() is None
 
 
 class TestWindows:
@@ -302,6 +309,24 @@ class TestWeakVisibility:
             for p in region_sample_points(Region.of(poly), rng, 20):
                 seen = _sees_some_point(poly, p, s)
                 assert w.covers(p) == seen, (poly, s, p)
+                outcomes.add(seen)
+        assert outcomes == {True, False}
+
+    def test_reflex_vertices_inside_the_segment(self, rng):
+        # from between the notches, the view of s is bounded at both ends by
+        # reflex vertices lying on s: only their own VPs reach those points
+        P = SimplePolygon([(0, 0), (3, 0), (3, 5), (4, 5), (4, 0), (6, 0), (6, 5), (7, 5), (7, 0), (10, 0),
+                           (10, 10), (0, 10)])
+        s = Segment(Point(0, 5), Point(10, 5))
+        w = weak_visibility_polygon(P, s)
+        assert w.area == 90
+        assert w.covers(Point(5, 2))
+        outcomes = set()
+        for t in (s, Segment(Point(0, 5), Point(5, 5))):
+            w = weak_visibility_polygon(P, t)
+            for p in region_sample_points(Region.of(P), rng, 40):
+                seen = _sees_some_point(P, p, t)
+                assert w.covers(p) == seen, (t, p)
                 outcomes.add(seen)
         assert outcomes == {True, False}
 
