@@ -4,10 +4,15 @@ Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
 source re-emits into the inner half-plane of e as star-shaped fans (see
 `visibility`), the fans of one depth are unioned in one sweep, and newly
 lit parts of other designated edges re-emit at the next depth, up to the
-bounce budget. Specular extension unfolds the source across the mirror
+bounce budget. Each depth is a step memoized on the polygon
+(`geom.memo_per_polygon`) that extends the memoized depth before it, so a
+call at budget r reuses what earlier calls from the same source over the
+same edges ran. Specular extension unfolds the source across the mirror
 line and fans exact wedge quads through the visible part of the mirror.
 Added regions are kept disjoint from direct visibility so their exact
-areas can be summed and thresholded.
+areas can be summed and thresholded. The coordinate bit cap
+(`MG_BIT_CAP`) holds on the merged rings of every depth region and
+specular region, on every call; cells within it are not merged.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .geom import (
     SimplePolygon,
     _integer_ring,
     _shoelace2,
+    memo_per_polygon,
     merge_intervals,
     merge_region,
     orientation,
@@ -124,18 +130,90 @@ def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
     raise SpecMismatch(f"unsupported source {src!r}")
 
 
-def _check_bits(region: Region, where: str):
+def _check_bits(region: Region, where: str, bits: int):
     # the cap measures merged rings: the sweep's slab crossings give cells
-    # more bits than the region's own boundary
-    bits = merge_region(region).max_coordinate_bits()
-    logger.debug("coordinate bits after %s: %d", where, bits)
+    # more bits than the region's own boundary. A merged ring keeps a subset
+    # of the cells' vertices, so cells within the cap (bits) need no merge
     cap = _bit_cap()
+    if bits > cap:
+        bits = merge_region(region).max_coordinate_bits()
+    logger.debug("coordinate bits after %s: %d", where, bits)
     if bits > cap:
         raise BitBlowup(f"{bits} coordinate bits after {where} exceeds cap {cap}")
 
 
+@dataclass(frozen=True)
+class _Cascade:
+    """The diffuse cascade from one source over one edge set run to depth d:
+    memoized on the polygon per d, and never mutated once stored."""
+
+    vp: VisibilityPolygon
+    records: tuple[IlluminatedEdgePart, ...]  # the parts first lit at each depth below max(d, 1)
+    regions: tuple[Region, ...]  # the region reached at each depth from 1 to d, fewer if it stopped
+    bits: tuple[int, ...]  # the cells' coordinate bit length of each region
+    covered: Region  # the VP and the regions of the depths below d
+
+
+def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
+    """Append to records the parts of each designated edge first lit at this depth."""
+    for e in sorted(edges):
+        seg = P.edge(e)
+        ivals = [tuple(sorted((seg.param_of(s.a), seg.param_of(s.b)))) for s in parts_of(e)]
+        lit = [(seg.param_of(s.a), seg.param_of(s.b)) for x in records if x.edge == e for s in x.subsegments]
+        fresh = subtract_intervals(merge_intervals(ivals), merge_intervals(lit))
+        if fresh:
+            records.append(IlluminatedEdgePart(e, tuple(Segment(seg.point_at(t0), seg.point_at(t1))
+                                                        for t0, t1 in fresh), depth))
+
+
+@memo_per_polygon
+def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _Cascade:
+    """The cascade run to `depth` bounces: one step beyond the memoized cascade
+    at depth - 1, whose union and light pass run only now."""
+    if depth == 0:
+        vp = visibility_polygon(P, q)
+        records: list[IlluminatedEdgePart] = []
+        # an edge collinear with the source is only grazed and re-emits nothing
+        _light(P, edges, 0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
+               else vp.edge_parts(e), records)
+        return _Cascade(vp, tuple(records), (), (), Region.of(vp.polygon))
+    prev = _cascade(P, q, edges, depth - 1)
+    if len(prev.regions) < depth - 1:
+        return prev  # stopped before depth - 1
+    covered = region_union_all([prev.covered, *prev.regions[-1:]])
+    if covered.area == P.area:
+        return prev  # saturated: nothing further to light
+    records = list(prev.records)
+    if depth > 1:
+        _light(P, edges, depth - 1, lambda e: segment_parts_inside(P.edge(e), covered.parts), records)
+
+    # s re-emits to the points left of e that see it; each sees an interval
+    # of s that ends toward s.a at s.a or on a tangent through a reflex
+    # vertex left of e: the half-turn fan of s.a and those cones
+    reflex = [P.vertices[i] for i in P.reflex_indices()]
+    frame = cache(lambda p: _Frame(P, p))
+    fans: list[Region] = []
+    for part in [x for x in records if x.bounce_depth == depth - 1]:
+        a, b = P.edge(part.edge).a, P.edge(part.edge).b
+        d = _primitive_direction(b - a)
+        pivots = [frame(v) for v in reflex if orientation(a, b, v) is Orientation.CCW]
+        for s in part.subsegments:
+            fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
+            fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
+    dr = region_union_all(fans)
+    regions, bits = prev.regions, prev.bits
+    if not dr.is_empty:  # else the cascade stops here
+        regions, bits = (*regions, dr), (*bits, dr.max_coordinate_bits())
+    return _Cascade(prev.vp, tuple(records), regions, bits, covered)
+
+
 def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> ExtendedVisibility:
-    """Fixpoint of the diffuse bounce cascade up to the bounce budget."""
+    """Fixpoint of the diffuse bounce cascade up to the bounce budget.
+
+    Every depth is memoized on P, so a call extends the deepest cascade
+    already run from q over these edges. The bit cap in force is checked
+    on every call, memoized depths included.
+    """
     if spec.kind is not ReflectionKind.DIFFUSE:
         raise SpecMismatch("diffuse_extend requires a diffuse spec")
     if P.contains(q) is PointLocation.EXTERIOR:
@@ -144,65 +222,17 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
         if not (0 <= e < P.n):
             raise SpecMismatch(f"edge index {e} out of range")
 
-    vp = visibility_polygon(P, q)
-    vp_region = Region.of(vp.polygon)
-    records: list[IlluminatedEdgePart] = []
-    lit: dict[int, list[tuple[Fraction, Fraction]]] = {}
-
-    def light(depth: int, parts_of) -> dict[int, list[Segment]]:
-        """Record and return the parts of each designated edge first lit at this depth."""
-        newly = {}
-        for e in sorted(spec.edges):
-            edge_seg = P.edge(e)
-            ivals = [tuple(sorted((edge_seg.param_of(s.a), edge_seg.param_of(s.b)))) for s in parts_of(e)]
-            fresh = subtract_intervals(merge_intervals(ivals), lit.get(e, []))
-            if fresh:
-                newly[e] = [Segment(edge_seg.point_at(t0), edge_seg.point_at(t1)) for t0, t1 in fresh]
-                lit[e] = merge_intervals(lit.get(e, []) + fresh)
-                records.append(IlluminatedEdgePart(e, tuple(newly[e]), depth))
-        return newly
-
-    # an edge collinear with the source is only grazed and re-emits nothing
-    newly = light(0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
-                  else vp.edge_parts(e))
-    if vp.polygon.area == P.area:
-        # direct visibility already saturates; no bounce can add anything
-        return ExtendedVisibility(vp, Region.empty(), tuple(records))
-
-    reflex = [P.vertices[i] for i in P.reflex_indices()]
-    frame = cache(lambda p: _Frame(P, p))
-    depth_regions: list[Region] = []
-    covered = vp_region
+    state = _cascade(P, q, spec.edges, 0)
     for depth in range(1, spec.max_bounces + 1):
-        # s re-emits to the points left of e that see it; each sees an
-        # interval of s that ends toward s.a at s.a or on a tangent through a
-        # reflex vertex left of e: the half-turn fan of s.a and those cones
-        fans: list[Region] = []
-        for e in sorted(newly):
-            a, b = P.edge(e).a, P.edge(e).b
-            d = _primitive_direction(b - a)
-            pivots = [frame(v) for v in reflex if orientation(a, b, v) is Orientation.CCW]
-            for s in newly[e]:
-                fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
-                fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
-        dr = region_union_all(fans)
-        if dr.is_empty:
+        state = _cascade(P, q, spec.edges, depth)
+        if len(state.regions) < depth:
             break
-        _check_bits(dr, f"bounce depth {depth}")
-        depth_regions.append(dr)
-        if depth == spec.max_bounces:
-            break
-        covered = region_union_all([covered, dr])
-        if covered.area == P.area:
-            break  # saturated: nothing further to light
-        newly = light(depth, lambda e: segment_parts_inside(P.edge(e), covered.parts))
-        if not newly:
-            break
+        _check_bits(state.regions[-1], f"bounce depth {depth}", state.bits[-1])
 
     # the cells outside the VP covered at some depth
-    added = (overlay([vp_region, *depth_regions], lambda c: not c[0] and any(c[1:]))
-             if depth_regions else Region.empty())
-    return ExtendedVisibility(vp, added, tuple(records))
+    added = (overlay([Region.of(state.vp.polygon), *state.regions], lambda c: not c[0] and any(c[1:]))
+             if state.regions else Region.empty())
+    return ExtendedVisibility(state.vp, added, state.records)
 
 
 def reflect_point_across_line(p: Point, a: Point, b: Point) -> Point:
@@ -276,7 +306,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         added = Region.empty()
     else:
         added = region_difference(Region(pieces), vp_region)
-        _check_bits(added, "specular bounce")
+        _check_bits(added, "specular bounce", added.max_coordinate_bits())
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 
 

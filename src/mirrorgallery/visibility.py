@@ -57,21 +57,27 @@ from .geom import (
 class VisibilityPolygon:
     polygon: SimplePolygon
     source: Point
-    host: SimplePolygon
+    # the vertices of the polygon it was computed in, shared with it: a
+    # reference to the polygon itself would make every memoized VP a cycle
+    host_vertices: tuple[Point, ...]
     # per ring edge k (vertex k to k + 1): the host edge it lies on, -1 along a sight ray
     edge_hosts: tuple[int, ...]
+
+    def _host_edge(self, e: int) -> Segment:
+        hv = self.host_vertices
+        return Segment(hv[e], hv[(e + 1) % len(hv)])
 
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
         vs = self.polygon.vertices
         parts = [Segment(vs[k], vs[(k + 1) % len(vs)]) for k, h in enumerate(self.edge_hosts) if h == e]
-        return sorted(parts, key=lambda s: self.host.edge(e).param_of(s.a))
+        return sorted(parts, key=lambda s, edge=self._host_edge(e): edge.param_of(s.a))
 
     @cached_property
     def windows(self) -> tuple[Segment, ...]:
         """Boundary pieces of the visibility polygon not lying on the host boundary."""
         wins: list[Segment] = []
-        p_edges = self.host.edges()
+        p_edges = [self._host_edge(e) for e in range(len(self.host_vertices))]
         for ve in self.polygon.edges():
             covered: list[tuple[Fraction, Fraction]] = []
             for pe in p_edges:
@@ -242,7 +248,7 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     # collinear ring edges that normalizing merges share their label: no arc
     # lies on an edge collinear with q, and no two host edges on a line meet
     host_from = dict(zip(ring[-1:] + ring[:-1], into))
-    return VisibilityPolygon(polygon, q, P, tuple(host_from[v] for v in polygon.vertices))
+    return VisibilityPolygon(polygon, q, P.vertices, tuple(host_from[v] for v in polygon.vertices))
 
 
 def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:

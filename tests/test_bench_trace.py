@@ -19,7 +19,7 @@ import json
 from fractions import Fraction as F
 
 import layertrace
-from mirrorgallery import guard, reflect
+from mirrorgallery import guard, reflect, svg
 from mirrorgallery.geom import Point, SimplePolygon
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec
 
@@ -31,6 +31,9 @@ ops = [
     lambda: reflect.diffuse_extend(L, q, ReflectionSpec(frozenset(range(L.n)), ReflectionKind.DIFFUSE, 1)),
     lambda: reflect.specular_extend_single(L, q, 5),
     lambda: guard.greedy_cover(L, 1),
+    # the bit cap merges no cells within it, so SVG output is what merges here
+    lambda: svg.render_scene(L, query=q, regions=[(reflect.diffuse_extend(
+        L, q, ReflectionSpec(frozenset(range(L.n)), ReflectionKind.DIFFUSE, 2)).added, "#1f77b4")]),
 ]
 for i, op in enumerate(ops):
     tracer.op = i

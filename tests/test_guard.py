@@ -21,6 +21,7 @@ from mirrorgallery.guard import (
     reduce_guard_points,
     spanning_tree_reduce,
 )
+from mirrorgallery.reflect import _cascade
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
@@ -94,18 +95,24 @@ class TestDecompose:
 
     def test_extended_region_cache_is_bounded(self):
         # results live on their polygon: repeats are served, at most
-        # MEMO_SIZE per polygon are kept, and they die with the polygon
-        P = SimplePolygon(SQUARE.vertices)
-        first = extended_region(P, Point(1, 3), 1)
-        assert extended_region(P, Point(1, 3), 1) is first
-        for i in range(1, MEMO_SIZE + 11):
-            extended_region(P, Point(F(4 * i, MEMO_SIZE + 11), 1), 0)
-        assert len(P._memo) == MEMO_SIZE
-        assert extended_region(P, Point(1, 3), 1) is not first  # the oldest entry was dropped
-        ref = weakref.ref(visibility_polygon(P, Point(1, 3)))  # memoized by the call above
-        del P, first
-        gc.collect()
-        assert ref() is None
+        # MEMO_SIZE per polygon are kept, and they die with the polygon by
+        # reference counting alone: no memoized value refers back to it
+        gc.disable()
+        try:
+            P = SimplePolygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
+            first = extended_region(P, Point(1, 3), 1)
+            assert extended_region(P, Point(1, 3), 1) is first
+            for i in range(1, MEMO_SIZE + 11):
+                extended_region(P, Point(F(4 * i, MEMO_SIZE + 11), 1), 0)
+            assert len(P._memo) == MEMO_SIZE
+            assert extended_region(P, Point(1, 3), 1) is not first  # the oldest entry was dropped
+            state = _cascade(P, Point(1, 3), frozenset(range(P.n)), 1)  # memoized by the call above
+            assert state.regions
+            refs = [weakref.ref(state), weakref.ref(visibility_polygon(P, Point(1, 3)))]
+            del P, first, state
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestCovers:

@@ -181,6 +181,50 @@ class TestCascadeReference:
         assert deepest == 2  # parts first lit at depth 2 re-emit at depth 3
 
 
+class TestCascadeMemo:
+    # every depth of the cascade is memoized on its polygon, and a call
+    # extends the deepest one already run: calls at any order of budgets
+    # must each equal the same call on a fresh copy of the polygon
+    @staticmethod
+    def _outcome(ev):
+        return [(p.vertices, p.area) for p in ev.added.parts], ev.per_edge_illumination
+
+    def test_prefixes_agree_with_fresh_polygons(self):
+        rng = random.Random(43)
+        polys = [lshape(), SNAKE, histogram_polygon(rng, 4), histogram_polygon(rng, 5), radial_polygon(rng, 8),
+                 radial_polygon(rng, 10), random_funnel(rng, 3, 2).polygon, random_funnel(rng, 2, 3).polygon]
+        deepest = 0
+        for P in polys:
+            sources = [interior_point(rng, P), P.vertices[rng.randrange(P.n)]]
+            if P is SNAKE:
+                sources.append(Point(4, 1))
+            for q in sources:
+                for edges in (range(P.n), {rng.randrange(P.n), rng.randrange(P.n)}):
+                    fresh = {r: self._outcome(diffuse_extend(SimplePolygon(P.vertices), q, diffuse(edges, r)))
+                             for r in (1, 2, 3)}
+                    for order in ((3, 1, 2), (1, 2, 3)):
+                        shared = SimplePolygon(P.vertices)
+                        for r in order:
+                            ev = diffuse_extend(shared, q, diffuse(edges, r))
+                            assert self._outcome(ev) == fresh[r], (P, q, sorted(edges), order, r)
+                            # a lower budget served from the memo sees none of a higher one's records
+                            depths = [x.bounce_depth for x in ev.per_edge_illumination]
+                            assert max(depths, default=0) < r
+                            deepest = max([deepest, *depths])
+        assert deepest == 2  # the corridor needs all three depths
+
+    def test_cap_checked_on_memo_hits(self, monkeypatch):
+        # the cap in force at each call holds, whatever depths are memoized
+        P, q = SimplePolygon(TestBitCap.HIST.vertices), TestBitCap.Q
+        area = extend_all_edges(P, q, 2).added.area
+        monkeypatch.setenv("MG_BIT_CAP", "2")
+        for r in (1, 2):
+            with pytest.raises(BitBlowup, match="after bounce depth 1 exceeds cap 2"):
+                extend_all_edges(P, q, r)
+        monkeypatch.setenv("MG_BIT_CAP", "3")
+        assert extend_all_edges(P, q, 2).added.area == area
+
+
 class TestSpecular:
     def test_reflect_point(self):
         assert reflect_point_across_line(Point(1, 1), Point(0, 2), Point(2, 2)) == Point(1, 3)

@@ -127,19 +127,24 @@ class TestVisibilityPolygon:
 
     def test_cache_is_bounded(self):
         # results live on their polygon: repeats are served, at most
-        # MEMO_SIZE per polygon are kept, and they die with the polygon
-        sq = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        q = Point(F(1, 3), F(1, 3))
-        first = visibility_polygon(sq, q)
-        assert visibility_polygon(sq, q) is first
-        for i in range(1, MEMO_SIZE + 11):
-            visibility_polygon(sq, Point(F(i, MEMO_SIZE + 11), F(1, 2)))
-        assert len(sq._memo) == MEMO_SIZE
-        assert visibility_polygon(sq, q) is not first  # the oldest entry was dropped
-        ref = weakref.ref(visibility_polygon(sq, q))
-        del sq, first
-        gc.collect()
-        assert ref() is None
+        # MEMO_SIZE per polygon are kept, and they die with the polygon by
+        # reference counting alone: a VP keeps the polygon's vertices, not it
+        gc.disable()
+        try:
+            sq = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+            q = Point(F(1, 3), F(1, 3))
+            first = visibility_polygon(sq, q)
+            assert visibility_polygon(sq, q) is first
+            for i in range(1, MEMO_SIZE + 11):
+                visibility_polygon(sq, Point(F(i, MEMO_SIZE + 11), F(1, 2)))
+            assert len(sq._memo) == MEMO_SIZE
+            assert visibility_polygon(sq, q) is not first  # the oldest entry was dropped
+            assert visibility_polygon(sq, q).host_vertices is sq.vertices
+            ref = weakref.ref(visibility_polygon(sq, q))
+            del sq, first
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestWindows:
