@@ -114,9 +114,6 @@ class Segment:
         t = self.param_of(p)
         return 0 <= t <= 1
 
-    def midpoint(self) -> Point:
-        return Point((self.a.x + self.b.x) / 2, (self.a.y + self.b.y) / 2)
-
     def __repr__(self):
         return f"Segment({self.a!r}, {self.b!r})"
 
@@ -421,15 +418,6 @@ class Region:
                     bits = max(bits, f.numerator.bit_length(), f.denominator.bit_length())
         return bits
 
-    def validate_disjoint(self) -> bool:
-        """Quadratic check that part interiors are pairwise disjoint (test aid)."""
-        polys = [Region.of(p) for p in self.parts]
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                if region_intersection(polys[i], polys[j]).area != 0:
-                    return False
-        return True
-
     def __repr__(self):
         return f"Region({len(self.parts)} parts, area={self.area})"
 
@@ -482,6 +470,24 @@ def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> 
     return Region(cell for _, cell in _sweep(layers, keep))
 
 
+def classes(layers: Sequence[Region]) -> dict[frozenset[int], Region]:
+    """Group the plane by which layers cover it, in one sweep.
+
+    Maps the set of indices of the layers covering a cell to the region of
+    all cells with that set, in the order the sweep first meets each set.
+    The classes are disjoint and every class boundary is a boundary of
+    some layer, so a layer covers a class wholly or not at all.
+    """
+    signatures: dict[tuple[int, ...], frozenset[int]] = {}
+    cells: dict[frozenset[int], list[SimplePolygon]] = {}
+    for counts, cell in _sweep(layers, lambda c: tuple(c) if any(c) else None):
+        sig = signatures.get(counts)
+        if sig is None:
+            sig = signatures[counts] = frozenset(i for i, c in enumerate(counts) if c)
+        cells.setdefault(sig, []).append(cell)
+    return {sig: Region(parts) for sig, parts in cells.items()}
+
+
 def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
     """Slab sweep over the layers' cells, yielding (key value, trapezoid).
 
@@ -489,9 +495,9 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
     value of `key` on their per-layer count vector (how many of each layer's
     parts cover the cell). Every maximal vertical run of cells with one
     truthy value is yielded as one trapezoid; runs with a falsy value and
-    runs of zero area are skipped. Edges are crossed and ordered on their
-    integer lines; a Fraction is built only per crossing, per slab row and
-    per trapezoid corner.
+    runs between two edges of one line, which have no area, are skipped.
+    Edges are crossed and ordered on their integer lines; a Fraction is
+    built only per crossing, per slab row and per trapezoid corner.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
@@ -557,16 +563,15 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
                 counts[seg.layer] += 1
             value = key(counts) if idx < last else None
             if value != run_key:
-                if run_key:
-                    cell = _trapezoid(xl, xr, run_bottom, seg)
-                    if cell is not None:
-                        yield run_key, cell
+                if run_key and (run_bottom.A * seg.B != seg.A * run_bottom.B
+                                or run_bottom.C * seg.B != seg.C * run_bottom.B):
+                    yield run_key, _trapezoid(xl, xr, run_bottom, seg)
                 run_key = value
                 run_bottom = seg
 
 
-def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon | None:
-    """The cell between two edges over the slab [xl, xr], or None if it has no area.
+def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon:
+    """The cell between two edges of distinct lines over the slab [xl, xr].
 
     The edges do not cross inside the slab and `top` is above `bottom`, so the
     ring is counterclockwise; a side of zero height leaves a triangle, as
@@ -578,8 +583,6 @@ def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) ->
     ytl = Fraction(top.C * ld - top.A * ln, top.B * ld)
     ytr = Fraction(top.C * rd - top.A * rn, top.B * rd)
     left, right = ytl != ybl, ytr != ybr
-    if not (left or right):
-        return None
     ring = (Point(xl, ybl), Point(xr, ybr))
     if right:
         ring += (Point(xr, ytr),)
@@ -820,18 +823,13 @@ def sees(P: SimplePolygon, x: Point, y: Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic and randomized interior sampling.
+# Deterministic interior sampling.
 # ---------------------------------------------------------------------------
-
-
-def _region_cells(region: Region) -> tuple[SimplePolygon, ...]:
-    # a caller's part need not be convex; the samplers below need convex cells
-    return overlay([region], any).parts
 
 
 def region_interior_points(region: Region, k: int) -> list[Point]:
     """k deterministic interior points, cycling over the region's cells."""
-    cells = _region_cells(region)
+    cells = overlay([region], any).parts  # a caller's part need not be convex
     if not cells:
         return []
     pts = []
@@ -853,44 +851,3 @@ def region_interior_points(region: Region, k: int) -> list[Point]:
         if i % len(cells) == 0:
             round_ += 1
     return pts
-
-
-def region_sample_points(region: Region, rng, k: int, *, grid: int = 1 << 20) -> list[Point]:
-    """k random interior points, exact rational coordinates on a fine grid."""
-    cells = _region_cells(region)
-    if not cells:
-        return []
-    weights = [c.area for c in cells]
-    total = sum(weights, Fraction(0))
-    pts = []
-    for _ in range(k):
-        r = Fraction(rng.randrange(grid), grid) * total
-        acc = Fraction(0)
-        chosen = cells[-1]
-        for c, w in zip(cells, weights):
-            acc += w
-            if r < acc:
-                chosen = c
-                break
-        verts = chosen.vertices
-        xs = sorted({v.x for v in verts})
-        xl, xr = xs[0], xs[-1]
-        u = Fraction(rng.randrange(1, grid), grid)
-        x = xl + (xr - xl) * u
-        # cell is convex: intersect the vertical line with the boundary
-        ys = []
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if a.x == b.x:
-                if a.x == x:
-                    ys.extend([a.y, b.y])
-                continue
-            lo, hi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-            if lo <= x <= hi:
-                ys.append(a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x))
-        y0, y1 = min(ys), max(ys)
-        v = Fraction(rng.randrange(1, grid), grid)
-        pts.append(Point(x, y0 + (y1 - y0) * v))
-    return pts
-

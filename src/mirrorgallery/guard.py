@@ -30,7 +30,7 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
-    _sweep,
+    classes,
     memo_per_polygon,
     region_union,
 )
@@ -81,27 +81,26 @@ def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
 def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellDecomposition:
     """Group the polygon by which guard points cover it under r bounces.
 
-    One overlay of P and every point's extended region; the elementary
-    cells inside P with the same set of covering points form one class, so
-    every class boundary is a boundary of some layer and coverage is exact.
+    The `geom.classes` of P (layer 0) and every point's extended region
+    that lie inside P, keyed by the covering points: every class boundary
+    is a boundary of some layer, so coverage is exact.
     Certified before returning: the class areas sum exactly to the area of
     P, and every class is covered by some point.
     """
     layers = [Region.of(P)] + [extended_region(P, p, r) for p in points]
-    classes: dict[frozenset[int], list[SimplePolygon]] = {}
-    for counts, cell in _sweep(layers, lambda c: tuple(c) if c[0] else None):
-        classes.setdefault(frozenset(i for i, c in enumerate(counts[1:]) if c), []).append(cell)
-    cells = tuple(Region(parts) for parts in classes.values())
+    inside = {frozenset(i - 1 for i in sig if i): cell
+              for sig, cell in classes(layers).items() if 0 in sig}
+    cells = tuple(inside.values())
     area = sum((c.area for c in cells), Fraction(0))
     if area != P.area:
         raise CoverageCertificationFailed(f"coverage classes sum to {area}, polygon area is {P.area}")
-    if frozenset() in classes:
+    if frozenset() in inside:
         raise CoverageCertificationFailed(
-            f"{len(points)} guard points leave area {Region(classes[frozenset()]).area} "
+            f"{len(points)} guard points leave area {inside[frozenset()].area} "
             f"uncovered at {r} bounces"
         )
     edges = tuple(e for layer in layers for part in layer.parts for e in part.edges())
-    return CellDecomposition(r, cells, tuple(classes), edges)
+    return CellDecomposition(r, cells, tuple(inside), edges)
 
 
 def decompose(P: SimplePolygon, r: int) -> CellDecomposition:

@@ -29,8 +29,8 @@ from .geom import (
     PointLocation,
     Region,
     SimplePolygon,
+    classes,
     region_intersection,
-    region_union_all,
 )
 from .reflect import (
     ReflectionKind,
@@ -255,6 +255,12 @@ def added_region_for_edge(ri: ReductionInstance, e: int) -> Region:
     return diffuse_extend(ri.polygon, ri.q, spec).added
 
 
+def _leak(shared: dict[frozenset[int], Region], layer: int, into) -> Fraction:
+    """Area that `layer` shares with any layer of `into`, read off `geom.classes`."""
+    return sum((c.area for sig, c in shared.items() if layer in sig and not sig.isdisjoint(into)),
+               Fraction(0))
+
+
 def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) -> VerificationReport:
     """Check every structural claim the reduction relies on, exactly.
 
@@ -285,13 +291,15 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
             )
         )
 
+    ns = len(spike_regions)
+    shared = classes(spike_regions + [added_regions[e] for e in ri.candidates.main])
     exclusive_ok = True
     exclusive_detail = "no candidate reaches another value's spike"
     for j, ej in enumerate(ri.candidates.main):
         for i in range(m):
             if i == j:
                 continue
-            leak = region_intersection(added_regions[ej], spike_regions[i]).area
+            leak = _leak(shared, ns + j, (i,))
             if leak != 0:
                 exclusive_ok = False
                 exclusive_detail = f"mirror {ej} leaks {leak} into spike {i}"
@@ -331,16 +339,12 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
             clauses.append(("opaque", True, "skipped: needs at least two values"))
         else:
             candidate_set = ri.candidates.all_edges()
-            all_spikes = region_union_all(spike_regions)
+            others = [e for e in range(P.n) if e not in candidate_set]
+            shared = classes(spike_regions + [added_region_for_edge(ri, e) for e in others])
             ok_all = True
             detail = "non-candidate edges add no spike area"
-            for e in range(P.n):
-                if e in candidate_set:
-                    continue
-                added = added_region_for_edge(ri, e)
-                if added.is_empty:
-                    continue
-                leak = region_intersection(added, all_spikes).area
+            for k, e in enumerate(others):
+                leak = _leak(shared, ns + k, range(ns))
                 if leak != 0:
                     ok_all = False
                     detail = f"non-candidate edge {e} adds {leak} of spike area"
@@ -367,8 +371,7 @@ def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
         raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
     regions = list(added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
     areas = [region.area for region in regions]
-    union_area = region_union_all(regions).area
-    if union_area != sum(areas, Fraction(0)):
+    if any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")
     for mask in range(1 << m):
         total = Fraction(0)

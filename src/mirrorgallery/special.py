@@ -28,8 +28,8 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
+    classes,
     region_interior_points,
-    region_union_all,
     sees,
 )
 from .reflect import ReflectionKind, ReflectionSpec, diffuse_extend
@@ -197,26 +197,23 @@ def funnel_best_mirrors(F: Funnel, q: Point, *, include_chord: bool = False) -> 
     candidates.sort()
 
     vp_region = Region.of(visibility_polygon(P, q).polygon)
-    added = {e: _single_bounce_added(P, q, e) for e in candidates}
-    target = P.area
-
-    def covered_area(subset) -> Fraction:
-        return region_union_all([vp_region] + [added[e] for e in subset]).area
-
-    if vp_region.area == target:
+    if vp_region.area == P.area:
         return MirrorChoice(frozenset(), Fraction(0), True)
+    # layer 0 is the VP and layer 1 + k the added region of candidates[k]
+    shared = classes([vp_region] + [_single_bounce_added(P, q, e) for e in candidates])
+
+    def area_of(layers) -> Fraction:
+        return sum((c.area for sig, c in shared.items() if not sig.isdisjoint(layers)), Fraction(0))
+
+    # covering grows with the subset, so the full set covers the most and
+    # reaches the polygon's area exactly when some subset does
+    best_area = area_of(range(len(candidates) + 1))
     for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            if covered_area(subset) == target:
-                extra = region_union_all([added[e] for e in subset]).area
-                return MirrorChoice(frozenset(subset), extra, True)
-    best_subset = tuple(candidates)
-    best_area = covered_area(best_subset)
-    for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            if covered_area(subset) == best_area:
-                extra = region_union_all([added[e] for e in subset]).area
-                return MirrorChoice(frozenset(subset), extra, False)
+        for subset in combinations(range(len(candidates)), size):
+            layers = [1 + k for k in subset]
+            if area_of([0] + layers) == best_area:
+                return MirrorChoice(frozenset(candidates[k] for k in subset), area_of(layers),
+                                    best_area == P.area)
     return MirrorChoice(frozenset(), Fraction(0), False)
 
 

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorgallery.geom import Point, Region, SimplePolygon, region_sample_points
+from mirrorgallery.geom import Point, Region, SimplePolygon
 from mirrorgallery.special import detect_funnel
+
+from oracles import region_sample_points
 
 
 def lshape() -> SimplePolygon:
@@ -148,3 +150,15 @@ def interior_point(rng: random.Random, poly: SimplePolygon) -> Point:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="module")
+def funnels():
+    """50 seeded funnels with 2 or 3 vertices per chain, each with an interior query point."""
+    rng = random.Random(1001)
+    out = []
+    while len(out) < 50:
+        f = random_funnel(rng, rng.randint(2, 3), rng.randint(2, 3))
+        q = interior_point(rng, f.polygon)
+        out.append((f, q))
+    return out

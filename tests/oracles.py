@@ -14,11 +14,19 @@ segment-in-polygon tests, never from ring labels or fans.
 The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
 integer construction must reproduce exactly.
+
+The funnel mirror reference unions the VP and the added regions of every
+candidate subset, one boolean per subset, where the library reads the
+subsets' areas off one class sweep.
+
+The test aids at the end sample random points of a region, check that a
+region's parts are pairwise disjoint, and take a segment's midpoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from mirrorgallery.errors import GeometryError
 from mirrorgallery.geom import (
@@ -30,6 +38,7 @@ from mirrorgallery.geom import (
     SimplePolygon,
     merge_intervals,
     orientation,
+    overlay,
     region_difference,
     region_intersection,
     region_union_all,
@@ -38,6 +47,8 @@ from mirrorgallery.geom import (
     segment_parts_inside,
     subtract_intervals,
 )
+from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
+from mirrorgallery.special import MirrorChoice, funnel_tangents
 from mirrorgallery.visibility import visibility_polygon, weak_visibility_polygon
 
 
@@ -237,3 +248,98 @@ def polygon_reference(vertices) -> tuple[tuple[Point, ...], Fraction]:
         raise GeometryError("polygon must be counterclockwise with positive area")
     check_simple_reference(verts)
     return tuple(verts), area2 / 2
+
+
+def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -> MirrorChoice:
+    """`special.funnel_best_mirrors` with one union per candidate subset."""
+    P = F.polygon
+    quad = funnel_tangents(F, q)
+    candidates: list[int] = []
+    for contact in quad.contacts():
+        for e in contact.edges:
+            if e == F.chord and not include_chord:
+                continue
+            if e not in candidates:
+                candidates.append(e)
+    if include_chord and F.chord not in candidates:
+        candidates.append(F.chord)
+    candidates.sort()
+
+    vp_region = Region.of(visibility_polygon(P, q).polygon)
+    added = {e: diffuse_extend(P, q, ReflectionSpec(frozenset({e}), ReflectionKind.DIFFUSE, 1)).added
+             for e in candidates}
+    target = P.area
+
+    def covered_area(subset) -> Fraction:
+        return region_union_all([vp_region] + [added[e] for e in subset]).area
+
+    if vp_region.area == target:
+        return MirrorChoice(frozenset(), Fraction(0), True)
+    for size in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, size):
+            if covered_area(subset) == target:
+                extra = region_union_all([added[e] for e in subset]).area
+                return MirrorChoice(frozenset(subset), extra, True)
+    best_subset = tuple(candidates)
+    best_area = covered_area(best_subset)
+    for size in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, size):
+            if covered_area(subset) == best_area:
+                extra = region_union_all([added[e] for e in subset]).area
+                return MirrorChoice(frozenset(subset), extra, False)
+    return MirrorChoice(frozenset(), Fraction(0), False)
+
+
+def midpoint(s: Segment) -> Point:
+    return Point((s.a.x + s.b.x) / 2, (s.a.y + s.b.y) / 2)
+
+
+def validate_disjoint(region: Region) -> bool:
+    """Quadratic check that the region's part interiors are pairwise disjoint."""
+    polys = [Region.of(p) for p in region.parts]
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if region_intersection(polys[i], polys[j]).area != 0:
+                return False
+    return True
+
+
+def region_sample_points(region: Region, rng, k: int, *, grid: int = 1 << 20) -> list[Point]:
+    """k random interior points, exact rational coordinates on a fine grid."""
+    cells = overlay([region], any).parts  # the sampler needs convex cells
+    if not cells:
+        return []
+    weights = [c.area for c in cells]
+    total = sum(weights, Fraction(0))
+    pts = []
+    for _ in range(k):
+        r = Fraction(rng.randrange(grid), grid) * total
+        acc = Fraction(0)
+        chosen = cells[-1]
+        for c, w in zip(cells, weights):
+            acc += w
+            if r < acc:
+                chosen = c
+                break
+        verts = chosen.vertices
+        xs = sorted({v.x for v in verts})
+        xl, xr = xs[0], xs[-1]
+        u = Fraction(rng.randrange(1, grid), grid)
+        x = xl + (xr - xl) * u
+        # cell is convex: intersect the vertical line with the boundary
+        ys = []
+        n = len(verts)
+        for i in range(n):
+            a, b = verts[i], verts[(i + 1) % n]
+            if a.x == b.x:
+                if a.x == x:
+                    ys.extend([a.y, b.y])
+                continue
+            lo, hi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+            if lo <= x <= hi:
+                ys.append(a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x))
+        y0, y1 = min(ys), max(ys)
+        v = Fraction(rng.randrange(1, grid), grid)
+        pts.append(Point(x, y0 + (y1 - y0) * v))
+    return pts
+

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction as F
 from functools import cmp_to_key
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mirrorgallery import geom
 from mirrorgallery.errors import GeometryError, InvariantViolated
 from mirrorgallery.geom import (
     Orientation,
@@ -16,14 +19,15 @@ from mirrorgallery.geom import (
     Segment,
     SimplePolygon,
     _line_key,
-    _sweep,
+    classes,
     merge_intervals,
     merge_region,
     orientation,
+    overlay,
     region_difference,
     region_intersection,
-    region_sample_points,
     region_union,
+    region_union_all,
     sees,
     segment_intersection,
     segment_parts_inside,
@@ -32,7 +36,7 @@ from mirrorgallery.geom import (
 from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, _primitive_direction, visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
-from oracles import halfplane_rect, polygon_reference
+from oracles import halfplane_rect, midpoint, polygon_reference, region_sample_points, validate_disjoint
 
 UNIT = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -187,7 +191,7 @@ class TestRegionOps:
         parts = (rect(0, 0, 1, 1), rect(2, 0, 3, 4))
         r = Region(parts)
         assert r.area == sum((p.area for p in parts), F(0))
-        assert r.validate_disjoint()
+        assert validate_disjoint(r)
 
     def test_inclusion_exclusion_random_rectangles(self, rng):
         for _ in range(120):
@@ -211,7 +215,7 @@ class TestRegionOps:
             for e in range(P.n):
                 s = P.edge(e)
                 d = _primitive_direction(s.direction)
-                for p in (s.a, s.midpoint(), s.b):
+                for p in (s.a, midpoint(s), s.b):
                     fan = Region(_cone(_Frame(P, p), d, (-d[0], -d[1])))
                     vp = Region.of(visibility_polygon(P, p).polygon)
                     clipped = region_intersection(vp, Region.of(halfplane_rect(s.a, s.b, box)))
@@ -342,7 +346,7 @@ class TestIntegerSweep:
         # booleans return disjoint cells; merging them for output keeps the set
         rng = random.Random(7)
         for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b)):
-            assert r.validate_disjoint()
+            assert validate_disjoint(r)
             merged = merge_region(r)
             assert merged.area == r.area
             for p in region_sample_points(r, rng, 8) + region_sample_points(merged, rng, 8):
@@ -351,7 +355,7 @@ class TestIntegerSweep:
     @settings(max_examples=60, deadline=None)
     @given(a=convex_regions(), b=convex_regions())
     def test_cells_are_normalized_rings(self, a, b):
-        for _, cell in _sweep([a, b], tuple):
+        for cell in overlay([a, b], tuple).parts:
             ref = SimplePolygon.unchecked(cell.vertices)
             assert cell.vertices == ref.vertices
             assert cell.area == ref.area
@@ -364,6 +368,47 @@ class TestIntegerSweep:
         assert key == _line_key_reference(a, b) == _line_key(b, a)
         d = b - a
         assert _line_key(a + d * t, a + d * u) == key
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=convex_regions(), b=convex_regions(), c=convex_regions())
+    def test_classes_split_unions_and_intersections(self, a, b, c):
+        layers = [a, b, c]
+        shared = classes(layers)
+        assert sum((r.area for r in shared.values()), F(0)) == region_union_all(layers).area
+        for i, j in combinations(range(len(layers)), 2):
+            both = sum((r.area for sig, r in shared.items() if {i, j} <= sig), F(0))
+            assert both == region_intersection(layers[i], layers[j]).area
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=convex_regions(), b=convex_regions())
+    def test_classes_of_a_layer_sum_to_its_area(self, a, b):
+        # every layer's parts are disjoint: the inputs, booleans and a
+        # symmetric difference made of the cells of two booleans
+        layers = [a, b, region_union(a, b), region_intersection(a, b),
+                  Region(region_difference(a, b).parts + region_difference(b, a).parts)]
+        shared = classes(layers)
+        for i, layer in enumerate(layers):
+            assert sum((r.area for sig, r in shared.items() if i in sig), F(0)) == layer.area
+
+    @settings(max_examples=30, deadline=None)
+    @example(a=Region.of(UNIT))
+    @given(a=convex_regions())
+    def test_copies_sweep_without_zero_height_runs(self, a):
+        # the edges of the two copies lie on one line pairwise; no run between
+        # two of them may reach _trapezoid
+        calls = []
+        trapezoid = geom._trapezoid
+
+        def traced(xl, xr, bottom, top):
+            calls.append(all((bottom.C - bottom.A * x) / bottom.B == (top.C - top.A * x) / top.B
+                             for x in (xl, xr)))
+            return trapezoid(xl, xr, bottom, top)
+
+        with mock.patch.object(geom, "_trapezoid", traced):
+            shared = classes([a, a])
+        assert calls and not any(calls)
+        assert list(shared) == [frozenset({0, 1})]
+        assert shared[frozenset({0, 1})].area == a.area
 
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))

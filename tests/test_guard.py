@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, TooLarge
-from mirrorgallery.geom import MEMO_SIZE, Point, PointLocation, SimplePolygon, region_sample_points, sees
+from mirrorgallery.geom import MEMO_SIZE, Point, PointLocation, SimplePolygon, sees
 from mirrorgallery.guard import (
     GuardSolution,
     build_guard_graph,
@@ -25,6 +25,7 @@ from mirrorgallery.reflect import _cascade
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
+from oracles import midpoint, region_sample_points
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -228,7 +229,7 @@ class TestSpanningTreeReduce:
     def test_boundary_guards_same_bound(self):
         # the reduction never assumes guards sit at vertices: edge midpoints work
         L = lshape()
-        mids = [L.edge(i).midpoint() for i in range(L.n)]
+        mids = [midpoint(L.edge(i)) for i in range(L.n)]
         kept, cert = reduce_guard_points(L, mids, 4)
         k = 1 + 4 // 4
         assert len(kept) <= -(-len(mids) // k)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,22 @@ class TestVerifyInstance:
         name, _ = err.value.report.first_failure()
         assert name.startswith("exact")
 
+    def test_swapped_spikes_leak(self):
+        # each mirror still adds its value, but into the other spike's slot
+        ri = gen_specular(SubsetSumInstance((2, 2, 3), 4))
+        s0, s1, s2 = ri.spikes
+        with pytest.raises(VerificationFailed) as err:
+            verify_instance(replace(ri, spikes=(s1, s0, s2)))
+        assert err.value.report.first_failure() == ("exclusive", "mirror 22 leaks 2 into spike 1")
+
+    def test_dropped_candidate_is_not_opaque(self):
+        # the third gadget's main edge, no longer a candidate, adds its whole spike
+        ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 12))
+        cut = replace(ri, candidates=replace(ri.candidates, main=ri.candidates.main[:2]))
+        with pytest.raises(VerificationFailed) as err:
+            verify_instance(cut)
+        assert err.value.report.first_failure() == ("opaque", "non-candidate edge 3 adds 7 of spike area")
+
 
 class TestEnumeration:
     def test_full_set(self):
@@ -192,6 +209,12 @@ class TestEnumeration:
         monkeypatch.setattr(redgen, "added_region_for_edge", recomputed)
         got = solve_by_enumeration(ri, report.added)
         assert got == (ri.candidates.main[1], ri.candidates.main[2])
+
+    def test_overlapping_regions_refused(self):
+        ri = gen_specular(SubsetSumInstance((3, 5, 7), 12))
+        added = verify_instance(ri).added
+        with pytest.raises(VerificationFailed, match="^candidate added regions overlap; enumeration is unsound$"):
+            solve_by_enumeration(ri, [added[0], added[0], added[2]])
 
     def test_equivalence_both_generators(self, rng):
         for _ in range(10):

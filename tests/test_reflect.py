@@ -13,7 +13,6 @@ from mirrorgallery.geom import (
     orientation,
     region_difference,
     region_intersection,
-    region_sample_points,
     sees,
 )
 from mirrorgallery.reflect import (
@@ -29,7 +28,7 @@ from mirrorgallery.reflect import (
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import diffuse_added_reference
+from oracles import diffuse_added_reference, region_sample_points, validate_disjoint
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -143,7 +142,7 @@ class TestDiffuseExtend:
             vp = Region.of(visibility_polygon(P, q).polygon)
             for ev in (extend_all_edges(P, q, 1), extend_all_edges(P, q, 2)):
                 added, merged = ev.added, merge_region(ev.added)
-                assert added.validate_disjoint()
+                assert validate_disjoint(added)
                 assert merged.area == added.area
                 for p in region_sample_points(added, rng, 20) + region_sample_points(merged, rng, 20):
                     assert merged.covers(p) == added.covers(p)

@@ -8,7 +8,6 @@ from mirrorgallery.geom import (
     Point,
     Region,
     SimplePolygon,
-    region_sample_points,
     region_union_all,
     sees,
     segment_parts_inside,
@@ -24,6 +23,7 @@ from mirrorgallery.special import (
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import histogram_polygon, lshape, random_funnel
+from oracles import funnel_best_mirrors_reference, region_sample_points
 
 PENTA = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 DEEP = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -104,6 +104,12 @@ class TestBestMirrors:
             quad = funnel_tangents(f, q)
             cand = {e for c in quad.contacts() for e in c.edges if e != f.chord}
             assert len(cand) <= 8
+
+    @pytest.mark.parametrize("include_chord", [False, True])
+    def test_matches_union_per_subset_reference(self, funnels, include_chord):
+        for f, q in funnels:
+            got = funnel_best_mirrors(f, q, include_chord=include_chord)
+            assert got == funnel_best_mirrors_reference(f, q, include_chord=include_chord), (f, q)
 
     def test_candidates_match_full_enumeration(self):
         # optimum over the tangent candidates equals optimum over all edges

@@ -18,7 +18,6 @@ from mirrorgallery.geom import (
     orientation,
     region_difference,
     region_intersection,
-    region_sample_points,
     region_union_all,
     sees,
     segment_parts_inside,
@@ -27,7 +26,7 @@ from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, _primitive_di
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import halfplane_rect, visibility_area_oracle
+from oracles import halfplane_rect, midpoint, region_sample_points, visibility_area_oracle
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -247,7 +246,7 @@ class TestPivotCones:
     def _segments(P: SimplePolygon) -> list[Segment]:
         segs = [P.edge(e) for e in range(P.n)]
         segs += [Segment(P.edge(e).point_at(F(1, 3)), P.edge(e).point_at(F(3, 4))) for e in range(P.n)]
-        mids = [P.edge(e).midpoint() for e in range(P.n)]
+        mids = [midpoint(P.edge(e)) for e in range(P.n)]
         return segs + [Segment(a, b) for i, a in enumerate(mids) for b in mids[i + 2:i + 4] if sees(P, a, b)]
 
     def test_both_sides_are_vp_of_pivot_beyond_its_visible_parts(self, rng):
