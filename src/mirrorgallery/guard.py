@@ -32,7 +32,6 @@ from .geom import (
     SimplePolygon,
     classes,
     memo_per_polygon,
-    region_union,
 )
 from .reflect import extend_all_edges
 from .visibility import visibility_polygon
@@ -70,12 +69,14 @@ class GuardGraph:
 def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
     """Closed region reachable from p with up to r diffuse bounces, all edges reflective.
 
-    The last 256 results per polygon are kept on it (`geom.memo_per_polygon`).
+    Its parts are the VP ring of p and, for r >= 1, the added cells of the
+    cascade, which lie outside it. The last 256 results per polygon are
+    kept on it (`geom.memo_per_polygon`).
     """
     if r == 0:
         return Region.of(visibility_polygon(P, p).polygon)
     ev = extend_all_edges(P, p, r)
-    return region_union(Region.of(ev.direct.polygon), ev.added)
+    return Region((ev.direct.polygon, *ev.added.parts))
 
 
 def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellDecomposition:

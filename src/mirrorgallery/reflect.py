@@ -7,12 +7,16 @@ lit parts of other designated edges re-emit at the next depth, up to the
 bounce budget. Each depth is a step memoized on the polygon
 (`geom.memo_per_polygon`) that extends the memoized depth before it, so a
 call at budget r reuses what earlier calls from the same source over the
-same edges ran. Specular extension unfolds the source across the mirror
-line and fans exact wedge quads through the visible part of the mirror.
-Added regions are kept disjoint from direct visibility so their exact
-areas can be summed and thresholded. The coordinate bit cap
-(`MG_BIT_CAP`) holds on the merged rings of every depth region and
-specular region, on every call; cells within it are not merged.
+same edges ran. A depth carries the added cells so far, from one sweep of
+the VP, the previous depth's cells and its own region, and a call returns
+them as they are. Specular extension unfolds the source across the mirror
+line and splits the wedge from there through each lit part of the mirror
+at the vertex directions, in the integer frame of `visibility`: the first
+edge beyond the mirror in each sub-wedge closes one exact quad. Added
+regions are kept disjoint from direct visibility so their exact areas can
+be summed and thresholded. The coordinate bit cap (`MG_BIT_CAP`) holds on
+the merged rings of every depth region and specular region, on every
+call; cells within it are not merged.
 """
 
 from __future__ import annotations
@@ -24,17 +28,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .errors import (BitBlowup, GeometryError, ParseError, QueryOutsidePolygon,
-                     SourceOnMirrorLine, SpecMismatch)
+from .errors import BitBlowup, ParseError, SourceOnMirrorLine, SpecMismatch
 from .geom import (
     Orientation,
     Point,
-    PointLocation,
     Region,
     Segment,
     SimplePolygon,
-    _integer_ring,
-    _shoelace2,
     memo_per_polygon,
     merge_intervals,
     merge_region,
@@ -145,13 +145,15 @@ def _check_bits(region: Region, where: str, bits: int):
 @dataclass(frozen=True)
 class _Cascade:
     """The diffuse cascade from one source over one edge set run to depth d:
-    memoized on the polygon per d, and never mutated once stored."""
+    memoized on the polygon per d, and never mutated once stored. `added`
+    is what `diffuse_extend` returns at budget d; with the VP ring it is
+    the covered region the next depth lights edges from."""
 
     vp: VisibilityPolygon
     records: tuple[IlluminatedEdgePart, ...]  # the parts first lit at each depth below max(d, 1)
     regions: tuple[Region, ...]  # the region reached at each depth from 1 to d, fewer if it stopped
     bits: tuple[int, ...]  # the cells' coordinate bit length of each region
-    covered: Region  # the VP and the regions of the depths below d
+    added: Region  # the cells outside the VP that the regions cover
 
 
 def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
@@ -169,23 +171,23 @@ def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
 @memo_per_polygon
 def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _Cascade:
     """The cascade run to `depth` bounces: one step beyond the memoized cascade
-    at depth - 1, whose union and light pass run only now."""
+    at depth - 1, whose light pass runs only now."""
     if depth == 0:
         vp = visibility_polygon(P, q)
         records: list[IlluminatedEdgePart] = []
         # an edge collinear with the source is only grazed and re-emits nothing
         _light(P, edges, 0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
                else vp.edge_parts(e), records)
-        return _Cascade(vp, tuple(records), (), (), Region.of(vp.polygon))
+        return _Cascade(vp, tuple(records), (), (), Region.empty())
     prev = _cascade(P, q, edges, depth - 1)
     if len(prev.regions) < depth - 1:
         return prev  # stopped before depth - 1
-    covered = region_union_all([prev.covered, *prev.regions[-1:]])
-    if covered.area == P.area:
+    if prev.vp.polygon.area + prev.added.area == P.area:
         return prev  # saturated: nothing further to light
     records = list(prev.records)
     if depth > 1:
-        _light(P, edges, depth - 1, lambda e: segment_parts_inside(P.edge(e), covered.parts), records)
+        covered = [prev.vp.polygon, *prev.added.parts]
+        _light(P, edges, depth - 1, lambda e: segment_parts_inside(P.edge(e), covered), records)
 
     # s re-emits to the points left of e that see it; each sees an interval
     # of s that ends toward s.a at s.a or on a tangent through a reflex
@@ -201,10 +203,10 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
             fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
             fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
     dr = region_union_all(fans)
-    regions, bits = prev.regions, prev.bits
-    if not dr.is_empty:  # else the cascade stops here
-        regions, bits = (*regions, dr), (*bits, dr.max_coordinate_bits())
-    return _Cascade(prev.vp, tuple(records), regions, bits, covered)
+    if dr.is_empty:  # the cascade stops here
+        return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added)
+    added = overlay([Region.of(prev.vp.polygon), prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))
+    return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), (*prev.bits, dr.max_coordinate_bits()), added)
 
 
 def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> ExtendedVisibility:
@@ -216,8 +218,7 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
     """
     if spec.kind is not ReflectionKind.DIFFUSE:
         raise SpecMismatch("diffuse_extend requires a diffuse spec")
-    if P.contains(q) is PointLocation.EXTERIOR:
-        raise QueryOutsidePolygon(f"{q!r} is outside the polygon")
+    visibility_polygon(P, q)  # memoized for the cascade; raises QueryOutsidePolygon first
     for e in spec.edges:
         if not (0 <= e < P.n):
             raise SpecMismatch(f"edge index {e} out of range")
@@ -228,11 +229,7 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
         if len(state.regions) < depth:
             break
         _check_bits(state.regions[-1], f"bounce depth {depth}", state.bits[-1])
-
-    # the cells outside the VP covered at some depth
-    added = (overlay([Region.of(state.vp.polygon), *state.regions], lambda c: not c[0] and any(c[1:]))
-             if state.regions else Region.empty())
-    return ExtendedVisibility(state.vp, added, state.records)
+    return ExtendedVisibility(state.vp, state.added, state.records)
 
 
 def reflect_point_across_line(p: Point, a: Point, b: Point) -> Point:
@@ -246,66 +243,35 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     """Single-bounce mirror extension of the visibility polygon via edge e."""
     if not (0 <= e < P.n):
         raise SpecMismatch(f"edge index {e} out of range")
-    if P.contains(q) is PointLocation.EXTERIOR:
-        raise QueryOutsidePolygon(f"{q!r} is outside the polygon")
-    edge_seg = P.edge(e)
-    a, b = edge_seg.a, edge_seg.b
+    vp = visibility_polygon(P, q)  # raises QueryOutsidePolygon
+    a, b = P.edge(e).a, P.edge(e).b
     side = orientation(a, b, q)
     if side is Orientation.COLLINEAR:
         raise SourceOnMirrorLine(f"{q!r} lies on the supporting line of edge {e}")
-    vp = visibility_polygon(P, q)
-    vp_region = Region.of(vp.polygon)
     vis = vp.edge_parts(e)
     if side is Orientation.CW or not vis:
         # the mirror faces away from the source, or receives no light
         return ExtendedVisibility(vp, Region.empty(), (IlluminatedEdgePart(e, tuple(vis), 0),))
 
-    q2 = reflect_point_across_line(q, a, b)
-    frame = _Frame(P, q2)
+    # unfold the source across the mirror line to q2 and split the wedge
+    # from q2 through each lit part at the vertex directions: each sub-wedge
+    # meets one edge beyond the mirror, which closes its quad. A lit part
+    # runs along e, and q2 lies right of e, so its directions turn clockwise
+    frame = _Frame(P, reflect_point_across_line(q, a, b))
     pieces: list[SimplePolygon] = []
     for sigma in vis:
-        params = {edge_seg.param_of(sigma.a), edge_seg.param_of(sigma.b)}
-        lo = min(params)
-        hi = max(params)
-        for v in P.vertices:
-            if orientation(a, b, v) is Orientation.COLLINEAR:
-                t = edge_seg.param_of(v)
-            else:
-                dv = v - q2
-                denom = dv.cross(b - a)
-                if denom == 0:
-                    continue
-                t_ray = (a - q2).cross(b - a) / denom
-                if t_ray <= 0:
-                    continue
-                cross_pt = q2 + dv * t_ray
-                t = edge_seg.param_of(cross_pt)
-            if lo < t < hi:
-                params.add(t)
-        plist = sorted(params)
-        for t0, t1 in zip(plist, plist[1:]):
-            if t0 == t1:
-                continue
-            w0 = edge_seg.point_at(t0)
-            w1 = edge_seg.point_at(t1)
-            wm = edge_seg.point_at((t0 + t1) / 2)
-            # the ray from q2 through wm, past the mirror, passes through no vertex
-            far_edge = frame.first_hit(*_primitive_direction(wm - q2), beyond=e)
-            if far_edge is None:
-                continue
-            x0 = frame.ray_point(_primitive_direction(w0 - q2), far_edge)
-            x1 = frame.ray_point(_primitive_direction(w1 - q2), far_edge)
-            ring = [w0, w1, x1, x0]
-            if _shoelace2(*_integer_ring(ring)) < 0:
-                ring.reverse()
-            try:
-                pieces.append(SimplePolygon.unchecked(ring))
-            except GeometryError:
-                continue
+        da, db = (_primitive_direction(w - frame.origin) for w in (sigma.a, sigma.b))
+        dirs = [da, *reversed(frame.between(db, da)), db]
+        for d0, d1 in zip(dirs, dirs[1:]):
+            far_edge = frame.first_hit(d0[0] + d1[0], d0[1] + d1[1], beyond=e)
+            if far_edge is not None:
+                pieces.append(SimplePolygon.unchecked([frame.ray_point(d0, e), frame.ray_point(d1, e),
+                                                       frame.ray_point(d1, far_edge),
+                                                       frame.ray_point(d0, far_edge)]))
     if not pieces:
         added = Region.empty()
     else:
-        added = region_difference(Region(pieces), vp_region)
+        added = region_difference(Region(pieces), Region.of(vp.polygon))
         _check_bits(added, "specular bounce", added.max_coordinate_bits())
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 

@@ -15,6 +15,12 @@ The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
 integer construction must reproduce exactly.
 
+The specular reference is the fold loop `reflect.specular_extend_single`
+ran before it took its breakpoints from the integer frame: per lit part,
+the parameters on the mirror of the rays from the unfolded source through
+every vertex, in `Fraction`s, and one quad per pair of neighbours,
+oriented by its shoelace sign.
+
 The funnel mirror reference unions the VP and the added regions of every
 candidate subset, one boolean per subset, where the library reads the
 subsets' areas off one class sweep.
@@ -36,6 +42,8 @@ from mirrorgallery.geom import (
     Region,
     Segment,
     SimplePolygon,
+    _integer_ring,
+    _shoelace2,
     merge_intervals,
     orientation,
     overlay,
@@ -47,9 +55,9 @@ from mirrorgallery.geom import (
     segment_parts_inside,
     subtract_intervals,
 )
-from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
+from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
 from mirrorgallery.special import MirrorChoice, funnel_tangents
-from mirrorgallery.visibility import visibility_polygon, weak_visibility_polygon
+from mirrorgallery.visibility import _Frame, _primitive_direction, visibility_polygon, weak_visibility_polygon
 
 
 def _line_through_box(a: Point, b: Point, box) -> tuple[Point, Point] | None:
@@ -188,6 +196,65 @@ def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
         if not newly:
             break
     return region_difference(region_union_all(depth_regions), vp), tuple(records)
+
+
+def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:
+    """The added region of `reflect.specular_extend_single(P, q, e)`, for q
+    inside P and off the line of edge e, before the bit cap."""
+    edge_seg = P.edge(e)
+    a, b = edge_seg.a, edge_seg.b
+    side = orientation(a, b, q)
+    vp = visibility_polygon(P, q)
+    vp_region = Region.of(vp.polygon)
+    vis = vp.edge_parts(e)
+    if side is Orientation.CW or not vis:
+        return Region.empty()
+
+    q2 = reflect_point_across_line(q, a, b)
+    frame = _Frame(P, q2)
+    pieces: list[SimplePolygon] = []
+    for sigma in vis:
+        params = {edge_seg.param_of(sigma.a), edge_seg.param_of(sigma.b)}
+        lo = min(params)
+        hi = max(params)
+        for v in P.vertices:
+            if orientation(a, b, v) is Orientation.COLLINEAR:
+                t = edge_seg.param_of(v)
+            else:
+                dv = v - q2
+                denom = dv.cross(b - a)
+                if denom == 0:
+                    continue
+                t_ray = (a - q2).cross(b - a) / denom
+                if t_ray <= 0:
+                    continue
+                cross_pt = q2 + dv * t_ray
+                t = edge_seg.param_of(cross_pt)
+            if lo < t < hi:
+                params.add(t)
+        plist = sorted(params)
+        for t0, t1 in zip(plist, plist[1:]):
+            if t0 == t1:
+                continue
+            w0 = edge_seg.point_at(t0)
+            w1 = edge_seg.point_at(t1)
+            wm = edge_seg.point_at((t0 + t1) / 2)
+            # the ray from q2 through wm, past the mirror, passes through no vertex
+            far_edge = frame.first_hit(*_primitive_direction(wm - q2), beyond=e)
+            if far_edge is None:
+                continue
+            x0 = frame.ray_point(_primitive_direction(w0 - q2), far_edge)
+            x1 = frame.ray_point(_primitive_direction(w1 - q2), far_edge)
+            ring = [w0, w1, x1, x0]
+            if _shoelace2(*_integer_ring(ring)) < 0:
+                ring.reverse()
+            try:
+                pieces.append(SimplePolygon.unchecked(ring))
+            except GeometryError:
+                continue
+    if not pieces:
+        return Region.empty()
+    return region_difference(Region(pieces), vp_region)
 
 
 def normalize_ring_reference(verts: list[Point]) -> list[Point]:

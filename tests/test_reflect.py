@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mirrorgallery import geom
 from mirrorgallery.errors import BitBlowup, SourceOnMirrorLine, SpecMismatch
 from mirrorgallery.geom import (
     Orientation,
@@ -15,6 +16,8 @@ from mirrorgallery.geom import (
     region_intersection,
     sees,
 )
+from mirrorgallery.guard import extended_region
+from mirrorgallery.redgen import SubsetSumInstance, gen_specular
 from mirrorgallery.reflect import (
     ReflectionKind,
     ReflectionSpec,
@@ -28,7 +31,7 @@ from mirrorgallery.reflect import (
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import diffuse_added_reference, region_sample_points, validate_disjoint
+from oracles import diffuse_added_reference, region_sample_points, specular_added_reference, validate_disjoint
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -222,6 +225,72 @@ class TestCascadeMemo:
                 extend_all_edges(P, q, r)
         monkeypatch.setenv("MG_BIT_CAP", "3")
         assert extend_all_edges(P, q, 2).added.area == area
+
+
+class TestCascadeSweeps:
+    def test_memo_hits_do_not_sweep(self, monkeypatch):
+        # each depth carries its added cells: a repeated call and the
+        # extended region built from it read them without a boolean
+        rng = random.Random(47)
+        calls = []
+        sweep = geom._sweep
+
+        def counted(layers, key):
+            calls.append(len(layers))
+            return sweep(layers, key)
+
+        monkeypatch.setattr(geom, "_sweep", counted)
+        first = 0
+        for P, q in [(lshape(), Point(F(3, 2), F(1, 2))), (SNAKE, Point(4, 1)), *(
+                (P, interior_point(rng, P)) for P in [histogram_polygon(rng, 5), radial_polygon(rng, 9)])]:
+            for r in (1, 2, 3):
+                ev = extend_all_edges(P, q, r)
+                first += len(calls)
+                calls.clear()
+                assert extend_all_edges(P, q, r).added is ev.added
+                assert diffuse_extend(P, q, diffuse(range(P.n), r)).added is ev.added
+                assert extended_region(P, q, r).area == ev.direct.polygon.area + ev.added.area
+                assert calls == [], (P, q, r)
+        assert first > 0
+
+
+class TestSpecularReference:
+    # the mirror fold through the integer frame against the fold loop it
+    # replaced: the same quads give the same cells, vertex for vertex
+    @staticmethod
+    def _cells(region):
+        return [(p.vertices, p.area) for p in region.parts]
+
+    def test_cells_match_fold_loop(self):
+        rng = random.Random(53)
+        polys = [lshape(), comb(3)]
+        for _ in range(4):
+            polys += [histogram_polygon(rng, rng.randint(3, 6)), radial_polygon(rng, rng.randint(6, 10)),
+                      random_funnel(rng, rng.randint(2, 3), rng.randint(2, 3)).polygon]
+        compared = nonempty = 0
+        for P in polys:
+            edge = P.edge(rng.randrange(P.n))
+            sources = [interior_point(rng, P), interior_point(rng, P), P.vertices[rng.randrange(P.n)],
+                       edge.point_at(F(rng.randint(1, 7), 8))]
+            for q in sources:
+                for e in range(P.n):
+                    if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR:
+                        with pytest.raises(SourceOnMirrorLine):
+                            specular_extend_single(P, q, e)
+                        continue
+                    added = specular_extend_single(P, q, e).added
+                    assert self._cells(added) == self._cells(specular_added_reference(P, q, e)), (P, q, e)
+                    compared += 1
+                    nonempty += not added.is_empty
+        assert nonempty > 20 and compared > 4 * nonempty / 3
+
+    def test_reduction_mirrors_match_fold_loop(self):
+        for values in [(1,), (3,), (1, 2), (7, 11), (1, 2, 3), (5, 5, 5), (2, 4, 6, 8), (1, 3, 5, 7, 9),
+                       (12, 1, 12, 1, 12), (1, 2, 3, 4, 5, 6)]:
+            ri = gen_specular(SubsetSumInstance(values, 0))
+            for e in ri.candidates.main:
+                added = specular_extend_single(ri.polygon, ri.q, e).added
+                assert self._cells(added) == self._cells(specular_added_reference(ri.polygon, ri.q, e)), (values, e)
 
 
 class TestSpecular:

@@ -1,0 +1,45 @@
+"""Rules the library source keeps, read from its syntax tree.
+
+Invariants raise typed errors, not `assert`, which `python -O` strips, and
+a handler names the exceptions it expects: no bare `except:` and no
+`except Exception` or `except BaseException`, alone or in a tuple.
+"""
+
+import ast
+from pathlib import Path
+
+import mirrorgallery
+
+SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
+CATCH_ALL = {"Exception", "BaseException"}
+
+
+def _violations(source: str, name: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Assert):
+            out.append(f"{name}:{node.lineno}: assert")
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None:
+                out.append(f"{name}:{node.lineno}: bare except")
+            elif any(isinstance(t, ast.Name) and t.id in CATCH_ALL for t in caught):
+                out.append(f"{name}:{node.lineno}: catch-all except")
+    return out
+
+
+def test_the_rules_see_every_module():
+    assert {p.name for p in SOURCES} >= {"geom.py", "visibility.py", "reflect.py", "guard.py", "cli.py"}
+
+
+def test_no_assert_and_no_catch_all_except():
+    assert [v for path in SOURCES for v in _violations(path.read_text(), path.name)] == []
+
+
+def test_the_walk_finds_each_kind():
+    source = ("assert x\n"
+              "try:\n    pass\nexcept:\n    pass\n"
+              "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+              "try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert _violations(source, "probe.py") == ["probe.py:1: assert", "probe.py:4: bare except",
+                                               "probe.py:8: catch-all except"]

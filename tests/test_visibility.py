@@ -1,9 +1,12 @@
 import gc
+import random
 import weakref
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorgallery.errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from mirrorgallery.geom import (
@@ -123,6 +126,43 @@ class TestVisibilityPolygon:
             for q in sources:
                 vp = visibility_polygon(poly, q)
                 assert vp.polygon.area == visibility_area_oracle(poly, q), (poly, q)
+
+    def test_raises_exactly_outside(self):
+        # the sweep's own inside test stands in for SimplePolygon.contains
+        # before the reflections: vertices, points on and beyond the edges
+        # and a grid over the box
+        rng = random.Random(59)
+        polys = [lshape(), comb(3), PENTA_FUNNEL, histogram_polygon(rng, 4), histogram_polygon(rng, 6),
+                 radial_polygon(rng, 7), radial_polygon(rng, 10), random_funnel(rng, 3, 2).polygon]
+        outside = 0
+        for P in polys:
+            pts = [*P.vertices, *(e.point_at(F(t, 4)) for e in P.edges() for t in (-1, 1, 2, 3, 5))]
+            xmin, ymin, xmax, ymax = P.bbox
+            pts += [Point(xmin + (xmax - xmin) * F(i, 12), ymin + (ymax - ymin) * F(j, 12))
+                    for i in range(-1, 14) for j in range(-1, 14)]
+            for q in pts:
+                exterior = P.contains(q) is PointLocation.EXTERIOR
+                try:
+                    visibility_polygon(P, q)
+                except QueryOutsidePolygon:
+                    assert exterior, (P, q)
+                    outside += 1
+                else:
+                    assert not exterior, (P, q)
+        assert outside > 500
+
+    @settings(max_examples=25, deadline=None)
+    @given(heights=st.lists(st.integers(1, 5), min_size=2, max_size=5), seed=st.integers(0, 2**32 - 1),
+           radial=st.booleans())
+    def test_vp_inside_polygon_with_oracle_area(self, heights, seed, radial):
+        rng = random.Random(seed)
+        P = radial_polygon(rng, rng.randint(5, 9)) if radial else SimplePolygon(
+            [(0, 0), (len(heights), 0), *((x + dx, h) for x, h in reversed(list(enumerate(heights)))
+                                          for dx in (1, 0))])
+        for q in (interior_point(rng, P), P.vertices[rng.randrange(P.n)]):
+            vp = visibility_polygon(P, q).polygon
+            assert region_difference(Region.of(vp), Region.of(P)).area == 0, (P, q)
+            assert vp.area == visibility_area_oracle(P, q), (P, q)
 
     def test_cache_is_bounded(self):
         # results live on their polygon: repeats are served, at most
