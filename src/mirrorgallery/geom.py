@@ -4,8 +4,10 @@ Everything downstream (visibility, reflection, guarding, reduction
 generators) is built on the primitives here: orientation and intersection
 predicates over arbitrary-precision rationals, point location, exact areas,
 and a slab-sweep overlay that implements boolean operations on regions.
-The sweep crosses and orders edges on integer line coefficients and emits
-its trapezoids already normalized, with their areas. No floating point is
+A region enters the sweep as its net boundary with signed multiplicities,
+and a winding count gives how many of its parts cover a point. The sweep
+crosses and orders edges on integer line coefficients and emits its
+trapezoids already normalized, with their areas. No floating point is
 used anywhere; all results are exact.
 """
 
@@ -174,7 +176,7 @@ class SimplePolygon:
     positive signed area and checks simplicity, all on an integer copy of the ring.
     """
 
-    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo")
+    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo", "_reflex")
 
     def __init__(self, vertices: Iterable, *, _skip_simplicity_check: bool = False):
         verts = [v if isinstance(v, Point) else Point(*v) for v in vertices]
@@ -187,7 +189,7 @@ class SimplePolygon:
             raise GeometryError("polygon must be counterclockwise with positive area")
         self.vertices = tuple(verts)
         self._area = area2 / 2
-        self._bbox = self._hash = self._memo = None
+        self._bbox = self._hash = self._memo = self._reflex = None
         if not _skip_simplicity_check:
             self._check_simple(pts)
 
@@ -204,7 +206,7 @@ class SimplePolygon:
         self = object.__new__(cls)
         self.vertices = vertices
         self._area = area
-        self._bbox = self._hash = self._memo = None
+        self._bbox = self._hash = self._memo = self._reflex = None
         return self
 
     def _check_simple(self, pts: list[tuple[int, int]]):
@@ -253,14 +255,12 @@ class SimplePolygon:
     def edges(self) -> list[Segment]:
         return [self.edge(i) for i in range(self.n)]
 
-    def is_reflex(self, i: int) -> bool:
-        prev = self.vertices[i - 1]
-        cur = self.vertices[i]
-        nxt = self.vertices[(i + 1) % self.n]
-        return orientation(prev, cur, nxt) is Orientation.CW
-
-    def reflex_indices(self) -> list[int]:
-        return [i for i in range(self.n) if self.is_reflex(i)]
+    def reflex_indices(self) -> tuple[int, ...]:
+        """The vertices turning clockwise, found once, on the integer ring."""
+        if self._reflex is None:
+            pts = _integer_ring(self.vertices)[1]
+            self._reflex = tuple(i for i in range(self.n) if _turn(pts[i - 1], pts[i], pts[(i + 1) % self.n]) < 0)
+        return self._reflex
 
     def contains(self, p: Point) -> PointLocation:
         xmin, ymin, xmax, ymax = self.bbox
@@ -339,19 +339,19 @@ class Region:
 
     The area of a region is the exact sum of part areas. A region built by
     a boolean holds the convex cells of the overlay sweep as its parts;
-    areas, membership queries (through an x-interval locator) and later
-    sweeps all read those cells. `merge_region` glues them into maximal
-    polygons only where merged rings are wanted: SVG output and the
-    coordinate bit cap.
+    areas and membership queries (through an x-interval locator) read
+    those cells, and a later sweep reads their net boundary, kept on the
+    region. `merge_region` glues them into maximal polygons only where
+    merged rings are wanted: SVG output and the coordinate bit cap. Only a
+    boolean's input may have overlapping parts (the fans of a cascade
+    depth); it counts a point once per part covering it.
     """
 
-    __slots__ = ("parts", "_area", "_bbox", "_locator")
+    __slots__ = ("parts", "_area", "_bbox", "_locator", "_boundary")
 
     def __init__(self, parts: Iterable[SimplePolygon] = ()):
         self.parts = tuple(parts)
-        self._area = None
-        self._bbox = None
-        self._locator = None
+        self._area = self._bbox = self._locator = self._boundary = None
 
     @property
     def _query_parts(self) -> tuple[SimplePolygon, ...]:
@@ -410,6 +410,16 @@ class Region:
     def covers(self, p: Point) -> bool:
         return self.contains(p) is not PointLocation.EXTERIOR
 
+    def _net_boundary(self) -> list[tuple[Point, Point, int]]:
+        # the non-vertical `_net_runs` that `_sweep` reads; a single part is its own ring
+        if self._boundary is None:
+            sides = [(a, b) for a, b in _sides(self.parts) if a.x != b.x]
+            if len(self.parts) == 1:
+                self._boundary = [(a, b, 1) if a.x < b.x else (b, a, -1) for a, b in sides]
+            else:
+                self._boundary = _net_runs(sides)
+        return self._boundary
+
     def max_coordinate_bits(self) -> int:
         bits = 0
         for part in self.parts:
@@ -442,30 +452,27 @@ def _int_line(a: Point, b: Point) -> tuple[int, int, int]:
 
 
 class _SweepSeg:
-    """A non-vertical edge: its line A*x + B*y = C with B > 0, and its x-extent
-    [x0, x1] as fractions, as numerator/denominator pairs and, once the slab
-    boundaries are known, as their indices k0 and k1."""
+    """A net boundary edge from a left of b: its line A*x + B*y = C with B > 0,
+    its weight w, and its x-extent [x0, x1] as fractions, as numerator/denominator
+    pairs and, once the slab boundaries are known, as their indices k0 and k1."""
 
     __slots__ = ("A", "B", "C", "x0", "x1", "x0n", "x0d", "x1n", "x1d", "k0", "k1",
-                 "layer", "part_id", "order")
+                 "layer", "w", "order")
 
-    def __init__(self, a: Point, b: Point, layer, part_id, order):
-        if a.x > b.x:
-            a, b = b, a
+    def __init__(self, a: Point, b: Point, layer, w, order):
         self.A, self.B, self.C = _int_line(a, b)
         self.x0, self.x1 = a.x, b.x
         self.x0n, self.x0d = a.x.numerator, a.x.denominator
         self.x1n, self.x1d = b.x.numerator, b.x.denominator
-        self.layer = layer
-        self.part_id = part_id
-        self.order = order
+        self.layer, self.w, self.order = layer, w, order
 
 
 def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> Region:
     """Partition the plane into slab cells and keep those selected by `keep`.
 
     `keep` receives, for each input layer, the number of that layer's parts
-    covering the cell; it must reject the all-zero vector.
+    covering the cell (the layer's winding count there); it must reject the
+    all-zero vector.
     """
     return Region(cell for _, cell in _sweep(layers, keep))
 
@@ -489,30 +496,25 @@ def classes(layers: Sequence[Region]) -> dict[frozenset[int], Region]:
 
 
 def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
-    """Slab sweep over the layers' cells, yielding (key value, trapezoid).
+    """Slab sweep over the layers' net boundaries, yielding (key value, trapezoid).
 
     Within each slab the elementary cells between consecutive edges get the
-    value of `key` on their per-layer count vector (how many of each layer's
-    parts cover the cell). Every maximal vertical run of cells with one
-    truthy value is yielded as one trapezoid; runs with a falsy value and
-    runs between two edges of one line, which have no area, are skipped.
-    Edges are crossed and ordered on their integer lines; a Fraction is
-    built only per crossing, per slab row and per trapezoid corner.
+    value of `key` on their per-layer winding counts (the walk up the slab
+    adds each edge's weight), which count the layer's parts covering the
+    cell. Every maximal vertical run of cells with one truthy value is
+    yielded as one trapezoid; runs with a falsy value and runs between two
+    edges of one line, which have no area, are skipped. Edges are crossed
+    and ordered on their integer lines; a Fraction is built only per
+    crossing and per trapezoid corner.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
-    xs = set()
-    part_id = 0
     for li, region in enumerate(layers):
-        for part in region.parts:
-            verts = part.vertices
-            for a, b in zip(verts, verts[1:] + verts[:1]):
-                xs.add(a.x)
-                if a.x != b.x:
-                    segs.append(_SweepSeg(a, b, li, part_id, len(segs)))
-            part_id += 1
+        for a, b, w in region._net_boundary():
+            segs.append(_SweepSeg(a, b, li, w, len(segs)))
     if not segs:
         return
+    xs = {s.x0 for s in segs} | {s.x1 for s in segs}
     # Proper crossings strictly inside both x-extents add slab boundaries;
     # a crossing at an extent end is at a vertex's x, already a boundary.
     segs.sort(key=lambda s: s.x0)
@@ -546,21 +548,13 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
         if not active:
             continue
         xl, xr = xs[k], xs[k + 1]
-        xm = (xl + xr) / 2
-        p, q = xm.numerator, xm.denominator
-        rows = sorted(active, key=lambda s: (Fraction(s.C * q - s.A * p, s.B), s.order))
+        rows = _rows(active, xl, xr)
         counts = [0] * nlayers
-        inside_parts = set()
         last = len(rows) - 1
         run_key = None
         run_bottom = None  # sweep segment bounding the open run from below
         for idx, seg in enumerate(rows):
-            if seg.part_id in inside_parts:
-                inside_parts.discard(seg.part_id)
-                counts[seg.layer] -= 1
-            else:
-                inside_parts.add(seg.part_id)
-                counts[seg.layer] += 1
+            counts[seg.layer] += seg.w
             value = key(counts) if idx < last else None
             if value != run_key:
                 if run_key and (run_bottom.A * seg.B != seg.A * run_bottom.B
@@ -568,6 +562,15 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
                     yield run_key, _trapezoid(xl, xr, run_bottom, seg)
                 run_key = value
                 run_bottom = seg
+
+
+def _rows(active: list[_SweepSeg], xl: Fraction, xr: Fraction) -> list[_SweepSeg]:
+    """The edges across the slab [xl, xr] from bottom to top, then in input order: the
+    height (C*q - A*p) / (B*q) at the midline x = p/q times L*q, for L the lcm of the B."""
+    p = xl.numerator * xr.denominator + xr.numerator * xl.denominator
+    q = 2 * xl.denominator * xr.denominator
+    L = lcm(*(s.B for s in active))
+    return sorted(active, key=lambda s: ((s.C * q - s.A * p) * (L // s.B), s.order))
 
 
 def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon:
@@ -592,7 +595,7 @@ def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) ->
 
 
 # ---------------------------------------------------------------------------
-# Boundary merge: convert cell soup into maximal simple polygons.
+# Net boundaries, and the boundary merge of cell soup into maximal polygons.
 # ---------------------------------------------------------------------------
 
 
@@ -606,6 +609,38 @@ def _line_key(a: Point, b: Point):
     return (A // g, B // g, C // g)
 
 
+def _sides(parts: Iterable[SimplePolygon]):
+    return ((a, b) for part in parts for a, b in zip(part.vertices, part.vertices[1:] + part.vertices[:1]))
+
+
+def _net_runs(sides: Iterable[tuple[Point, Point]]) -> list[tuple[Point, Point, int]]:
+    """The net boundary of directed sides: on each line (`_line_key`) opposite sides
+    cancel and collinear ones join into maximal runs (a, b, w) of constant nonzero
+    multiplicity w, a before b (by x, or by y on a vertical line), w > 0 where the
+    sides run from a to b."""
+    groups: dict[tuple, list] = {}
+    for a, b in sides:
+        groups.setdefault(_line_key(a, b), []).append((a, b))
+    runs = []
+    for key, items in groups.items():
+        events: dict[Fraction, int] = {}
+        pts: dict[Fraction, Point] = {}
+        for a, b in items:
+            ta, tb = (a.x, b.x) if key[1] else (a.y, b.y)
+            # +1 over [ta, tb] when the side runs forward, -1 over [tb, ta] when backward
+            events[ta] = events.get(ta, 0) + 1
+            events[tb] = events.get(tb, 0) - 1
+            pts[ta], pts[tb] = a, b
+        net = 0
+        for t in sorted(events):
+            if events[t]:
+                if net:
+                    runs.append((pts[start], pts[t], net))
+                net += events[t]
+                start = t
+    return runs
+
+
 def merge_region(region: Region) -> Region:
     """Glue region parts into maximal simple polygons by boundary tracing.
 
@@ -616,48 +651,12 @@ def merge_region(region: Region) -> Region:
     """
     if len(region.parts) <= 1:
         return region
-    groups: dict[tuple, list] = {}
-    for part in region.parts:
-        for e in part.edges():
-            key = _line_key(e.a, e.b)
-            vertical = key[1] == 0
-            ta = e.a.y if vertical else e.a.x
-            tb = e.b.y if vertical else e.b.x
-            groups.setdefault(key, []).append((ta, tb, e.a, e.b))
-    edges_out: list[tuple[Point, Point]] = []
-    for key, items in groups.items():
-        events: dict[Fraction, list] = {}
-        pts: dict[Fraction, Point] = {}
-        for ta, tb, pa, pb in items:
-            lo, hi, sign = (ta, tb, 1) if ta < tb else (tb, ta, -1)
-            events.setdefault(lo, []).append(sign)
-            events.setdefault(hi, []).append(-sign)
-            pts[ta] = pa
-            pts[tb] = pb
-        ts = sorted(events)
-        net = 0
-        run_start = None
-        run_net = 0
-        for t in ts:
-            new_net = net + sum(events[t])
-            if new_net != net:
-                if run_start is not None and run_net != 0:
-                    a, b = pts[run_start], pts[t]
-                    if run_net > 0:
-                        edges_out.append((a, b))
-                    else:
-                        edges_out.append((b, a))
-                if abs(new_net) > 1:
-                    return region  # overlapping interiors; refuse to merge
-                run_start = t if new_net != 0 else None
-                run_net = new_net
-            net = new_net
-        if net != 0:
-            return region
-    # Trace closed loops; require out-degree exactly 1 everywhere.
+    # Trace closed loops of the net boundary; require out-degree exactly 1 everywhere.
     out_map: dict[Point, list[Point]] = {}
-    for a, b in edges_out:
-        out_map.setdefault(a, []).append(b)
+    for a, b, net in _net_runs(_sides(region.parts)):
+        if abs(net) > 1:
+            return region  # overlapping interiors; refuse to merge
+        out_map.setdefault(a if net > 0 else b, []).append(b if net > 0 else a)
     for dests in out_map.values():
         if len(dests) > 1:
             return region

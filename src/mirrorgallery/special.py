@@ -80,7 +80,7 @@ class MirrorChoice:
 
 def detect_funnel(P: SimplePolygon) -> Funnel:
     """Recognize a funnel: chord edge, apex, and two strictly reflex chains."""
-    convex = [i for i in range(P.n) if not P.is_reflex(i)]
+    convex = [i for i in range(P.n) if i not in P.reflex_indices()]
     if len(convex) != 3:
         bad = convex[3] if len(convex) > 3 else None
         raise NotAFunnel(

@@ -13,7 +13,9 @@ segment-in-polygon tests, never from ring labels or fans.
 
 The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
-integer construction must reproduce exactly.
+integer construction must reproduce exactly. The slab row reference
+orders a slab's edges by their height at the midline as one Fraction
+per edge, the order the sweep's integer row keys must reproduce.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
 ran before it took its breakpoints from the integer frame: per lit part,
@@ -315,6 +317,13 @@ def polygon_reference(vertices) -> tuple[tuple[Point, ...], Fraction]:
         raise GeometryError("polygon must be counterclockwise with positive area")
     check_simple_reference(verts)
     return tuple(verts), area2 / 2
+
+
+def slab_rows_reference(active, xl: Fraction, xr: Fraction) -> list:
+    """The edges across the slab [xl, xr] by their Fraction height at the midline, then in input order."""
+    xm = (xl + xr) / 2
+    p, q = xm.numerator, xm.denominator
+    return sorted(active, key=lambda s: (Fraction(s.C * q - s.A * p, s.B), s.order))
 
 
 def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -> MirrorChoice:

@@ -36,7 +36,14 @@ from mirrorgallery.geom import (
 from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, _primitive_direction, visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
-from oracles import halfplane_rect, midpoint, polygon_reference, region_sample_points, validate_disjoint
+from oracles import (
+    halfplane_rect,
+    midpoint,
+    polygon_reference,
+    region_sample_points,
+    slab_rows_reference,
+    validate_disjoint,
+)
 
 UNIT = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -410,6 +417,39 @@ class TestIntegerSweep:
         assert list(shared) == [frozenset({0, 1})]
         assert shared[frozenset({0, 1})].area == a.area
 
+    @settings(max_examples=40, deadline=None)
+    @example(a=Region.of(SimplePolygon([(0, 0), (4, 0), (0, 4)])), b=Region.of(SimplePolygon([(1, 1), (5, 1), (1, 5)])))
+    @given(a=convex_regions(), b=convex_regions())
+    def test_overlapping_parts_count_with_multiplicity(self, a, b):
+        # one layer of two parts that may overlap: a point inside both counts twice
+        both = Region(a.parts + b.parts)
+        assert overlay([both], lambda c: c[0] >= 2).area == region_intersection(a, b).area
+        assert overlay([both], lambda c: c[0] >= 1).area == region_union(a, b).area
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=convex_regions(), b=convex_regions())
+    def test_cells_sweep_like_their_merged_ring(self, a, b):
+        # cells enter a later sweep as their net boundary, which is not cut at
+        # the slab boundaries of the sweep that made them
+        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b)):
+            assert len(overlay([r], any).parts) <= len(overlay([merge_region(r)], any).parts)
+
+    @settings(max_examples=40, deadline=None)
+    @example(a=Region.of(UNIT), b=Region.of(UNIT), c=Region.of(SimplePolygon([(0, 0), (2, 1), (0, 1)])))
+    @given(a=convex_regions(), b=convex_regions(), c=convex_regions())
+    def test_rows_in_height_order(self, a, b, c):
+        seen = []
+        rows = geom._rows
+
+        def traced(active, xl, xr):
+            got = rows(active, xl, xr)
+            seen.append(got == slab_rows_reference(active, xl, xr))
+            return got
+
+        with mock.patch.object(geom, "_rows", traced):
+            classes([a, b, c])
+        assert seen and all(seen)
+
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))
         assert SimplePolygon._trusted(ring, F(1, 2)).area == F(1, 2)
@@ -489,6 +529,17 @@ class TestIntegerRing:
         got = _built(ring)
         assert got[0] is GeometryError
         assert got == _reference(ring)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring=rings())
+    def test_reflex_vertices_turn_clockwise(self, ring):
+        try:
+            P = SimplePolygon(ring)
+        except GeometryError:
+            assume(False)
+        v = P.vertices
+        assert P.reflex_indices() == tuple(i for i in range(P.n)
+                                           if orientation(v[i - 1], v[i], v[(i + 1) % P.n]) is Orientation.CW)
 
     def test_normalizes_like_the_reference(self):
         # repeated vertices, a closing repeat and fold-backs along edges

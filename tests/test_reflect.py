@@ -350,8 +350,8 @@ class TestSpecular:
 class TestBitCap:
     # the cells of this cascade are cut at slab crossings with 4-bit
     # coordinates; the merged rings of each depth region need only 3
-    HIST = SimplePolygon([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (2, 1), (2, 5), (1, 5), (1, 2), (0, 2)])
-    Q = Point(F(3, 2), F(5, 2))
+    HIST = SimplePolygon([(0, 0), (6, 0), (6, 4), (5, 4), (5, 2), (4, 2), (4, 5), (0, 5)])
+    Q = Point(F(1, 2), F(9, 2))
 
     def test_cap_measures_merged_rings(self, monkeypatch):
         ev = extend_all_edges(self.HIST, self.Q, 2)

@@ -2,7 +2,9 @@
 
 Invariants raise typed errors, not `assert`, which `python -O` strips, and
 a handler names the exceptions it expects: no bare `except:` and no
-`except Exception` or `except BaseException`, alone or in a tuple.
+`except Exception` or `except BaseException`, alone or in a tuple. The
+modules on the exact computation path hold no float literal and call no
+`float(`, so no float shortcut (in a sort key, say) slips into them.
 """
 
 import ast
@@ -12,6 +14,7 @@ import mirrorgallery
 
 SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -28,8 +31,18 @@ def _violations(source: str, name: str) -> list[str]:
     return out
 
 
+def _floats(source: str, name: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append(f"{name}:{node.lineno}: float literal")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            out.append(f"{name}:{node.lineno}: float call")
+    return out
+
+
 def test_the_rules_see_every_module():
-    assert {p.name for p in SOURCES} >= {"geom.py", "visibility.py", "reflect.py", "guard.py", "cli.py"}
+    assert {p.name for p in SOURCES} >= EXACT | {"cli.py"}
 
 
 def test_no_assert_and_no_catch_all_except():
@@ -43,3 +56,13 @@ def test_the_walk_finds_each_kind():
               "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert _violations(source, "probe.py") == ["probe.py:1: assert", "probe.py:4: bare except",
                                                "probe.py:8: catch-all except"]
+
+
+def test_no_floats_on_the_exact_path():
+    assert [v for path in SOURCES if path.name in EXACT for v in _floats(path.read_text(), path.name)] == []
+
+
+def test_the_float_walk_finds_each_kind():
+    source = "x = 0.5\ny = float(x)\nz = isinstance(y, float) and 1e3\n"
+    assert _floats(source, "probe.py") == ["probe.py:1: float literal", "probe.py:2: float call",
+                                           "probe.py:3: float literal"]

@@ -51,7 +51,7 @@ class TestDetectFunnel:
             f = random_funnel(rng, rng.randint(2, 4), rng.randint(2, 4))
             for chain in (f.left_chain, f.right_chain):
                 for i in chain[1:-1]:
-                    assert f.polygon.is_reflex(i)
+                    assert i in f.polygon.reflex_indices()
 
 
 class TestTangents:
