@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser's reference cycles die young: it goes before the command runs
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MirrorGalleryError as ex:

@@ -6,24 +6,25 @@ predicates over arbitrary-precision rationals, point location, exact areas,
 and a slab-sweep overlay that implements boolean operations on regions.
 A region enters the sweep as its net boundary with signed multiplicities,
 and a winding count gives how many of its parts cover a point. The sweep
-crosses and orders edges on integer line coefficients and emits its
-trapezoids already normalized, with their areas. No floating point is
-used anywhere; all results are exact.
+crosses and orders edges on integer line coefficients and returns runs:
+a slab and the two edges bounding a cell, whose exact area is read off
+integer heights at the slab's midline. A swept region holds its runs
+and area; its net boundary is joined from the runs' edges per line, and
+its trapezoids are built only when its parts are read. No floating point
+is used anywhere; all results are exact.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import wraps
+from functools import cache, wraps
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import GeometryError, InvariantViolated
 
-logger = logging.getLogger(__name__)
 MEMO_SIZE = 256  # results kept per polygon by `memo_per_polygon`
 
 
@@ -338,20 +339,38 @@ class Region:
     """A finite set of simple polygons whose interiors are pairwise disjoint.
 
     The area of a region is the exact sum of part areas. A region built by
-    a boolean holds the convex cells of the overlay sweep as its parts;
-    areas and membership queries (through an x-interval locator) read
-    those cells, and a later sweep reads their net boundary, kept on the
-    region. `merge_region` glues them into maximal polygons only where
-    merged rings are wanted: SVG output and the coordinate bit cap. Only a
+    a boolean holds the sweep's runs and their exact area; its parts, the
+    convex trapezoid cells of the runs, are built when first read, by
+    membership queries (through an x-interval locator) and by output. A
+    later sweep reads the region's net boundary, kept on it, which a swept
+    region joins from its runs' edges without building a cell.
+    `merge_region` glues cells into maximal polygons only where merged
+    rings are wanted: SVG output and the coordinate bit cap. Only a
     boolean's input may have overlapping parts (the fans of a cascade
     depth); it counts a point once per part covering it.
     """
 
-    __slots__ = ("parts", "_area", "_bbox", "_locator", "_boundary")
+    __slots__ = ("_parts", "_runs", "_area", "_locator", "_boundary")
 
     def __init__(self, parts: Iterable[SimplePolygon] = ()):
-        self.parts = tuple(parts)
-        self._area = self._bbox = self._locator = self._boundary = None
+        self._parts = tuple(parts)  # or, until first read, a function that builds them
+        self._runs = self._area = self._locator = self._boundary = None
+
+    @classmethod
+    def _deferred(cls, cells: Callable[[], tuple], area: Fraction, runs=None) -> "Region":
+        """A region of known area whose parts `cells()` builds on first read;
+        `runs` are the slab boundaries and runs of a sweep, when it made them."""
+        region = cls()
+        if area:
+            region._parts = cells
+        region._area, region._runs = area, runs
+        return region
+
+    @property
+    def parts(self) -> tuple[SimplePolygon, ...]:
+        if not isinstance(self._parts, tuple):
+            self._parts = self._parts()
+        return self._parts
 
     @property
     def _query_parts(self) -> tuple[SimplePolygon, ...]:
@@ -369,7 +388,7 @@ class Region:
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self._parts
 
     @property
     def area(self) -> Fraction:
@@ -377,23 +396,11 @@ class Region:
             self._area = sum((p.area for p in self.parts), Fraction(0))
         return self._area
 
-    @property
-    def bbox(self):
-        if self._bbox is None and self.parts:
-            boxes = [p.bbox for p in self.parts]
-            self._bbox = (min(b[0] for b in boxes), min(b[1] for b in boxes),
-                          max(b[2] for b in boxes), max(b[3] for b in boxes))
-        return self._bbox
-
-    def _build_locator(self):
-        entries = ((p.bbox[0], p.bbox[2], p) for p in self.parts)
-        self._locator = sorted(entries, key=lambda e: (e[0], e[1]))
-
     def contains(self, p: Point) -> PointLocation:
-        if not self.parts:
+        if not self._parts:
             return PointLocation.EXTERIOR
         if self._locator is None:
-            self._build_locator()
+            self._locator = sorted(((q.bbox[0], q.bbox[2], q) for q in self.parts), key=lambda e: (e[0], e[1]))
         best = PointLocation.EXTERIOR
         for xmin, xmax, part in self._locator:
             if xmin > p.x:
@@ -413,20 +420,29 @@ class Region:
     def _net_boundary(self) -> list[tuple[Point, Point, int]]:
         # the non-vertical `_net_runs` that `_sweep` reads; a single part is its own ring
         if self._boundary is None:
-            sides = [(a, b) for a, b in _sides(self.parts) if a.x != b.x]
-            if len(self.parts) == 1:
-                self._boundary = [(a, b, 1) if a.x < b.x else (b, a, -1) for a, b in sides]
+            if self._runs is not None:
+                self._boundary = _runs_boundary(*self._runs)
             else:
-                self._boundary = _net_runs(sides)
+                sides = [(a, b, w) for a, b, w in _sides(self.parts) if a.x != b.x]
+                if len(self.parts) == 1:
+                    self._boundary = [(a, b, 1) if a.x < b.x else (b, a, -1) for a, b, _ in sides]
+                else:
+                    self._boundary = _net_runs(sides)
         return self._boundary
 
     def max_coordinate_bits(self) -> int:
-        bits = 0
-        for part in self.parts:
-            for v in part.vertices:
-                for f in (v.x, v.y):
-                    bits = max(bits, f.numerator.bit_length(), f.denominator.bit_length())
-        return bits
+        return max((c.bit_length() for part in self.parts for v in part.vertices for f in (v.x, v.y)
+                    for c in (f.numerator, f.denominator)), default=0)
+
+    def _bits_bound(self) -> int:
+        """An upper bound on `max_coordinate_bits()`: for a swept region, the bits of
+        the unreduced corners of its runs' cells, read off the runs."""
+        if self._runs is None:
+            return self.max_coordinate_bits()
+        xs, runs = self._runs
+        return max((v.bit_length() for k, *edges in runs for x in xs[k:k + 2] for s in edges
+                    for v in (x.numerator, s.C * x.denominator - s.A * x.numerator, s.B * x.denominator)),
+                   default=0)
 
     def __repr__(self):
         return f"Region({len(self.parts)} parts, area={self.area})"
@@ -474,7 +490,7 @@ def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> 
     covering the cell (the layer's winding count there); it must reject the
     all-zero vector.
     """
-    return Region(cell for _, cell in _sweep(layers, keep))
+    return _sweep(layers, keep, bool).get(True, Region.empty())
 
 
 def classes(layers: Sequence[Region]) -> dict[frozenset[int], Region]:
@@ -485,27 +501,24 @@ def classes(layers: Sequence[Region]) -> dict[frozenset[int], Region]:
     The classes are disjoint and every class boundary is a boundary of
     some layer, so a layer covers a class wholly or not at all.
     """
-    signatures: dict[tuple[int, ...], frozenset[int]] = {}
-    cells: dict[frozenset[int], list[SimplePolygon]] = {}
-    for counts, cell in _sweep(layers, lambda c: tuple(c) if any(c) else None):
-        sig = signatures.get(counts)
-        if sig is None:
-            sig = signatures[counts] = frozenset(i for i, c in enumerate(counts) if c)
-        cells.setdefault(sig, []).append(cell)
-    return {sig: Region(parts) for sig, parts in cells.items()}
+    signature = cache(lambda counts: frozenset(i for i, c in enumerate(counts) if c))
+    return _sweep(layers, lambda c: tuple(c) if any(c) else None, signature)
 
 
-def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
-    """Slab sweep over the layers' net boundaries, yielding (key value, trapezoid).
+def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: Callable) -> dict:
+    """Slab sweep over the layers' net boundaries: one region per group(value)
+    of the kept cells, in the order the sweep first meets each group.
 
-    Within each slab the elementary cells between consecutive edges get the
+    Within a slab the elementary cells between consecutive edges get the
     value of `key` on their per-layer winding counts (the walk up the slab
     adds each edge's weight), which count the layer's parts covering the
-    cell. Every maximal vertical run of cells with one truthy value is
-    yielded as one trapezoid; runs with a falsy value and runs between two
-    edges of one line, which have no area, are skipped. Edges are crossed
-    and ordered on their integer lines; a Fraction is built only per
-    crossing and per trapezoid corner.
+    cell. Every maximal vertical run of cells with one truthy value is a run
+    (slab index, bottom edge, top edge) of its group's region; runs with a
+    falsy value, and runs between two edges of one line, are skipped. The
+    run's trapezoid is built only when the region's parts are read: its area
+    is the slab's width times the difference of the edges' integer row keys
+    over their scale, summed per slab and group on integers. A Fraction is
+    built only per crossing and per slab and group.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
@@ -513,7 +526,7 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
         for a, b, w in region._net_boundary():
             segs.append(_SweepSeg(a, b, li, w, len(segs)))
     if not segs:
-        return
+        return {}
     xs = {s.x0 for s in segs} | {s.x1 for s in segs}
     # Proper crossings strictly inside both x-extents add slab boundaries;
     # a crossing at an extent end is at a vertex's x, already a boundary.
@@ -538,6 +551,7 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
     for s in segs:
         s.k0, s.k1 = index[s.x0], index[s.x1]
 
+    runs, areas = {}, {}
     active: list[_SweepSeg] = []
     pi = 0
     for k in range(len(xs) - 1):
@@ -548,29 +562,37 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object]):
         if not active:
             continue
         xl, xr = xs[k], xs[k + 1]
-        rows = _rows(active, xl, xr)
+        scale, rows = _rows(active, xl, xr)
         counts = [0] * nlayers
         last = len(rows) - 1
+        heights: dict = {}
         run_key = None
-        run_bottom = None  # sweep segment bounding the open run from below
-        for idx, seg in enumerate(rows):
+        for idx, (h, _, seg) in enumerate(rows):
             counts[seg.layer] += seg.w
             value = key(counts) if idx < last else None
             if value != run_key:
-                if run_key and (run_bottom.A * seg.B != seg.A * run_bottom.B
-                                or run_bottom.C * seg.B != seg.C * run_bottom.B):
-                    yield run_key, _trapezoid(xl, xr, run_bottom, seg)
-                run_key = value
-                run_bottom = seg
+                # two edges at one midline height lie on one line: no crossing is inside the slab
+                if run_key and h != run_h:
+                    g = group(run_key)
+                    runs.setdefault(g, []).append((k, run_bottom, seg))
+                    heights[g] = heights.get(g, 0) + h - run_h
+                run_key, run_bottom, run_h = value, seg, h
+        # a run's area is (xr - xl) * dh / scale, and xr - xl = (rn*ld - ln*rd) / (ld*rd)
+        ln, ld, rn, rd = xl.numerator, xl.denominator, xr.numerator, xr.denominator
+        for g, dh in heights.items():
+            areas[g] = areas.get(g, 0) + Fraction((rn * ld - ln * rd) * dh, ld * rd * scale)
+    return {g: Region._deferred(lambda r=r: tuple(_trapezoid(xs[k], xs[k + 1], b, t) for k, b, t in r),
+                                areas[g], (xs, r)) for g, r in runs.items()}
 
 
-def _rows(active: list[_SweepSeg], xl: Fraction, xr: Fraction) -> list[_SweepSeg]:
-    """The edges across the slab [xl, xr] from bottom to top, then in input order: the
-    height (C*q - A*p) / (B*q) at the midline x = p/q times L*q, for L the lcm of the B."""
+def _rows(active: list[_SweepSeg], xl: Fraction, xr: Fraction) -> tuple[int, list]:
+    """The edges across the slab [xl, xr] from bottom to top, then in input order, as
+    (row key, order, edge), and the scale L*q of the keys: the key is the height
+    (C*q - A*p) / (B*q) at the midline x = p/q times L*q, for L the lcm of the B."""
     p = xl.numerator * xr.denominator + xr.numerator * xl.denominator
     q = 2 * xl.denominator * xr.denominator
     L = lcm(*(s.B for s in active))
-    return sorted(active, key=lambda s: ((s.C * q - s.A * p) * (L // s.B), s.order))
+    return L * q, sorted(((s.C * q - s.A * p) * (L // s.B), s.order, s) for s in active)
 
 
 def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon:
@@ -610,35 +632,69 @@ def _line_key(a: Point, b: Point):
 
 
 def _sides(parts: Iterable[SimplePolygon]):
-    return ((a, b) for part in parts for a, b in zip(part.vertices, part.vertices[1:] + part.vertices[:1]))
+    return ((a, b, 1) for part in parts for a, b in zip(part.vertices, part.vertices[1:] + part.vertices[:1]))
 
 
-def _net_runs(sides: Iterable[tuple[Point, Point]]) -> list[tuple[Point, Point, int]]:
-    """The net boundary of directed sides: on each line (`_line_key`) opposite sides
-    cancel and collinear ones join into maximal runs (a, b, w) of constant nonzero
-    multiplicity w, a before b (by x, or by y on a vertical line), w > 0 where the
-    sides run from a to b."""
-    groups: dict[tuple, list] = {}
-    for a, b in sides:
-        groups.setdefault(_line_key(a, b), []).append((a, b))
+def _net_runs(sides: Iterable[tuple[Point, Point, int]]) -> list[tuple[Point, Point, int]]:
+    """The net boundary of directed sides (a, b, w), each w times from a to b: on each
+    line (`_line_key`) opposite sides cancel and collinear ones join into maximal runs
+    (a, b, w) of constant nonzero multiplicity w, a before b (by x, or by y on a
+    vertical line), w > 0 where the sides run from a to b."""
+    lines: dict[tuple, dict[Fraction, int]] = {}
+    pts: dict[tuple, Point] = {}
+    for a, b, w in sides:
+        key = _line_key(a, b)
+        ta, tb = (a.x, b.x) if key[1] else (a.y, b.y)
+        # +w over [ta, tb] when the side runs forward, -w over [tb, ta] when backward
+        events = lines.setdefault(key, {})
+        events[ta] = events.get(ta, 0) + w
+        events[tb] = events.get(tb, 0) - w
+        pts[key, ta], pts[key, tb] = a, b
+    return _joined(lines, lambda key, t: pts[key, t])
+
+
+def _runs_boundary(xs: list[Fraction], runs: list) -> list[tuple[Point, Point, int]]:
+    """`_net_runs` over the non-vertical sides of the runs' cells, without the cells:
+    each run adds +1 over its slab k on its bottom edge's line and -1 on its top
+    edge's. A line is keyed with one gcd per sweep edge, and a Point is built only
+    at the ends of a joined run."""
+    keys: dict[_SweepSeg, tuple[int, int, int]] = {}
+    lines: dict[tuple[int, int, int], dict[int, int]] = {}
+    for k, bottom, top in runs:
+        for seg, w in ((bottom, 1), (top, -1)):
+            if seg not in keys:
+                g = gcd(seg.A, seg.B, seg.C)  # B > 0: the key is sign-canonical
+                keys[seg] = (seg.A // g, seg.B // g, seg.C // g)
+            events = lines.setdefault(keys[seg], {})
+            events[k] = events.get(k, 0) + w
+            events[k + 1] = events.get(k + 1, 0) - w
+    return _joined(lines, lambda key, k: Point(xs[k], Fraction(key[2] * xs[k].denominator - key[0] * xs[k].numerator,
+                                                               key[1] * xs[k].denominator)))
+
+
+def _joined(lines: dict[tuple, dict], point: Callable) -> list[tuple[Point, Point, int]]:
+    """The maximal runs (point(key, s), point(key, t), w) of constant nonzero weight w on
+    each line, whose events map a parameter t to the change of weight at t."""
     runs = []
-    for key, items in groups.items():
-        events: dict[Fraction, int] = {}
-        pts: dict[Fraction, Point] = {}
-        for a, b in items:
-            ta, tb = (a.x, b.x) if key[1] else (a.y, b.y)
-            # +1 over [ta, tb] when the side runs forward, -1 over [tb, ta] when backward
-            events[ta] = events.get(ta, 0) + 1
-            events[tb] = events.get(tb, 0) - 1
-            pts[ta], pts[tb] = a, b
+    for key, events in lines.items():
         net = 0
         for t in sorted(events):
             if events[t]:
                 if net:
-                    runs.append((pts[start], pts[t], net))
+                    runs.append((point(key, start), point(key, t), net))
                 net += events[t]
                 start = t
     return runs
+
+
+def region_join(regions: Sequence[Region]) -> Region:
+    """The union of regions with pairwise disjoint interiors, without a sweep: its
+    area is the sum of theirs, its net boundary their boundaries netted, and its
+    parts theirs, in order, built when first read."""
+    joined = Region._deferred(lambda: tuple(p for r in regions for p in r.parts),
+                              sum((r.area for r in regions), Fraction(0)))
+    joined._boundary = _net_runs(side for r in regions for side in r._net_boundary())
+    return joined
 
 
 def merge_region(region: Region) -> Region:

@@ -32,6 +32,7 @@ from .geom import (
     SimplePolygon,
     classes,
     memo_per_polygon,
+    region_join,
 )
 from .reflect import extend_all_edges
 from .visibility import visibility_polygon
@@ -43,13 +44,18 @@ class CellDecomposition:
 
     `cells[i]` is the part of the polygon covered by exactly the guard
     points `signatures[i]` (indices into the list the classes were built
-    for); `generating_segments` are the boundary edges the overlay swept.
+    for); `layers` are the polygon and the points' extended regions.
     """
 
     level: int
     cells: tuple[Region, ...]
     signatures: tuple[frozenset[int], ...]
-    generating_segments: tuple[Segment, ...]
+    layers: tuple[Region, ...]
+
+    @property
+    def generating_segments(self) -> tuple[Segment, ...]:
+        """The edges of the layers' parts, whose net boundary the overlay swept."""
+        return tuple(e for layer in self.layers for part in layer.parts for e in part.edges())
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,12 @@ def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
     """Closed region reachable from p with up to r diffuse bounces, all edges reflective.
 
     Its parts are the VP ring of p and, for r >= 1, the added cells of the
-    cascade, which lie outside it. The last 256 results per polygon are
-    kept on it (`geom.memo_per_polygon`).
+    cascade, which lie outside it; the join reads their areas and net
+    boundaries and builds the cells only when the parts are read. The last
+    256 results per polygon are kept on it (`geom.memo_per_polygon`).
     """
-    if r == 0:
-        return Region.of(visibility_polygon(P, p).polygon)
-    ev = extend_all_edges(P, p, r)
-    return Region((ev.direct.polygon, *ev.added.parts))
+    vp = Region.of(visibility_polygon(P, p).polygon)
+    return vp if r == 0 else region_join([vp, extend_all_edges(P, p, r).added])
 
 
 def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellDecomposition:
@@ -100,8 +105,7 @@ def coverage_classes(P: SimplePolygon, points: Sequence[Point], r: int) -> CellD
             f"{len(points)} guard points leave area {inside[frozenset()].area} "
             f"uncovered at {r} bounces"
         )
-    edges = tuple(e for layer in layers for part in layer.parts for e in part.edges())
-    return CellDecomposition(r, cells, tuple(inside), edges)
+    return CellDecomposition(r, cells, tuple(inside), tuple(layers))
 
 
 def decompose(P: SimplePolygon, r: int) -> CellDecomposition:

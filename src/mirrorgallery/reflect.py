@@ -15,13 +15,13 @@ at the vertex directions, in the integer frame of `visibility`: the first
 edge beyond the mirror in each sub-wedge closes one exact quad. Added
 regions are kept disjoint from direct visibility so their exact areas can
 be summed and thresholded. The coordinate bit cap (`MG_BIT_CAP`) holds on
-the merged rings of every depth region and specular region, on every
-call; cells within it are not merged.
+the merged rings of every depth region, the added region and the
+specular region, on every call; cells whose bound from the sweep's runs
+is within it are not merged, nor built.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,8 +53,6 @@ from .visibility import (
     _primitive_direction,
     visibility_polygon,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_BIT_CAP = 4096
 
@@ -133,11 +131,11 @@ def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
 def _check_bits(region: Region, where: str, bits: int):
     # the cap measures merged rings: the sweep's slab crossings give cells
     # more bits than the region's own boundary. A merged ring keeps a subset
-    # of the cells' vertices, so cells within the cap (bits) need no merge
+    # of the cells' vertices, so cells whose bound (bits) is within the cap
+    # need no merge
     cap = _bit_cap()
     if bits > cap:
         bits = merge_region(region).max_coordinate_bits()
-    logger.debug("coordinate bits after %s: %d", where, bits)
     if bits > cap:
         raise BitBlowup(f"{bits} coordinate bits after {where} exceeds cap {cap}")
 
@@ -152,8 +150,9 @@ class _Cascade:
     vp: VisibilityPolygon
     records: tuple[IlluminatedEdgePart, ...]  # the parts first lit at each depth below max(d, 1)
     regions: tuple[Region, ...]  # the region reached at each depth from 1 to d, fewer if it stopped
-    bits: tuple[int, ...]  # the cells' coordinate bit length of each region
+    bits: tuple[int, ...]  # a bound on the cells' coordinate bit length of each region
     added: Region  # the cells outside the VP that the regions cover
+    added_bits: int  # a bound on the coordinate bit length of its cells
 
 
 def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
@@ -178,7 +177,7 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
         # an edge collinear with the source is only grazed and re-emits nothing
         _light(P, edges, 0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
                else vp.edge_parts(e), records)
-        return _Cascade(vp, tuple(records), (), (), Region.empty())
+        return _Cascade(vp, tuple(records), (), (), Region.empty(), 0)
     prev = _cascade(P, q, edges, depth - 1)
     if len(prev.regions) < depth - 1:
         return prev  # stopped before depth - 1
@@ -204,9 +203,10 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
             fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
     dr = region_union_all(fans)
     if dr.is_empty:  # the cascade stops here
-        return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added)
+        return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added, prev.added_bits)
     added = overlay([Region.of(prev.vp.polygon), prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))
-    return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), (*prev.bits, dr.max_coordinate_bits()), added)
+    return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), (*prev.bits, dr._bits_bound()), added,
+                    added._bits_bound())
 
 
 def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> ExtendedVisibility:
@@ -229,6 +229,7 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
         if len(state.regions) < depth:
             break
         _check_bits(state.regions[-1], f"bounce depth {depth}", state.bits[-1])
+    _check_bits(state.added, "the added region", state.added_bits)
     return ExtendedVisibility(state.vp, state.added, state.records)
 
 
@@ -272,7 +273,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         added = Region.empty()
     else:
         added = region_difference(Region(pieces), Region.of(vp.polygon))
-        _check_bits(added, "specular bounce", added.max_coordinate_bits())
+        _check_bits(added, "specular bounce", added._bits_bound())
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 
 

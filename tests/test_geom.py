@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
@@ -402,18 +403,14 @@ class TestIntegerSweep:
     @given(a=convex_regions())
     def test_copies_sweep_without_zero_height_runs(self, a):
         # the edges of the two copies lie on one line pairwise; no run between
-        # two of them may reach _trapezoid
-        calls = []
-        trapezoid = geom._trapezoid
-
-        def traced(xl, xr, bottom, top):
-            calls.append(all((bottom.C - bottom.A * x) / bottom.B == (top.C - top.A * x) / top.B
-                             for x in (xl, xr)))
-            return trapezoid(xl, xr, bottom, top)
-
-        with mock.patch.object(geom, "_trapezoid", traced):
-            shared = classes([a, a])
-        assert calls and not any(calls)
+        # two of them may leave the sweep
+        shared = classes([a, a])
+        one_line = []
+        for region in shared.values():
+            xs, runs = region._runs
+            one_line += [all((bottom.C - bottom.A * x) / bottom.B == (top.C - top.A * x) / top.B
+                             for x in (xs[k], xs[k + 1])) for k, bottom, top in runs]
+        assert one_line and not any(one_line)
         assert list(shared) == [frozenset({0, 1})]
         assert shared[frozenset({0, 1})].area == a.area
 
@@ -442,13 +439,32 @@ class TestIntegerSweep:
         rows = geom._rows
 
         def traced(active, xl, xr):
-            got = rows(active, xl, xr)
-            seen.append(got == slab_rows_reference(active, xl, xr))
-            return got
+            scale, got = rows(active, xl, xr)
+            xm = (xl + xr) / 2
+            # each row key is the edge's height at the midline times the scale
+            seen.append([s for *_, s in got] == slab_rows_reference(active, xl, xr)
+                        and all(F(h, scale) == (s.C - s.A * xm) / s.B for h, _, s in got))
+            return scale, got
 
         with mock.patch.object(geom, "_rows", traced):
             classes([a, b, c])
         assert seen and all(seen)
+
+    @settings(max_examples=40, deadline=None)
+    @example(a=Region.of(SimplePolygon([(0, 0), (4, 0), (0, 4)])), b=Region.of(SimplePolygon([(1, 1), (5, 1), (1, 5)])),
+             c=Region.of(UNIT))
+    @given(a=convex_regions(), b=convex_regions(), c=convex_regions())
+    def test_runs_agree_with_their_cells(self, a, b, c):
+        # a swept region's area and net boundary come from its runs; its cells,
+        # built afterwards, must give the same shoelace areas and sides
+        both = Region(a.parts + b.parts)  # one layer of two parts that may overlap
+        out = [region_union(both, c), region_intersection(both, c), region_difference(both, c),
+               region_difference(c, both), *classes([both, c, a]).values()]
+        for r in out:
+            area, boundary = r.area, r._net_boundary()
+            assert area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))
+            sides = [side for side in geom._sides(r.parts) if side[0].x != side[1].x]
+            assert Counter(boundary) == Counter(geom._net_runs(sides))
 
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorgallery import geom
 from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, TooLarge
 from mirrorgallery.geom import MEMO_SIZE, Point, PointLocation, SimplePolygon, sees
 from mirrorgallery.guard import (
@@ -114,6 +115,16 @@ class TestDecompose:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestLazyCells:
+    def test_greedy_builds_no_cells(self, monkeypatch):
+        # coverage classes read areas and signatures off the sweep's runs
+        built = []
+        monkeypatch.setattr(geom, "_trapezoid", lambda *args: built.append(args))
+        for P in (comb(3), histogram_polygon(random.Random(11), 5)):
+            assert greedy_cover(P, 0).guards
+        assert built == []
 
 
 class TestCovers:

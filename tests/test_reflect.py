@@ -235,9 +235,9 @@ class TestCascadeSweeps:
         calls = []
         sweep = geom._sweep
 
-        def counted(layers, key):
+        def counted(layers, key, group):
             calls.append(len(layers))
-            return sweep(layers, key)
+            return sweep(layers, key, group)
 
         monkeypatch.setattr(geom, "_sweep", counted)
         first = 0
@@ -361,3 +361,17 @@ class TestBitCap:
         monkeypatch.setenv("MG_BIT_CAP", "2")
         with pytest.raises(BitBlowup):
             extend_all_edges(self.HIST, self.Q, 2)
+
+    def test_cap_holds_on_the_added_region(self, monkeypatch):
+        # each depth region's merged rings stay within 19 bits here, but the
+        # merged rings of the added region, which carry the VP's vertices, need 20
+        rng = random.Random(4)
+        P = histogram_polygon(rng)
+        q = interior_point(rng, P)
+        assert q == Point(F(3308229, 1048576), F(94477, 262144))
+        monkeypatch.setenv("MG_BIT_CAP", "19")
+        with pytest.raises(BitBlowup, match="after the added region exceeds cap 19"):
+            extend_all_edges(P, q, 1)
+        monkeypatch.setenv("MG_BIT_CAP", "20")
+        added = extend_all_edges(P, q, 1).added
+        assert merge_region(added).max_coordinate_bits() == 20

@@ -4,7 +4,9 @@ Invariants raise typed errors, not `assert`, which `python -O` strips, and
 a handler names the exceptions it expects: no bare `except:` and no
 `except Exception` or `except BaseException`, alone or in a tuple. The
 modules on the exact computation path hold no float literal and call no
-`float(`, so no float shortcut (in a sort key, say) slips into them.
+`float(`, so no float shortcut (in a sort key, say) slips into them. Only
+`geom` reads a region's sweep runs (`Region._runs`) or builds their cells
+(`_trapezoid`): every other module sees cells through `Region.parts`.
 """
 
 import ast
@@ -15,6 +17,7 @@ import mirrorgallery
 SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
+SWEEP_INTERNALS = {"_runs", "_trapezoid"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -66,3 +69,31 @@ def test_the_float_walk_finds_each_kind():
     source = "x = 0.5\ny = float(x)\nz = isinstance(y, float) and 1e3\n"
     assert _floats(source, "probe.py") == ["probe.py:1: float literal", "probe.py:2: float call",
                                            "probe.py:3: float literal"]
+
+
+def _sweep_internals(source: str, name: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        out += [f"{name}:{node.lineno}: {n}" for n in names if n in SWEEP_INTERNALS]
+    return out
+
+
+def test_only_geom_reads_the_sweep_runs():
+    assert [v for path in SOURCES if path.name != "geom.py"
+            for v in _sweep_internals(path.read_text(), path.name)] == []
+
+
+def test_the_sweep_walk_finds_each_kind():
+    source = ("from .geom import _trapezoid\n"
+              "n = len(region._runs)\n"
+              "cell = geom._trapezoid(xl, xr, bottom, top)\n"
+              "runs = region.runs\n")
+    assert _sweep_internals(source, "probe.py") == ["probe.py:1: _trapezoid", "probe.py:2: _runs",
+                                                    "probe.py:3: _trapezoid"]
