@@ -177,7 +177,7 @@ class SimplePolygon:
     positive signed area and checks simplicity, all on an integer copy of the ring.
     """
 
-    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo", "_reflex")
+    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo", "_ring", "_reflex")
 
     def __init__(self, vertices: Iterable, *, _skip_simplicity_check: bool = False):
         verts = [v if isinstance(v, Point) else Point(*v) for v in vertices]
@@ -190,7 +190,7 @@ class SimplePolygon:
             raise GeometryError("polygon must be counterclockwise with positive area")
         self.vertices = tuple(verts)
         self._area = area2 / 2
-        self._bbox = self._hash = self._memo = self._reflex = None
+        self._bbox = self._hash = self._memo = self._ring = self._reflex = None
         if not _skip_simplicity_check:
             self._check_simple(pts)
 
@@ -207,7 +207,7 @@ class SimplePolygon:
         self = object.__new__(cls)
         self.vertices = vertices
         self._area = area
-        self._bbox = self._hash = self._memo = self._reflex = None
+        self._bbox = self._hash = self._memo = self._ring = self._reflex = None
         return self
 
     def _check_simple(self, pts: list[tuple[int, int]]):
@@ -256,31 +256,36 @@ class SimplePolygon:
     def edges(self) -> list[Segment]:
         return [self.edge(i) for i in range(self.n)]
 
+    def _int_ring(self) -> tuple[int, list[tuple[int, int]]]:
+        """The ring scaled by the least common denominator of its coordinates, as
+        `_integer_ring` returns it: computed on first use and kept."""
+        if self._ring is None:
+            self._ring = _integer_ring(self.vertices)
+        return self._ring
+
     def reflex_indices(self) -> tuple[int, ...]:
         """The vertices turning clockwise, found once, on the integer ring."""
         if self._reflex is None:
-            pts = _integer_ring(self.vertices)[1]
+            pts = self._int_ring()[1]
             self._reflex = tuple(i for i in range(self.n) if _turn(pts[i - 1], pts[i], pts[(i + 1) % self.n]) < 0)
         return self._reflex
 
     def contains(self, p: Point) -> PointLocation:
-        xmin, ymin, xmax, ymax = self.bbox
-        if p.x < xmin or p.x > xmax or p.y < ymin or p.y > ymax:
-            return PointLocation.EXTERIOR
+        # crossings of the ray rightward from p, on the integer ring: p is
+        # (px, py) / w there, so the ring is scaled by w where w > 1
+        scale, pts = self._int_ring()
+        w = lcm(scale, p.x.denominator, p.y.denominator) // scale
+        px, py = p.x.numerator * (scale * w // p.x.denominator), p.y.numerator * (scale * w // p.y.denominator)
+        if w > 1:
+            pts = [(x * w, y * w) for x, y in pts]
         inside = False
-        n = self.n
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            if orientation(a, b, p) is Orientation.COLLINEAR:
-                lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-                lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-                if lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y:
-                    return PointLocation.BOUNDARY
-            if (a.y > p.y) != (b.y > p.y):
-                x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if x_cross > p.x:
-                    inside = not inside
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            t = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if t == 0 and min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
+                return PointLocation.BOUNDARY
+            # a crossing right of p has p left of the upward edge, right of the downward one
+            if (ay > py) != (by > py) and (t > 0) == (by > ay):
+                inside = not inside
         return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
 
     def __eq__(self, other):
@@ -527,7 +532,8 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
             segs.append(_SweepSeg(a, b, li, w, len(segs)))
     if not segs:
         return {}
-    xs = {s.x0 for s in segs} | {s.x1 for s in segs}
+    # slab x values keyed by their (numerator, denominator): a Fraction's hash takes a modular inverse
+    xs = {(s.x0n, s.x0d): s.x0 for s in segs} | {(s.x1n, s.x1d): s.x1 for s in segs}
     # Proper crossings strictly inside both x-extents add slab boundaries;
     # a crossing at an extent end is at a vertex's x, already a boundary.
     segs.sort(key=lambda s: s.x0)
@@ -545,11 +551,12 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
                 det, xn = -det, -xn
             # sj starts no left of si, so x = xn/det must lie in (sj.x0, min(si.x1, sj.x1))
             if xn * sj.x0d > sj.x0n * det and xn * x1d < x1n * det and xn * sj.x1d < sj.x1n * det:
-                xs.add(Fraction(xn, det))
-    xs = sorted(xs)
-    index = {x: k for k, x in enumerate(xs)}
+                x = Fraction(xn, det)
+                xs[x.numerator, x.denominator] = x
+    xs = sorted(xs.values())
+    index = {(x.numerator, x.denominator): k for k, x in enumerate(xs)}
     for s in segs:
-        s.k0, s.k1 = index[s.x0], index[s.x1]
+        s.k0, s.k1 = index[s.x0n, s.x0d], index[s.x1n, s.x1d]
 
     runs, areas = {}, {}
     active: list[_SweepSeg] = []
@@ -820,6 +827,14 @@ def segment_parts_inside(seg: Segment, parts: Sequence[SimplePolygon]) -> list[S
             else:
                 kept.append((t0, t1))
     return [Segment(seg.point_at(t0), seg.point_at(t1)) for t0, t1 in kept]
+
+
+def along(a: Point, b: Point) -> Callable[[Point], Fraction]:
+    """An exact coordinate of the points of line ab that grows from a to b:
+    x or -x, or y or -y on a vertical line."""
+    if a.x != b.x:
+        return (lambda p: p.x) if a.x < b.x else (lambda p: -p.x)
+    return (lambda p: p.y) if a.y < b.y else (lambda p: -p.y)
 
 
 def subtract_intervals(

@@ -35,6 +35,8 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
+    _turn,
+    along,
     memo_per_polygon,
     merge_intervals,
     merge_region,
@@ -50,7 +52,7 @@ from .visibility import (
     _cone,
     _Frame,
     _pivot_cones,
-    _primitive_direction,
+    _primitive,
     visibility_polygon,
 )
 
@@ -156,15 +158,19 @@ class _Cascade:
 
 
 def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
-    """Append to records the parts of each designated edge first lit at this depth."""
+    """Append to records the parts of each designated edge first lit at this depth.
+
+    Parts are ordered, merged and subtracted by an exact coordinate along the
+    edge (`geom.along`); every interval end is the coordinate of a part's
+    endpoint, which the fresh parts are rebuilt from."""
     for e in sorted(edges):
-        seg = P.edge(e)
-        ivals = [tuple(sorted((seg.param_of(s.a), seg.param_of(s.b)))) for s in parts_of(e)]
-        lit = [(seg.param_of(s.a), seg.param_of(s.b)) for x in records if x.edge == e for s in x.subsegments]
-        fresh = subtract_intervals(merge_intervals(ivals), merge_intervals(lit))
+        t = along(P.vertices[e], P.vertices[(e + 1) % P.n])
+        parts, lit = parts_of(e), [s for x in records if x.edge == e for s in x.subsegments]
+        ends = {t(p): p for s in parts + lit for p in (s.a, s.b)}
+        fresh = subtract_intervals(merge_intervals([tuple(sorted((t(s.a), t(s.b)))) for s in parts]),
+                                   merge_intervals([(t(s.a), t(s.b)) for s in lit]))
         if fresh:
-            records.append(IlluminatedEdgePart(e, tuple(Segment(seg.point_at(t0), seg.point_at(t1))
-                                                        for t0, t1 in fresh), depth))
+            records.append(IlluminatedEdgePart(e, tuple(Segment(ends[t0], ends[t1]) for t0, t1 in fresh), depth))
 
 
 @memo_per_polygon
@@ -191,13 +197,13 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     # s re-emits to the points left of e that see it; each sees an interval
     # of s that ends toward s.a at s.a or on a tangent through a reflex
     # vertex left of e: the half-turn fan of s.a and those cones
-    reflex = [P.vertices[i] for i in P.reflex_indices()]
+    pts = P._int_ring()[1]
     frame = cache(lambda p: _Frame(P, p))
     fans: list[Region] = []
     for part in [x for x in records if x.bounce_depth == depth - 1]:
-        a, b = P.edge(part.edge).a, P.edge(part.edge).b
-        d = _primitive_direction(b - a)
-        pivots = [frame(v) for v in reflex if orientation(a, b, v) is Orientation.CCW]
+        a, b = pts[part.edge], pts[(part.edge + 1) % P.n]
+        d = _primitive(b[0] - a[0], b[1] - a[1])
+        pivots = [frame(P.vertices[i]) for i in P.reflex_indices() if _turn(a, b, pts[i]) > 0]
         for s in part.subsegments:
             fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
             fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
@@ -261,7 +267,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     frame = _Frame(P, reflect_point_across_line(q, a, b))
     pieces: list[SimplePolygon] = []
     for sigma in vis:
-        da, db = (_primitive_direction(w - frame.origin) for w in (sigma.a, sigma.b))
+        da, db = (_primitive(*frame.local(w)[:2]) for w in (sigma.a, sigma.b))
         dirs = [da, *reversed(frame.between(db, da)), db]
         for d0, d1 in zip(dirs, dirs[1:]):
             far_edge = frame.first_hit(d0[0] + d1[0], d0[1] + d1[1], beyond=e)

@@ -3,10 +3,11 @@
 The visibility polygon is computed with one exact angular sweep: the
 directions from the source to every vertex split the view circle into
 wedges, each wedge has a single nearest edge, and the output ring is the
-fan of wedge hits. The sweep works in integers: the vertices are
-translated to the source and scaled by their least common denominator
-once per call, so the first-hit scan compares cross-multiplied integer
-determinants and `Fraction`s are built only for the ring points.
+fan of wedge hits. The sweep works in integers: the polygon keeps one
+copy of its ring scaled by its least common denominator, and a frame
+translates it to the source, rescaled only when the source has a
+denominator the scale lacks. The first-hit scan compares cross-multiplied
+integer determinants, and each ring point is one `Fraction` per coordinate.
 
 A wedge is lit when its mid direction leaves the source into the
 polygon. That is a constant-time test at the source: always from the
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from .errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from .geom import (
@@ -44,7 +45,7 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
-    _integer_ring,
+    along,
     memo_per_polygon,
     merge_intervals,
     orientation,
@@ -69,9 +70,9 @@ class VisibilityPolygon:
 
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
-        vs = self.polygon.vertices
+        vs, hv = self.polygon.vertices, self.host_vertices
         parts = [Segment(vs[k], vs[(k + 1) % len(vs)]) for k, h in enumerate(self.edge_hosts) if h == e]
-        return sorted(parts, key=lambda s, edge=self._host_edge(e): edge.param_of(s.a))
+        return sorted(parts, key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
     @cached_property
     def windows(self) -> tuple[Segment, ...]:
@@ -102,11 +103,6 @@ class VisibilityPolygon:
         return tuple(wins)
 
 
-def _primitive_direction(d: Point) -> tuple[int, int]:
-    """Reduce a rational direction vector to a canonical integer vector."""
-    return _primitive(d.x.numerator * d.y.denominator, d.y.numerator * d.x.denominator)
-
-
 def _primitive(x: int, y: int) -> tuple[int, int]:
     g = gcd(x, y)
     return (x // g, y // g)
@@ -132,18 +128,24 @@ def _dir_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
 class _Frame:
     """A polygon seen from an origin o, in integer coordinates.
 
-    Every vertex is translated to o and scaled by the least common
-    denominator of all coordinates, so rays from o are tested with integer
-    determinants. Also records which directions leave o into the polygon:
+    The polygon's integer ring (`SimplePolygon._int_ring`) is translated to
+    o, rescaled first only when a denominator of o does not divide its
+    scale, so rays from o are tested with integer determinants; `ox, oy`
+    is o on that scale. Also records which directions leave o into the polygon:
     those strictly left of all of `sides` (`convex`) or of any of them;
     `inside` is False when o is outside the polygon.
     """
 
-    __slots__ = ("origin", "scale", "dirs", "edges", "sides", "convex", "inside")
+    __slots__ = ("origin", "ox", "oy", "scale", "dirs", "edges", "sides", "convex", "inside")
 
     def __init__(self, P: SimplePolygon, o: Point):
         self.origin = o
-        self.scale, ((ox, oy), *pts) = _integer_ring((o, *P.vertices))
+        (scale, pts), xd, yd = P._int_ring(), o.x.denominator, o.y.denominator
+        m = lcm(scale, xd, yd) // scale
+        if m > 1:
+            scale, pts = scale * m, [(x * m, y * m) for x, y in pts]
+        self.scale = scale
+        ox, oy = self.ox, self.oy = o.x.numerator * (scale // xd), o.y.numerator * (scale // yd)
         pts = [(x - ox, y - oy) for x, y in pts]
         self.dirs = {_primitive(x, y) for x, y in pts if x or y}
         # per edge a->b: a, b - a and a x b, the numerator of every hit parameter
@@ -162,6 +164,11 @@ class _Frame:
                 return
             if (ay > 0) != (ay + ey > 0) and c * ey > 0:
                 self.inside = not self.inside
+
+    def local(self, p: Point) -> tuple[int, int, int]:
+        """p in frame coordinates, (p - o) * scale, as integers (x, y, w) over w > 0."""
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        return (xn * self.scale - self.ox * xd) * yd, (yn * self.scale - self.oy * yd) * xd, xd * yd
 
     def between(self, lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
         """Vertex directions strictly between lo and hi (at most a half turn), counterclockwise."""
@@ -205,8 +212,9 @@ class _Frame:
     def ray_point(self, d: tuple[int, int], i: int) -> Point:
         """Where the ray from o in direction d meets the line of edge i."""
         _, _, ex, ey, tn = self.edges[i]
-        den = (d[0] * ey - d[1] * ex) * self.scale
-        return Point(self.origin.x + Fraction(d[0] * tn, den), self.origin.y + Fraction(d[1] * tn, den))
+        den = d[0] * ey - d[1] * ex
+        return Point(Fraction(self.ox * den + d[0] * tn, den * self.scale),
+                     Fraction(self.oy * den + d[1] * tn, den * self.scale))
 
     def arc(self, da: tuple[int, int], db: tuple[int, int]) -> tuple[int, Point, Point] | None:
         """Nearest edge of the wedge from da counterclockwise to db and its ends on it; None if dark."""
@@ -274,16 +282,15 @@ def _pivot_cones(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
     vertex v off ab's line, that v bounds toward a, continued past v: one
     `_cone` beyond v per run of sub-wedges toward ab that are lit at v, hit
     no edge before ab's line and are not wholly with v's exterior on b's side."""
-    o = f.origin
-    lo, hi = _primitive_direction(a - o), _primitive_direction(b - o)
+    (xa, ya, wa), (xb, yb, wb) = f.local(a), f.local(b)
+    lo, hi = _primitive(xa, ya), _primitive(xb, yb)
     side = -1  # a is right of every direction toward ab
     if lo[0] * hi[1] - lo[1] * hi[0] < 0:
         lo, hi, side = hi, lo, 1
     walls = ((-f.sides[0][0], -f.sides[0][1]), f.sides[1])  # toward v's neighbours
     # in frame coordinates the line of ab is (dx, dy) x p = cn / cd
-    dx, dy = _primitive_direction(b - a)
-    c = ((a.y - o.y) * dx - (a.x - o.x) * dy) * f.scale
-    cn, cd = c.numerator, c.denominator
+    dx, dy = _primitive(xb * wa - xa * wb, yb * wa - ya * wb)
+    cn, cd = dx * ya - dy * xa, wa
     dirs = [lo, *f.between(lo, hi), hi]
     runs: list[list[tuple[int, int]]] = []  # first and last direction of each run
     for da, db in zip(dirs, dirs[1:]):

@@ -13,9 +13,14 @@ segment-in-polygon tests, never from ring labels or fans.
 
 The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
-integer construction must reproduce exactly. The slab row reference
+integer construction must reproduce exactly, and the Fraction crossing
+test that its integer `contains` must agree with. The slab row reference
 orders a slab's edges by their height at the midline as one Fraction
 per edge, the order the sweep's integer row keys must reproduce.
+
+The frame reference scales the origin and the vertices per frame, as
+`visibility._Frame` did before the polygon kept its integer ring, and
+builds ray points as the origin plus `Fraction` offsets.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
 ran before it took its breakpoints from the integer frame: per lit part,
@@ -28,13 +33,16 @@ candidate subset, one boolean per subset, where the library reads the
 subsets' areas off one class sweep.
 
 The test aids at the end sample random points of a region, check that a
-region's parts are pairwise disjoint, and take a segment's midpoint.
+region's parts are pairwise disjoint, and take a direction's primitive
+integer vector and a segment's midpoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from types import SimpleNamespace
 
 from mirrorgallery.errors import GeometryError
 from mirrorgallery.geom import (
@@ -59,7 +67,7 @@ from mirrorgallery.geom import (
 )
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
 from mirrorgallery.special import MirrorChoice, funnel_tangents
-from mirrorgallery.visibility import _Frame, _primitive_direction, visibility_polygon, weak_visibility_polygon
+from mirrorgallery.visibility import _Frame, visibility_polygon, weak_visibility_polygon
 
 
 def _line_through_box(a: Point, b: Point, box) -> tuple[Point, Point] | None:
@@ -200,6 +208,28 @@ def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
     return region_difference(region_union_all(depth_regions), vp), tuple(records)
 
 
+class FrameReference(_Frame):
+    """`visibility._Frame` scaled per frame: the origin and the vertices by the
+    least common denominator of all their coordinates, with ray points and
+    frame coordinates in `Fraction`s. A frame that translates the polygon's
+    kept integer ring must hold the same integers and give the same points."""
+
+    __slots__ = ()
+
+    def __init__(self, P: SimplePolygon, o: Point):
+        scale, (_, *pts) = _integer_ring((o, *P.vertices))
+        super().__init__(SimpleNamespace(_int_ring=lambda: (scale, pts)), o)
+
+    def ray_point(self, d: tuple[int, int], i: int) -> Point:
+        _, _, ex, ey, tn = self.edges[i]
+        den = (d[0] * ey - d[1] * ex) * self.scale
+        return Point(self.origin.x + Fraction(d[0] * tn, den), self.origin.y + Fraction(d[1] * tn, den))
+
+    def local(self, p: Point) -> tuple[int, int, int]:
+        x, y = (p.x - self.origin.x) * self.scale, (p.y - self.origin.y) * self.scale
+        return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+
+
 def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:
     """The added region of `reflect.specular_extend_single(P, q, e)`, for q
     inside P and off the line of edge e, before the bit cap."""
@@ -242,11 +272,11 @@ def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:
             w1 = edge_seg.point_at(t1)
             wm = edge_seg.point_at((t0 + t1) / 2)
             # the ray from q2 through wm, past the mirror, passes through no vertex
-            far_edge = frame.first_hit(*_primitive_direction(wm - q2), beyond=e)
+            far_edge = frame.first_hit(*primitive_direction(wm - q2), beyond=e)
             if far_edge is None:
                 continue
-            x0 = frame.ray_point(_primitive_direction(w0 - q2), far_edge)
-            x1 = frame.ray_point(_primitive_direction(w1 - q2), far_edge)
+            x0 = frame.ray_point(primitive_direction(w0 - q2), far_edge)
+            x1 = frame.ray_point(primitive_direction(w1 - q2), far_edge)
             ring = [w0, w1, x1, x0]
             if _shoelace2(*_integer_ring(ring)) < 0:
                 ring.reverse()
@@ -319,6 +349,20 @@ def polygon_reference(vertices) -> tuple[tuple[Point, ...], Fraction]:
     return tuple(verts), area2 / 2
 
 
+def contains_reference(P: SimplePolygon, p: Point) -> PointLocation:
+    """Point location of p in P by a Fraction crossing test: BOUNDARY on an
+    edge, else the parity of the edges crossing the ray rightward from p."""
+    inside = False
+    for a, b in zip(P.vertices, P.vertices[1:] + P.vertices[:1]):
+        if orientation(a, b, p) is Orientation.COLLINEAR:
+            if min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y):
+                return PointLocation.BOUNDARY
+        if (a.y > p.y) != (b.y > p.y):
+            if a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y) > p.x:
+                inside = not inside
+    return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
+
+
 def slab_rows_reference(active, xl: Fraction, xr: Fraction) -> list:
     """The edges across the slab [xl, xr] by their Fraction height at the midline, then in input order."""
     xm = (xl + xr) / 2
@@ -364,6 +408,13 @@ def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -
                 extra = region_union_all([added[e] for e in subset]).area
                 return MirrorChoice(frozenset(subset), extra, False)
     return MirrorChoice(frozenset(), Fraction(0), False)
+
+
+def primitive_direction(d: Point) -> tuple[int, int]:
+    """A rational direction vector as its canonical primitive integer vector."""
+    x, y = d.x.numerator * d.y.denominator, d.y.numerator * d.x.denominator
+    g = gcd(x, y)
+    return x // g, y // g
 
 
 def midpoint(s: Segment) -> Point:

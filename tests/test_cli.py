@@ -15,7 +15,7 @@ from mirrorgallery.geom import Point
 from mirrorgallery.redgen import SubsetSumInstance, gen_diffuse
 from mirrorgallery.errors import ParseError
 
-from conftest import lshape
+from conftest import comb, lshape
 
 SQUARE_FILE = """mgv1
 polygon:
@@ -94,6 +94,18 @@ class TestCommands:
         assert cli.main(["guard", str(inp), "--mode", "reduce", "--bounces", "4"]) == 0
         out = capsys.readouterr().out
         assert "bound:" in out
+
+    def test_successive_calls_share_no_arguments(self, tmp_path, capsys):
+        # each call sees only its own arguments and the defaults, also once
+        # the parser is kept between calls: --bounces 4 halves the printed bound
+        inp = tmp_path / "c.mg"
+        inp.write_text(format_instance(InstanceFile(polygon=comb(2))))
+        assert cli.main(["guard", str(inp), "--mode", "reduce", "--bounces", "4"]) == 0
+        assert "bound: 1" in capsys.readouterr().out
+        assert cli.main(["guard", str(inp), "--mode", "reduce"]) == 0
+        assert "bound: 2" in capsys.readouterr().out
+        assert cli.main(["guard", str(inp)]) == 0
+        assert "count: 2" in capsys.readouterr().out
 
     def test_reduce_gen_and_solve(self, tmp_path, capsys):
         out_file = tmp_path / "inst.mg"

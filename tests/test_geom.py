@@ -34,13 +34,15 @@ from mirrorgallery.geom import (
     segment_parts_inside,
     subtract_intervals,
 )
-from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, _primitive_direction, visibility_polygon
+from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
 from oracles import (
+    contains_reference,
     halfplane_rect,
     midpoint,
     polygon_reference,
+    primitive_direction,
     region_sample_points,
     slab_rows_reference,
     validate_disjoint,
@@ -222,7 +224,7 @@ class TestRegionOps:
             samples = region_sample_points(Region.of(P), rng, 12)
             for e in range(P.n):
                 s = P.edge(e)
-                d = _primitive_direction(s.direction)
+                d = primitive_direction(s.direction)
                 for p in (s.a, midpoint(s), s.b):
                     fan = Region(_cone(_Frame(P, p), d, (-d[0], -d[1])))
                     vp = Region.of(visibility_polygon(P, p).polygon)
@@ -556,6 +558,39 @@ class TestIntegerRing:
         v = P.vertices
         assert P.reflex_indices() == tuple(i for i in range(P.n)
                                            if orientation(v[i - 1], v[i], v[(i + 1) % P.n]) is Orientation.CW)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring=rings(), data=st.data())
+    def test_contains_matches_fraction_reference(self, ring, data):
+        # the integer crossing test scales the point to the ring, or the ring
+        # by the point's denominators that its scale lacks (7, 11, 2**20 + 7)
+        try:
+            P = SimplePolygon(ring)
+        except GeometryError:
+            assume(False)
+        v = P.vertices
+        xmin, ymin, xmax, ymax = P.bbox
+        fracs = st.builds(F, st.integers(-2, 9), st.sampled_from([1, 2, 7, 11, 2**20 + 7]))
+        t = data.draw(st.lists(fracs, min_size=4, max_size=4))
+        i = data.draw(st.integers(0, P.n - 1))
+        a, b = v[i], v[(i + 1) % P.n]
+        inner = a + (b - a) * F(1, 2) + (v[i - 1] - a) * F(1, 2**21 + 9)  # just off the middle of edge i
+        probes = [*v, a + (b - a) * (t[0] % 1), a + (b - a) * F(1, 7), inner,
+                  Point(xmin + (xmax - xmin) * t[1] / 8, a.y),  # on the line of a vertex
+                  Point(xmin + (xmax - xmin) * t[2] / 8, ymin + (ymax - ymin) * t[3] / 8),
+                  data.draw(points)]
+        for p in probes:
+            assert P.contains(p) is contains_reference(P, p), (P, p)
+
+    def test_contains_locates_every_kind_of_point(self):
+        P = SimplePolygon([(0, 0), (F(9, 2), 0), (F(9, 2), 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)])
+        cases = {Point(0, 0): PointLocation.BOUNDARY, Point(F(2, 7), 3): PointLocation.BOUNDARY,
+                 Point(3, F(15, 7)): PointLocation.BOUNDARY, Point(F(1, 7), F(20, 7)): PointLocation.INTERIOR,
+                 Point(2, F(6, 7)): PointLocation.INTERIOR, Point(2, 1 + F(1, 2**20 + 7)): PointLocation.EXTERIOR,
+                 Point(2, 3): PointLocation.EXTERIOR, Point(F(-1, 7), 1): PointLocation.EXTERIOR,
+                 Point(F(31, 7), 1): PointLocation.INTERIOR, Point(5, 1): PointLocation.EXTERIOR}
+        for p, loc in cases.items():
+            assert P.contains(p) is loc is contains_reference(P, p), p
 
     def test_normalizes_like_the_reference(self):
         # repeated vertices, a closing repeat and fold-backs along edges

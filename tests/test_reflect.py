@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from mirrorgallery import geom
+from mirrorgallery import geom, reflect, visibility
 from mirrorgallery.errors import BitBlowup, SourceOnMirrorLine, SpecMismatch
 from mirrorgallery.geom import (
     Orientation,
     Point,
+    PointLocation,
     Region,
     SimplePolygon,
     merge_region,
@@ -28,10 +29,11 @@ from mirrorgallery.reflect import (
     specular_extend_single,
     visible_edge_parts,
 )
-from mirrorgallery.visibility import visibility_polygon
+from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import diffuse_added_reference, region_sample_points, specular_added_reference, validate_disjoint
+from oracles import (FrameReference, diffuse_added_reference, region_sample_points, specular_added_reference,
+                     validate_disjoint)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -181,6 +183,67 @@ class TestCascadeReference:
                                  for x in ev.per_edge_illumination) == records, (P, q, sorted(edges), r)
                     deepest = max([deepest, *(x.bounce_depth for x in ev.per_edge_illumination)])
         assert deepest == 2  # parts first lit at depth 2 re-emit at depth 3
+
+
+class TestIntegerFrames:
+    # frames translate the polygon's kept integer ring, rescaled only for an
+    # origin with a denominator the ring's scale lacks, and the light pass
+    # orders lit parts by a coordinate along each edge: both must give what
+    # per-frame scaling and edge parameters gave. Combs and histograms have
+    # edges running right, left, up and down; DEEP_FUNNEL's oblique mirror
+    # unfolds a source to a point with new denominators.
+    @staticmethod
+    def _cases():
+        rng = random.Random(59)
+        cases = [(comb(3), Point(F(9, 7), F(1, 7))), (comb(3), Point(F(1, 2), F(13, 7))),
+                 (histogram_polygon(rng, 5), Point(F(22, 7), F(1, 7))), (SNAKE, Point(F(1, 7), F(1, 7))),
+                 (SNAKE, Point(4, 1)), (DEEP_FUNNEL, Point(F(36, 7), F(2, 7)))]
+        assert all(P.contains(q) is PointLocation.INTERIOR for P, q in cases)
+        return cases
+
+    def test_frames_match_per_frame_scaling(self):
+        rescaled = 0
+        for P, q in self._cases():
+            unfolded = [reflect_point_across_line(q, P.edge(e).a, P.edge(e).b) for e in range(P.n)]
+            for o in [q, *P.vertices, *unfolded]:
+                f, ref = _Frame(P, o), FrameReference(P, o)
+                assert (f.scale, f.ox, f.oy, f.dirs, f.edges, f.sides, f.convex, f.inside) == \
+                    (ref.scale, ref.ox, ref.oy, ref.dirs, ref.edges, ref.sides, ref.convex, ref.inside), (P, o)
+                rescaled += f.scale != P._int_ring()[0]
+                for d in f.dirs:
+                    for i, (_, _, ex, ey, _) in enumerate(f.edges):
+                        if d[0] * ey - d[1] * ex:
+                            assert f.ray_point(d, i) == ref.ray_point(d, i)
+                for v in (*P.vertices, q):
+                    (x, y, w), (rx, ry, rw) = f.local(v), ref.local(v)
+                    assert (F(x, w), F(y, w)) == (F(rx, rw), F(ry, rw))
+        assert rescaled > 0
+
+    def test_vp_and_light_match_reference(self, monkeypatch):
+        def run(P, q):
+            vp = visibility_polygon(P, q)
+            out = [vp.polygon.vertices, vp.edge_hosts, [vp.edge_parts(e) for e in range(P.n)]]
+            for r in (1, 2, 3):
+                ev = extend_all_edges(P, q, r)
+                out += [ev.per_edge_illumination, [(c.vertices, c.area) for c in ev.added.parts]]
+            for e in range(P.n):
+                if orientation(P.edge(e).a, P.edge(e).b, q) is not Orientation.COLLINEAR:
+                    out.append([(c.vertices, c.area) for c in specular_extend_single(P, q, e).added.parts])
+            return out
+
+        mirrored = 0
+        for P, q in self._cases():
+            got = run(SimplePolygon(P.vertices), q)
+            with monkeypatch.context() as m:
+                m.setattr(visibility, "_Frame", FrameReference)
+                m.setattr(reflect, "_Frame", FrameReference)
+                assert got == run(SimplePolygon(P.vertices), q), (P, q)
+            for r in (1, 2, 3):
+                records = diffuse_added_reference(P, q, range(P.n), r)[1]
+                assert tuple((x.edge, x.subsegments, x.bounce_depth)
+                             for x in extend_all_edges(P, q, r).per_edge_illumination) == records, (P, q, r)
+            mirrored += sum(1 for cells in got[9:] if cells)  # the specular cells
+        assert mirrored > 0
 
 
 class TestCascadeMemo:

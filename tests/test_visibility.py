@@ -25,11 +25,11 @@ from mirrorgallery.geom import (
     sees,
     segment_parts_inside,
 )
-from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, _primitive_direction, visibility_polygon,
+from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, visibility_polygon,
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import halfplane_rect, midpoint, region_sample_points, visibility_area_oracle
+from oracles import halfplane_rect, midpoint, primitive_direction, region_sample_points, visibility_area_oracle
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -323,7 +323,7 @@ class TestPivotCones:
             box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
             for e in range(P.n):
                 edge = P.edge(e)
-                d = _primitive_direction(edge.direction)
+                d = primitive_direction(edge.direction)
                 inner = Region.of(halfplane_rect(edge.a, edge.b, box))
                 reflex = [P.vertices[i] for i in P.reflex_indices()
                           if orientation(edge.a, edge.b, P.vertices[i]) is Orientation.CCW]
