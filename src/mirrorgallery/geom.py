@@ -5,13 +5,14 @@ generators) is built on the primitives here: orientation and intersection
 predicates over arbitrary-precision rationals, point location, exact areas,
 and a slab-sweep overlay that implements boolean operations on regions.
 A region enters the sweep as its net boundary with signed multiplicities,
-and a winding count gives how many of its parts cover a point. The sweep
-crosses and orders edges on integer line coefficients and returns runs:
-a slab and the two edges bounding a cell, whose exact area is read off
-integer heights at the slab's midline. A swept region holds its runs
-and area; its net boundary is joined from the runs' edges per line, and
-its trapezoids are built only when its parts are read. No floating point
-is used anywhere; all results are exact.
+as integer edges, and a winding count gives how many of its parts cover
+a point. The sweep crosses and orders edges and slab boundaries on
+integers and returns runs: a slab and the two edges bounding a cell,
+whose exact area is read off integer heights at the slab's midline. A
+swept region holds its runs and area, and a region given by integer
+rings (a fan of `visibility`) its net boundary; either builds its
+polygons only when its parts are read. No floating point is used
+anywhere; all results are exact.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ class Region:
     convex trapezoid cells of the runs, are built when first read, by
     membership queries (through an x-interval locator) and by output. A
     later sweep reads the region's net boundary, kept on it, which a swept
-    region joins from its runs' edges without building a cell.
+    region joins from its runs' edges and a fan is given, with no polygon.
     `merge_region` glues cells into maximal polygons only where merged
     rings are wanted: SVG output and the coordinate bit cap. Only a
     boolean's input may have overlapping parts (the fans of a cascade
@@ -371,11 +372,28 @@ class Region:
         region._area, region._runs = area, runs
         return region
 
+    @classmethod
+    def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list) -> "Region":
+        """The region of counterclockwise rings of points (x, y, w), for (x/w, y/w),
+        w > 0, and of its net boundary: sides (line, u, v) from point u to point v on
+        the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins them, vertical
+        ones dropped. The parts, and the area, are built from the rings when first read."""
+        region = cls()
+        if rings:
+            region._parts = lambda: tuple(SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w))
+                                                                   for x, y, w in ring]) for ring in rings)
+            region._boundary = [e for line, u, v in sides if (e := _edge(line, (u[0], u[2]), (v[0], v[2]), 1))]
+        return region
+
     @property
     def parts(self) -> tuple[SimplePolygon, ...]:
         if not isinstance(self._parts, tuple):
             self._parts = self._parts()
         return self._parts
+
+    def __iter__(self):
+        # the parts: Region(region) is a region of the same parts, built
+        return iter(self.parts)
 
     @property
     def _query_parts(self) -> tuple[SimplePolygon, ...]:
@@ -422,17 +440,16 @@ class Region:
     def covers(self, p: Point) -> bool:
         return self.contains(p) is not PointLocation.EXTERIOR
 
-    def _net_boundary(self) -> list[tuple[Point, Point, int]]:
-        # the non-vertical `_net_runs` that `_sweep` reads; a single part is its own ring
+    def _net_boundary(self) -> list[tuple]:
+        # the non-vertical net boundary that `_sweep` reads, as integer edges (`_edge`);
+        # a single part is its own ring
         if self._boundary is None:
             if self._runs is not None:
                 self._boundary = _runs_boundary(*self._runs)
             else:
-                sides = [(a, b, w) for a, b, w in _sides(self.parts) if a.x != b.x]
-                if len(self.parts) == 1:
-                    self._boundary = [(a, b, 1) if a.x < b.x else (b, a, -1) for a, b, _ in sides]
-                else:
-                    self._boundary = _net_runs(sides)
+                edges = [e for a, b, w in _sides(self.parts) if (e := _edge(
+                    _int_line(a, b), (a.x.numerator, a.x.denominator), (b.x.numerator, b.x.denominator), w))]
+                self._boundary = edges if len(self.parts) == 1 else _netted(edges)
         return self._boundary
 
     def max_coordinate_bits(self) -> int:
@@ -472,20 +489,38 @@ def _int_line(a: Point, b: Point) -> tuple[int, int, int]:
     return ya * wb - wa * yb, wa * xb - xa * wb, ya * xb - xa * yb
 
 
+def _edge(line: tuple[int, int, int], u: tuple[int, int], v: tuple[int, int], w: int) -> tuple | None:
+    """The net boundary edge that `_sweep` reads of a side of weight w on the line
+    A*x + B*y = C from x = u[0]/u[1] to x = v[0]/v[1] (positive denominators): the
+    integers (A, B, C, x0n, x0d, x1n, x1d, w) with B > 0 and x0 < x1 reduced, w negated
+    for a leftward side; None for a vertical side."""
+    (A, B, C), (un, ud), (vn, vd) = line, u, v
+    if un * vd == vn * ud:
+        return None
+    if un * vd > vn * ud:
+        un, ud, vn, vd, w = vn, vd, un, ud, -w
+    g, h, sign = gcd(un, ud), gcd(vn, vd), 1 if B > 0 else -1
+    return sign * A, sign * B, sign * C, un // g, ud // g, vn // h, vd // h, w
+
+
 class _SweepSeg:
-    """A net boundary edge from a left of b: its line A*x + B*y = C with B > 0,
-    its weight w, and its x-extent [x0, x1] as fractions, as numerator/denominator
-    pairs and, once the slab boundaries are known, as their indices k0 and k1."""
+    """A net boundary edge (`_edge`) of a layer: its line A*x + B*y = C with B > 0,
+    its weight w, its x-extent as numerator/denominator pairs and, once the slab
+    boundaries are known, as their indices k0 and k1."""
 
-    __slots__ = ("A", "B", "C", "x0", "x1", "x0n", "x0d", "x1n", "x1d", "k0", "k1",
-                 "layer", "w", "order")
+    __slots__ = ("A", "B", "C", "x0n", "x0d", "x1n", "x1d", "w", "k0", "k1", "layer", "order")
 
-    def __init__(self, a: Point, b: Point, layer, w, order):
-        self.A, self.B, self.C = _int_line(a, b)
-        self.x0, self.x1 = a.x, b.x
-        self.x0n, self.x0d = a.x.numerator, a.x.denominator
-        self.x1n, self.x1d = b.x.numerator, b.x.denominator
-        self.layer, self.w, self.order = layer, w, order
+    def __init__(self, edge: tuple, layer: int, order: int):
+        self.A, self.B, self.C, self.x0n, self.x0d, self.x1n, self.x1d, self.w = edge
+        self.layer, self.order = layer, order
+
+
+def _order(xs) -> list[tuple[int, int]]:
+    """Reduced fractions (n, d), d > 0, in increasing order, sorted on integers: two of
+    them differ by at least 1/(d*d'), so floor(n * 2**k / d) orders them one-to-one
+    once 2**k exceeds the square of the largest denominator."""
+    k = 2 * max(d for _, d in xs).bit_length()
+    return sorted(xs, key=lambda x: (x[0] << k) // x[1])
 
 
 def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> Region:
@@ -523,20 +558,22 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
     run's trapezoid is built only when the region's parts are read: its area
     is the slab's width times the difference of the edges' integer row keys
     over their scale, summed per slab and group on integers. A Fraction is
-    built only per crossing and per slab and group.
+    built only per slab boundary and per slab and group.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
     for li, region in enumerate(layers):
-        for a, b, w in region._net_boundary():
-            segs.append(_SweepSeg(a, b, li, w, len(segs)))
+        for edge in region._net_boundary():
+            segs.append(_SweepSeg(edge, li, len(segs)))
     if not segs:
         return {}
-    # slab x values keyed by their (numerator, denominator): a Fraction's hash takes a modular inverse
-    xs = {(s.x0n, s.x0d): s.x0 for s in segs} | {(s.x1n, s.x1d): s.x1 for s in segs}
+    # slab x values as reduced (numerator, denominator) pairs, ordered on integers (`_order`)
+    ends = {(s.x0n, s.x0d) for s in segs} | {(s.x1n, s.x1d) for s in segs}
+    index = {x: k for k, x in enumerate(_order(ends))}
     # Proper crossings strictly inside both x-extents add slab boundaries;
     # a crossing at an extent end is at a vertex's x, already a boundary.
-    segs.sort(key=lambda s: s.x0)
+    segs.sort(key=lambda s: index[s.x0n, s.x0d])
+    crossings = set()
     for i, si in enumerate(segs):
         Ai, Bi, Ci, x1n, x1d = si.A, si.B, si.C, si.x1n, si.x1d
         for j in range(i + 1, len(segs)):
@@ -551,12 +588,13 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
                 det, xn = -det, -xn
             # sj starts no left of si, so x = xn/det must lie in (sj.x0, min(si.x1, sj.x1))
             if xn * sj.x0d > sj.x0n * det and xn * x1d < x1n * det and xn * sj.x1d < sj.x1n * det:
-                x = Fraction(xn, det)
-                xs[x.numerator, x.denominator] = x
-    xs = sorted(xs.values())
-    index = {(x.numerator, x.denominator): k for k, x in enumerate(xs)}
+                g = gcd(xn, det)
+                crossings.add((xn // g, det // g))
+    if crossings - ends:
+        index = {x: k for k, x in enumerate(_order(ends | crossings))}
     for s in segs:
         s.k0, s.k1 = index[s.x0n, s.x0d], index[s.x1n, s.x1d]
+    xs = [Fraction(n, d) for n, d in index]
 
     runs, areas = {}, {}
     active: list[_SweepSeg] = []
@@ -647,48 +685,48 @@ def _net_runs(sides: Iterable[tuple[Point, Point, int]]) -> list[tuple[Point, Po
     line (`_line_key`) opposite sides cancel and collinear ones join into maximal runs
     (a, b, w) of constant nonzero multiplicity w, a before b (by x, or by y on a
     vertical line), w > 0 where the sides run from a to b."""
-    lines: dict[tuple, dict[Fraction, int]] = {}
     pts: dict[tuple, Point] = {}
+    pieces = []
     for a, b, w in sides:
         key = _line_key(a, b)
         ta, tb = (a.x, b.x) if key[1] else (a.y, b.y)
-        # +w over [ta, tb] when the side runs forward, -w over [tb, ta] when backward
-        events = lines.setdefault(key, {})
-        events[ta] = events.get(ta, 0) + w
-        events[tb] = events.get(tb, 0) - w
         pts[key, ta], pts[key, tb] = a, b
-    return _joined(lines, lambda key, t: pts[key, t])
+        pieces.append((*key, ta, tb, w))
+    return [(pts[key, s], pts[key, t], w) for key, s, t, w in _joined(pieces)]
 
 
-def _runs_boundary(xs: list[Fraction], runs: list) -> list[tuple[Point, Point, int]]:
-    """`_net_runs` over the non-vertical sides of the runs' cells, without the cells:
-    each run adds +1 over its slab k on its bottom edge's line and -1 on its top
-    edge's. A line is keyed with one gcd per sweep edge, and a Point is built only
-    at the ends of a joined run."""
-    keys: dict[_SweepSeg, tuple[int, int, int]] = {}
-    lines: dict[tuple[int, int, int], dict[int, int]] = {}
-    for k, bottom, top in runs:
-        for seg, w in ((bottom, 1), (top, -1)):
-            if seg not in keys:
-                g = gcd(seg.A, seg.B, seg.C)  # B > 0: the key is sign-canonical
-                keys[seg] = (seg.A // g, seg.B // g, seg.C // g)
-            events = lines.setdefault(keys[seg], {})
-            events[k] = events.get(k, 0) + w
-            events[k + 1] = events.get(k + 1, 0) - w
-    return _joined(lines, lambda key, k: Point(xs[k], Fraction(key[2] * xs[k].denominator - key[0] * xs[k].numerator,
-                                                               key[1] * xs[k].denominator)))
+def _runs_boundary(xs: list[Fraction], runs: list) -> list[tuple]:
+    """`_net_runs` over the non-vertical sides of the runs' cells, as integer edges
+    (`_edge`), without the cells: each run adds +1 over its slab k on its bottom
+    edge's line and -1 on its top edge's."""
+    pieces = ((s.A, s.B, s.C, k, k + 1, w) for k, bottom, top in runs for s, w in ((bottom, 1), (top, -1)))
+    return [(*key, xs[s].numerator, xs[s].denominator, xs[t].numerator, xs[t].denominator, w)
+            for key, s, t, w in _joined(pieces)]
 
 
-def _joined(lines: dict[tuple, dict], point: Callable) -> list[tuple[Point, Point, int]]:
-    """The maximal runs (point(key, s), point(key, t), w) of constant nonzero weight w on
-    each line, whose events map a parameter t to the change of weight at t."""
+def _netted(edges: Iterable[tuple]) -> list[tuple]:
+    """Integer edges (`_edge`) netted per line: opposite ones cancel, touching ones join."""
+    pieces = ((*e[:3], e[3:5], e[5:7], e[7]) for e in edges)
+    return [(*key, *s, *t, w) for key, s, t, w in _joined(pieces, _order)]
+
+
+def _joined(pieces: Iterable[tuple], order: Callable = sorted) -> list[tuple]:
+    """The maximal runs (key, s, t, w) of constant nonzero weight w on each line of the
+    pieces (A, B, C, s, t, w), weight w over [s, t] on A*x + B*y = C, the line keyed by
+    its coefficients over their gcd, and the parameters ordered by `order`."""
+    lines: dict[tuple[int, int, int], dict] = {}
+    for A, B, C, s, t, w in pieces:
+        g = gcd(A, B, C)  # a sweep edge has B > 0, and a `_line_key` is sign-canonical
+        events = lines.setdefault((A // g, B // g, C // g), {})
+        events[s] = events.get(s, 0) + w
+        events[t] = events.get(t, 0) - w
     runs = []
     for key, events in lines.items():
         net = 0
-        for t in sorted(events):
+        for t in order(events):
             if events[t]:
                 if net:
-                    runs.append((point(key, start), point(key, t), net))
+                    runs.append((key, start, t, net))
                 net += events[t]
                 start = t
     return runs
@@ -696,11 +734,11 @@ def _joined(lines: dict[tuple, dict], point: Callable) -> list[tuple[Point, Poin
 
 def region_join(regions: Sequence[Region]) -> Region:
     """The union of regions with pairwise disjoint interiors, without a sweep: its
-    area is the sum of theirs, its net boundary their boundaries netted, and its
-    parts theirs, in order, built when first read."""
+    area is the sum of theirs, its net boundary their boundaries netted per line
+    on integers, and its parts theirs, in order, built when first read."""
     joined = Region._deferred(lambda: tuple(p for r in regions for p in r.parts),
                               sum((r.area for r in regions), Fraction(0)))
-    joined._boundary = _net_runs(side for r in regions for side in r._net_boundary())
+    joined._boundary = _netted(e for r in regions for e in r._net_boundary())
     return joined
 
 

@@ -2,7 +2,8 @@
 
 Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
 source re-emits into the inner half-plane of e as star-shaped fans (see
-`visibility`), the fans of one depth are unioned in one sweep, and newly
+`visibility`), which give the sweep their edges in integers and build no
+polygon; the fans of one depth are unioned in one sweep, and newly
 lit parts of other designated edges re-emit at the next depth, up to the
 bounce budget. Each depth is a step memoized on the polygon
 (`geom.memo_per_polygon`) that extends the memoized depth before it, so a
@@ -25,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 
 from .errors import BitBlowup, ParseError, SourceOnMirrorLine, SpecMismatch
@@ -105,10 +105,6 @@ class ExtendedVisibility:
     direct: VisibilityPolygon
     added: Region
     per_edge_illumination: tuple[IlluminatedEdgePart, ...] = field(default_factory=tuple)
-
-
-def added_area(ev: ExtendedVisibility) -> Fraction:
-    return ev.added.area
 
 
 def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
@@ -205,8 +201,8 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
         d = _primitive(b[0] - a[0], b[1] - a[1])
         pivots = [frame(P.vertices[i]) for i in P.reflex_indices() if _turn(a, b, pts[i]) > 0]
         for s in part.subsegments:
-            fans.append(Region(_cone(frame(s.a), d, (-d[0], -d[1]))))
-            fans += [Region(_pivot_cones(f, s.a, s.b)) for f in pivots]
+            fans.append(_cone(frame(s.a), d, (-d[0], -d[1])))
+            fans += [_pivot_cones(f, s.a, s.b) for f in pivots]
     dr = region_union_all(fans)
     if dr.is_empty:  # the cascade stops here
         return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added, prev.added_bits)

@@ -7,7 +7,8 @@ fan of wedge hits. The sweep works in integers: the polygon keeps one
 copy of its ring scaled by its least common denominator, and a frame
 translates it to the source, rescaled only when the source has a
 denominator the scale lacks. The first-hit scan compares cross-multiplied
-integer determinants, and each ring point is one `Fraction` per coordinate.
+integer determinants, and each ring point is an integer ray cast; only the
+ring's vertices become `Point`s.
 
 A wedge is lit when its mid direction leaves the source into the
 polygon. That is a constant-time test at the source: always from the
@@ -16,8 +17,8 @@ interior angle from a vertex. The mid direction passes through no vertex,
 so the open sight segment lies wholly inside or wholly outside.
 
 Each ring edge is labelled with the host edge it lies on, or -1 along a
-sight ray, so the lit parts of an edge not collinear with the source are
-read off the ring.
+sight ray, by ring index, so the lit parts of an edge not collinear with
+the source are read off the ring.
 
 Weak visibility from a segment s is the union of the visibility polygons
 of its endpoints and reflex vertices inside it and, for every reflex vertex
@@ -25,6 +26,8 @@ v off its line, the pivot cones of sight lines from s through v. One sweep
 from v over the directions toward s finds the sub-wedges across which v sees s and blocks the view toward
 one end; each maximal run of them is swept again beyond v. A diffuse
 bounce takes the half-turn fan and the cones of one end only (`reflect`).
+A fan gives the sweep its net boundary in integers, so a union of fans
+builds no `Point` and no polygon.
 
 The windows of a visibility polygon are computed on first access and kept
 on it. `visibility_polygon` keeps its last 256 results per polygon on the
@@ -36,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import groupby
 from math import gcd, lcm
 
-from .errors import QueryOutsidePolygon, SegmentOutsidePolygon
+from .errors import InvariantViolated, QueryOutsidePolygon, SegmentOutsidePolygon
 from .geom import (
     Orientation,
     Point,
@@ -47,10 +51,10 @@ from .geom import (
     SimplePolygon,
     along,
     memo_per_polygon,
-    merge_intervals,
     orientation,
     region_union_all,
     sees,
+    subtract_intervals,
 )
 
 
@@ -64,10 +68,6 @@ class VisibilityPolygon:
     # per ring edge k (vertex k to k + 1): the host edge it lies on, -1 along a sight ray
     edge_hosts: tuple[int, ...]
 
-    def _host_edge(self, e: int) -> Segment:
-        hv = self.host_vertices
-        return Segment(hv[e], hv[(e + 1) % len(hv)])
-
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
         vs, hv = self.polygon.vertices, self.host_vertices
@@ -76,30 +76,15 @@ class VisibilityPolygon:
 
     @cached_property
     def windows(self) -> tuple[Segment, ...]:
-        """Boundary pieces of the visibility polygon not lying on the host boundary."""
+        """Boundary pieces of the visibility polygon not lying on the host boundary: the
+        ring edges along sight rays (an arc lies on its host edge) less the host edges
+        on their line."""
         wins: list[Segment] = []
-        p_edges = [self._host_edge(e) for e in range(len(self.host_vertices))]
-        for ve in self.polygon.edges():
-            covered: list[tuple[Fraction, Fraction]] = []
-            for pe in p_edges:
-                if (
-                    orientation(pe.a, pe.b, ve.a) is Orientation.COLLINEAR
-                    and orientation(pe.a, pe.b, ve.b) is Orientation.COLLINEAR
-                ):
-                    t0 = ve.param_of(pe.a)
-                    t1 = ve.param_of(pe.b)
-                    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-                    lo = max(lo, Fraction(0))
-                    hi = min(hi, Fraction(1))
-                    if lo < hi:
-                        covered.append((lo, hi))
-            t = Fraction(0)
-            for lo, hi in merge_intervals(covered):
-                if t < lo:
-                    wins.append(Segment(ve.point_at(t), ve.point_at(lo)))
-                t = max(t, hi)
-            if t < 1:
-                wins.append(Segment(ve.point_at(t), ve.point_at(1)))
+        hv = self.host_vertices
+        for ve in (self.polygon.edge(k) for k, h in enumerate(self.edge_hosts) if h < 0):
+            cut = [tuple(sorted((ve.param_of(a), ve.param_of(b)))) for a, b in zip(hv, hv[1:] + hv[:1])
+                   if orientation(a, b, ve.a) is orientation(a, b, ve.b) is Orientation.COLLINEAR]
+            wins += [Segment(ve.point_at(lo), ve.point_at(hi)) for lo, hi in subtract_intervals([(0, 1)], cut)]
         return tuple(wins)
 
 
@@ -136,11 +121,12 @@ class _Frame:
     `inside` is False when o is outside the polygon.
     """
 
-    __slots__ = ("origin", "ox", "oy", "scale", "dirs", "edges", "sides", "convex", "inside")
+    __slots__ = ("origin", "ox", "oy", "scale", "host", "dirs", "edges", "sides", "convex", "inside")
 
     def __init__(self, P: SimplePolygon, o: Point):
         self.origin = o
-        (scale, pts), xd, yd = P._int_ring(), o.x.denominator, o.y.denominator
+        self.host = P._int_ring()  # unscaled, for the lines of its edges
+        (scale, pts), xd, yd = self.host, o.x.denominator, o.y.denominator
         m = lcm(scale, xd, yd) // scale
         if m > 1:
             scale, pts = scale * m, [(x * m, y * m) for x, y in pts]
@@ -209,15 +195,33 @@ class _Frame:
                 best, best_n, best_d = i, tn, den
         return best
 
-    def ray_point(self, d: tuple[int, int], i: int) -> Point:
-        """Where the ray from o in direction d meets the line of edge i."""
+    def ray_at(self, d: tuple[int, int], i: int) -> tuple[int, int, int]:
+        """Where the ray from o in direction d meets the line of edge i, as integers
+        (x, y, w) for the point (x/w, y/w), w > 0; o itself is (ox, oy, scale)."""
         _, _, ex, ey, tn = self.edges[i]
         den = d[0] * ey - d[1] * ex
-        return Point(Fraction(self.ox * den + d[0] * tn, den * self.scale),
-                     Fraction(self.oy * den + d[1] * tn, den * self.scale))
+        if den < 0:
+            den, tn = -den, -tn
+        return self.ox * den + d[0] * tn, self.oy * den + d[1] * tn, den * self.scale
 
-    def arc(self, da: tuple[int, int], db: tuple[int, int]) -> tuple[int, Point, Point] | None:
-        """Nearest edge of the wedge from da counterclockwise to db and its ends on it; None if dark."""
+    def ray_point(self, d: tuple[int, int], i: int) -> Point:
+        """Where the ray from o in direction d meets the line of edge i."""
+        x, y, w = self.ray_at(d, i)
+        return Point(Fraction(x, w), Fraction(y, w))
+
+    def line(self, i: int) -> tuple[int, int, int]:
+        """The line A*x + B*y = C of edge i, from the polygon's integer ring."""
+        s, pts = self.host
+        (px, py), (qx, qy) = pts[i], pts[(i + 1) % len(pts)]
+        return (py - qy) * s, (qx - px) * s, py * qx - px * qy
+
+    def ray_line(self, d: tuple[int, int]) -> tuple[int, int, int]:
+        """The line A*x + B*y = C of the rays from o in directions d and -d, the same for both."""
+        d = d if d > (0, 0) else (-d[0], -d[1])
+        return d[1] * self.scale, -d[0] * self.scale, d[1] * self.ox - d[0] * self.oy
+
+    def arc(self, da: tuple[int, int], db: tuple[int, int]) -> int | None:
+        """Nearest edge of the wedge from da counterclockwise to db; None if dark."""
         cr = da[0] * db[1] - da[1] * db[0]
         if cr > 0:
             mx, my = da[0] + db[0], da[1] + db[1]
@@ -227,10 +231,12 @@ class _Frame:
             mx, my = -da[0] - db[0], -da[1] - db[1]
         else:
             mx, my = -da[1], da[0]  # opposite directions: bisect with a quarter turn
-        i = self.hit(mx, my)
-        if i is None:
-            return None
-        return i, self.ray_point(da, i), self.ray_point(db, i)
+        return self.hit(mx, my)
+
+
+def _same(p: tuple[int, int, int], q: tuple[int, int, int]) -> bool:
+    """Whether two points (x, y, w) of `_Frame.ray_at` are one."""
+    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
 
 
 @memo_per_polygon
@@ -240,48 +246,74 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     if not f.inside:
         raise QueryOutsidePolygon(f"{q!r} is outside the polygon")
     dirs = sorted(f.dirs, key=cmp_to_key(_dir_cmp))
-    ring: list[Point] = []
+    o = (f.ox, f.oy, f.scale)
+    ring: list[tuple[int, int, int]] = []  # as `_Frame.ray_at` gives them
     into: list[int] = []  # host edge of the ring edge ending at ring[k]
     for da, db in zip(dirs, dirs[1:] + dirs[:1]):
-        arc = f.arc(da, db)
+        i = f.arc(da, db)
         # the edge to an arc's first point, or to q, runs along the ray da
-        for p, h in zip(arc[1:], (-1, arc[0])) if arc else ((q, -1),):
-            if not ring or ring[-1] != p:
+        for p, h in ((f.ray_at(da, i), -1), (f.ray_at(db, i), i)) if i is not None else ((o, -1),):
+            if not ring or not _same(ring[-1], p):
                 ring.append(p)
                 into.append(h)
-    if len(ring) > 1 and ring[0] == ring[-1]:
+    if len(ring) > 1 and _same(ring[0], ring[-1]):
         ring.pop()
         into[0] = into.pop()
-    polygon = SimplePolygon.unchecked(ring)
-    # collinear ring edges that normalizing merges share their label: no arc
-    # lies on an edge collinear with q, and no two host edges on a line meet
-    host_from = dict(zip(ring[-1:] + ring[:-1], into))
-    return VisibilityPolygon(polygon, q, P.vertices, tuple(host_from[v] for v in polygon.vertices))
+    # a point between two arcs on one host edge, or q inside an edge, is no vertex:
+    # no arc lies on a line through q, and no two host edges on a line meet
+    n = len(ring)
+    keep = [k for k in range(n) if not (into[k] == into[(k + 1) % n] >= 0 or (ring[k] is o and len(f.sides) == 1))]
+    polygon = SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w)) for x, y, w in (ring[k] for k in keep)])
+    if polygon.n != len(keep):
+        raise InvariantViolated(f"the visibility ring from {q!r} has a straight vertex left")
+    return VisibilityPolygon(polygon, q, P.vertices, tuple(into[(k + 1) % n] for k in keep))
 
 
-def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:
-    """The part of VP(origin) between directions lo and hi (at most a half
-    turn), one polygon per maximal run of lit sub-wedges."""
+def _lit(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[list[tuple]]:
+    """The maximal runs of lit sub-wedges (da, db, nearest edge) from direction lo
+    counterclockwise to hi, at most a half turn."""
     dirs = [lo, *f.between(lo, hi), hi]
-    parts: list[SimplePolygon] = []
-    ring = [f.origin]
-    for da, db in zip(dirs, dirs[1:]):
-        arc = f.arc(da, db)
-        if arc is not None:
-            ring += arc[1:] if arc[1] != ring[-1] else arc[2:]
-        elif len(ring) > 1:
-            parts.append(SimplePolygon.unchecked(ring))
-            ring = [f.origin]
-    if len(ring) > 1:
-        parts.append(SimplePolygon.unchecked(ring))
-    return parts
+    wedges = [(da, db, f.arc(da, db)) for da, db in zip(dirs, dirs[1:])]
+    return [list(run) for lit, run in groupby(wedges, key=lambda w: w[2] is not None) if lit]
 
 
-def _pivot_cones(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
+def _fan(f: _Frame, runs: list[list[tuple]]) -> Region:
+    """The region seen from the frame's origin across runs of lit sub-wedges, a ring
+    each, with its net boundary in integers (`Region._from_rings`): an arc lies on its
+    edge's line, a side along a sight ray on the ray's line. Arcs on one edge join,
+    and so do the opposite rays of a half-turn fan at its origin."""
+    o = (f.ox, f.oy, f.scale)
+    rings, sides = [], []  # a side is [line, from, to]
+    for run in runs:
+        ring, lines = [o], []  # lines[k]: the line from ring[k] to the next point
+        for da, db, i in run:
+            for p, line in ((f.ray_at(da, i), f.ray_line(da)), (f.ray_at(db, i), f.line(i))):
+                if not _same(p, ring[-1]):
+                    ring.append(p)
+                    lines.append(line)
+        lines.append(f.ray_line(run[-1][1]))
+        rings.append(ring)
+        for k, line in enumerate(lines):
+            if k and line == lines[k - 1]:
+                sides[-1][2] = ring[(k + 1) % len(ring)]
+            else:
+                sides.append([line, ring[k], ring[(k + 1) % len(ring)]])
+    if len(sides) > 1 and sides[0][0] == sides[-1][0]:
+        sides[0][1] = sides.pop()[1]
+    return Region._from_rings(rings, sides)
+
+
+def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> Region:
+    """The part of VP(origin) between directions lo and hi (at most a half
+    turn): a `_fan` over the maximal runs of lit sub-wedges."""
+    return _fan(f, _lit(f, lo, hi))
+
+
+def _pivot_cones(f: _Frame, a: Point, b: Point) -> Region:
     """Sight lines from the segment ab through the frame's origin, a reflex
-    vertex v off ab's line, that v bounds toward a, continued past v: one
-    `_cone` beyond v per run of sub-wedges toward ab that are lit at v, hit
-    no edge before ab's line and are not wholly with v's exterior on b's side."""
+    vertex v off ab's line, that v bounds toward a, continued past v: a `_fan`
+    beyond v over each run of sub-wedges toward ab that are lit at v, hit no
+    edge before ab's line and are not wholly with v's exterior on b's side."""
     (xa, ya, wa), (xb, yb, wb) = f.local(a), f.local(b)
     lo, hi = _primitive(xa, ya), _primitive(xb, yb)
     side = -1  # a is right of every direction toward ab
@@ -309,7 +341,7 @@ def _pivot_cones(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
             runs[-1][1] = db
         else:
             runs.append([da, db])
-    return [part for r0, r1 in runs for part in _cone(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))]
+    return _fan(f, [lit for r0, r1 in runs for lit in _lit(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))])
 
 
 def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
@@ -326,7 +358,7 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     for v in (P.vertices[i] for i in P.reflex_indices()):
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
             f = _Frame(P, v)
-            pieces += [Region(_pivot_cones(f, s.a, s.b)), Region(_pivot_cones(f, s.b, s.a))]
+            pieces += [_pivot_cones(f, s.a, s.b), _pivot_cones(f, s.b, s.a)]
         elif v not in (s.a, s.b) and s.contains_point(v):
             pieces.append(Region.of(visibility_polygon(P, v).polygon))
     return region_union_all(pieces)

@@ -20,7 +20,14 @@ per edge, the order the sweep's integer row keys must reproduce.
 
 The frame reference scales the origin and the vertices per frame, as
 `visibility._Frame` did before the polygon kept its integer ring, and
-builds ray points as the origin plus `Fraction` offsets.
+builds ray points as the origin plus `Fraction` offsets, which its
+integer ray casts (`ray_at`, what the rings and fans read) are taken from.
+
+The fan references build `visibility._cone` and `visibility._pivot_cones`
+as they were before fans gave the sweep their edges in integers: one
+`SimplePolygon` per run of lit sub-wedges, its ring of `Point`s through
+`_Frame.ray_point`. `edge_ends` reads an integer net boundary edge back as
+the side of `geom._net_runs` it stands for.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
 ran before it took its breakpoints from the integer frame: per lit part,
@@ -225,9 +232,74 @@ class FrameReference(_Frame):
         den = (d[0] * ey - d[1] * ex) * self.scale
         return Point(self.origin.x + Fraction(d[0] * tn, den), self.origin.y + Fraction(d[1] * tn, den))
 
+    def ray_at(self, d: tuple[int, int], i: int) -> tuple[int, int, int]:
+        p = self.ray_point(d, i)
+        return p.x.numerator * p.y.denominator, p.y.numerator * p.x.denominator, p.x.denominator * p.y.denominator
+
     def local(self, p: Point) -> tuple[int, int, int]:
         x, y = (p.x - self.origin.x) * self.scale, (p.y - self.origin.y) * self.scale
         return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+
+
+def cone_reference(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:
+    """`visibility._cone` as polygons: the part of VP(origin) between directions lo
+    and hi (at most a half turn), one polygon per maximal run of lit sub-wedges."""
+    dirs = [lo, *f.between(lo, hi), hi]
+    parts: list[SimplePolygon] = []
+    ring = [f.origin]
+    for da, db in zip(dirs, dirs[1:]):
+        i = f.arc(da, db)
+        if i is not None:
+            arc = [f.ray_point(da, i), f.ray_point(db, i)]
+            ring += arc if arc[0] != ring[-1] else arc[1:]
+        elif len(ring) > 1:
+            parts.append(SimplePolygon.unchecked(ring))
+            ring = [f.origin]
+    if len(ring) > 1:
+        parts.append(SimplePolygon.unchecked(ring))
+    return parts
+
+
+def pivot_cones_reference(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
+    """`visibility._pivot_cones` as polygons: one `cone_reference` beyond the pivot
+    per run of sub-wedges toward ab that are lit at it, hit no edge before ab's
+    line and are not wholly with its exterior on b's side."""
+    (xa, ya, wa), (xb, yb, wb) = f.local(a), f.local(b)
+    lo, hi = primitive_direction(Point(Fraction(xa, wa), Fraction(ya, wa))), \
+        primitive_direction(Point(Fraction(xb, wb), Fraction(yb, wb)))
+    side = -1
+    if lo[0] * hi[1] - lo[1] * hi[0] < 0:
+        lo, hi, side = hi, lo, 1
+    walls = ((-f.sides[0][0], -f.sides[0][1]), f.sides[1])
+    dx, dy = primitive_direction(Point(Fraction(xb * wa - xa * wb), Fraction(yb * wa - ya * wb)))
+    cn, cd = dx * ya - dy * xa, wa
+    dirs = [lo, *f.between(lo, hi), hi]
+    runs: list[list[tuple[int, int]]] = []
+    for da, db in zip(dirs, dirs[1:]):
+        if not any(side * (d[0] * wy - d[1] * wx) >= 0 for d in (da, db) for wx, wy in walls):
+            continue
+        mx, my = da[0] + db[0], da[1] + db[1]
+        i = f.hit(mx, my)
+        if i is None:
+            continue
+        _, _, ex, ey, tn = f.edges[i]
+        den = mx * ey - my * ex
+        ln = cd * (dx * my - dy * mx)
+        if (tn * ln - cn * den) * den * ln < 0:
+            continue
+        if runs and runs[-1][1] == da:
+            runs[-1][1] = db
+        else:
+            runs.append([da, db])
+    return [part for r0, r1 in runs for part in cone_reference(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))]
+
+
+def edge_ends(edge: tuple) -> tuple[Point, Point, int]:
+    """A net boundary edge (A, B, C, x0n, x0d, x1n, x1d, w) of `Region._net_boundary`
+    as the side (a, b, w) of `geom._net_runs`: its ends on its line, left to right."""
+    A, B, C, x0n, x0d, x1n, x1d, w = edge
+    x0, x1 = Fraction(x0n, x0d), Fraction(x1n, x1d)
+    return Point(x0, (C - A * x0) / B), Point(x1, (C - A * x1) / B), w
 
 
 def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:

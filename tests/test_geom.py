@@ -39,6 +39,7 @@ from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, visibility_polygon
 from conftest import comb, histogram_polygon, lshape, radial_polygon
 from oracles import (
     contains_reference,
+    edge_ends,
     halfplane_rect,
     midpoint,
     polygon_reference,
@@ -309,6 +310,18 @@ def convex_regions(draw):
     return Region.of(SimplePolygon(ring))
 
 
+# x values in (-4, -3), all of one integer floor, with denominators past 2**60
+tie_xs = st.builds(lambda n, d: -3 - F(n, d), st.integers(1, 40), st.sampled_from([2**61 - 1, 2**64 + 13, 3**41]))
+tie_points = st.builds(Point, tie_xs, st.builds(F, st.integers(-40, 40), st.sampled_from([1, 7, 2**62 + 1])))
+
+
+@st.composite
+def tie_regions(draw):
+    ring = _hull(draw(st.lists(tie_points, min_size=3, max_size=5)))
+    assume(len(ring) >= 3)
+    return Region.of(SimplePolygon(ring))
+
+
 def _clip_area(subject, clip):
     """Area of the intersection of two convex CCW rings (Sutherland-Hodgman)."""
     ring = list(subject)
@@ -466,7 +479,40 @@ class TestIntegerSweep:
             area, boundary = r.area, r._net_boundary()
             assert area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))
             sides = [side for side in geom._sides(r.parts) if side[0].x != side[1].x]
-            assert Counter(boundary) == Counter(geom._net_runs(sides))
+            assert Counter(map(edge_ends, boundary)) == Counter(geom._net_runs(sides))
+
+    @settings(max_examples=100, deadline=None)
+    @example(xs=[F(-3) - F(1, 2**70), F(-3) - F(1, 2**70 + 1), F(-3) - F(2, 2**71 + 1), F(-4)])
+    @given(xs=st.lists(tie_xs | coords, min_size=1, max_size=30))
+    def test_slab_order_on_integers_is_the_fraction_order(self, xs):
+        # the example's first three values tie on floor(x * 2**64)
+        pairs = {(x.numerator, x.denominator) for x in xs}
+        assert geom._order(pairs) == [(x.numerator, x.denominator) for x in sorted(set(xs))]
+
+    @settings(max_examples=40, deadline=None)
+    @example(a=Region.of(SimplePolygon([(F(-3) - F(30, 2**61 - 1), 0), (F(-3) - F(1, 2**61 - 1), 0),
+                                        (F(-3) - F(1, 2**61 - 1), 5)])),
+             b=Region.of(SimplePolygon([(F(-3) - F(29, 3**41), F(4)), (F(-3) - F(29, 3**41), F(-1, 7)),
+                                        (F(-3) - F(3, 2**64 + 13), F(2))])),
+             c=Region.of(SimplePolygon([(F(-3) - F(40, 2**64 + 13), F(-2)), (F(-3) - F(2, 3**41), F(-2)),
+                                        (F(-3) - F(20, 2**61 - 1), F(1, 2**62 + 1))])))
+    @given(a=tie_regions(), b=tie_regions(), c=tie_regions())
+    def test_slabs_where_x_values_tie_on_their_floor(self, a, b, c):
+        # negative x values of one integer floor, large denominators and
+        # crossings between the edges: the slab boundaries are the Fraction
+        # order of the edge ends and crossings, and the runs' areas are their cells'
+        layers = [a, b, c]
+        ends = {v.x for r in layers for v in r.parts[0].vertices}
+        assert {math.floor(x) for x in ends} == {-4}
+        swept = [region_union_all(layers), *classes(layers).values(), region_intersection(a, b),
+                 region_difference(b, c)]
+        for r in swept:
+            if r.is_empty:
+                continue
+            xs = r._runs[0]
+            assert xs == sorted(set(xs))
+            assert r.area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))
+        assert ends <= set(swept[0]._runs[0])
 
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))

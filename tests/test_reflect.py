@@ -22,7 +22,6 @@ from mirrorgallery.redgen import SubsetSumInstance, gen_specular
 from mirrorgallery.reflect import (
     ReflectionKind,
     ReflectionSpec,
-    added_area,
     diffuse_extend,
     extend_all_edges,
     reflect_point_across_line,
@@ -81,13 +80,13 @@ class TestVisibleEdgeParts:
 class TestDiffuseExtend:
     def test_convex_adds_nothing(self):
         ev = diffuse_extend(SQUARE, Point(1, 1), diffuse(range(4), 2))
-        assert added_area(ev) == 0
+        assert ev.added.area == 0
 
     def test_funnel_chord_completes(self):
         q = Point(5, F(7, 2))
         ev = diffuse_extend(DEEP_FUNNEL, q, diffuse({0}, 1))
-        assert ev.direct.polygon.area + added_area(ev) == DEEP_FUNNEL.area
-        assert added_area(ev) > 0
+        assert ev.direct.polygon.area + ev.added.area == DEEP_FUNNEL.area
+        assert ev.added.area > 0
 
     def test_added_disjoint_from_direct_and_inside(self, rng):
         from mirrorgallery.geom import PointLocation, region_intersection
@@ -103,9 +102,9 @@ class TestDiffuseExtend:
         # triangle; together they add it once, not twice
         L = lshape()
         q = Point(F(3, 2), F(1, 2))
-        a5 = added_area(diffuse_extend(L, q, diffuse({5}, 1)))
-        a0 = added_area(diffuse_extend(L, q, diffuse({0}, 1)))
-        both = added_area(diffuse_extend(L, q, diffuse({0, 5}, 1)))
+        a5 = diffuse_extend(L, q, diffuse({5}, 1)).added.area
+        a0 = diffuse_extend(L, q, diffuse({0}, 1)).added.area
+        both = diffuse_extend(L, q, diffuse({0, 5}, 1)).added.area
         assert a5 == F(1, 2)
         assert a0 == F(1, 2)
         assert both < a0 + a5
@@ -115,7 +114,7 @@ class TestDiffuseExtend:
         q = Point(5, F(7, 2))
         ev1 = extend_all_edges(DEEP_FUNNEL, q, 1)
         ev2 = extend_all_edges(DEEP_FUNNEL, q, 2)
-        assert added_area(ev2) >= added_area(ev1)
+        assert ev2.added.area >= ev1.added.area
         if not ev1.added.is_empty:
             for p in region_sample_points(ev1.added, rng, 200):
                 assert ev2.added.covers(p)
@@ -362,7 +361,7 @@ class TestSpecular:
 
     def test_convex_adds_nothing(self):
         ev = specular_extend_single(SQUARE, Point(F(1, 2), F(1, 4)), 2)
-        assert added_area(ev) == 0
+        assert ev.added.area == 0
 
     def test_source_on_mirror_line(self):
         with pytest.raises(SourceOnMirrorLine):
@@ -373,13 +372,13 @@ class TestSpecular:
         L = lshape()
         q = Point(F(3, 2), F(5, 2) - 2)  # (3/2, 1/2)
         ev = specular_extend_single(L, q, 2)  # edge (2,1)->(1,1), inner side is below
-        assert added_area(ev) == 0
+        assert ev.added.area == 0
 
     def test_lshape_left_wall_mirror(self):
         L = lshape()
         q = Point(F(3, 2), F(1, 2))
         ev = specular_extend_single(L, q, 5)
-        assert added_area(ev) == F(1, 2)
+        assert ev.added.area == F(1, 2)
 
     def test_fold_consistency(self, rng):
         L = lshape()

@@ -5,8 +5,9 @@ a handler names the exceptions it expects: no bare `except:` and no
 `except Exception` or `except BaseException`, alone or in a tuple. The
 modules on the exact computation path hold no float literal and call no
 `float(`, so no float shortcut (in a sort key, say) slips into them. Only
-`geom` reads a region's sweep runs (`Region._runs`) or builds their cells
-(`_trapezoid`): every other module sees cells through `Region.parts`.
+`geom` reads a region's sweep runs (`Region._runs`), builds their cells
+(`_trapezoid`) or builds sweep edges (`_SweepSeg`): every other module sees
+cells through `Region.parts`, and hands the sweep a region, not edges.
 """
 
 import ast
@@ -17,7 +18,7 @@ import mirrorgallery
 SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
-SWEEP_INTERNALS = {"_runs", "_trapezoid"}
+SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -91,9 +92,12 @@ def test_only_geom_reads_the_sweep_runs():
 
 
 def test_the_sweep_walk_finds_each_kind():
-    source = ("from .geom import _trapezoid\n"
+    source = ("from .geom import _trapezoid, _SweepSeg\n"
               "n = len(region._runs)\n"
               "cell = geom._trapezoid(xl, xr, bottom, top)\n"
-              "runs = region.runs\n")
-    assert _sweep_internals(source, "probe.py") == ["probe.py:1: _trapezoid", "probe.py:2: _runs",
-                                                    "probe.py:3: _trapezoid"]
+              "runs = region.runs\n"
+              "seg = _SweepSeg(edge, layer, order)\n"
+              "segs = [geom._SweepSeg(e, 0, k) for k, e in enumerate(edges)]\n")
+    assert _sweep_internals(source, "probe.py") == ["probe.py:1: _trapezoid", "probe.py:1: _SweepSeg",
+                                                    "probe.py:2: _runs", "probe.py:3: _trapezoid",
+                                                    "probe.py:5: _SweepSeg", "probe.py:6: _SweepSeg"]

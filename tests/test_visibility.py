@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -19,6 +20,7 @@ from mirrorgallery.geom import (
     SimplePolygon,
     merge_region,
     orientation,
+    overlay,
     region_difference,
     region_intersection,
     region_union_all,
@@ -29,7 +31,8 @@ from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, visibility_po
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import halfplane_rect, midpoint, primitive_direction, region_sample_points, visibility_area_oracle
+from oracles import (cone_reference, edge_ends, halfplane_rect, midpoint, pivot_cones_reference, primitive_direction,
+                     region_sample_points, visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -333,6 +336,112 @@ class TestPivotCones:
                         pieces = [Region(_cone(_Frame(P, a), d, (-d[0], -d[1])))]
                         pieces += [Region(_pivot_cones(_Frame(P, v), a, b)) for v in reflex]
                         assert region_union_all(pieces).area == lit.area, (P, s, a)
+
+
+def _direction(draw) -> tuple[int, int]:
+    x, y = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+    g = gcd(x, y)
+    return x // g, y // g
+
+
+@st.composite
+def fan_draws(draw):
+    """A polygon, fans in it as (fan, the reference's polygons) and points to test:
+    half-turn fans from points of an edge, its vertices included, as a diffuse
+    bounce emits them; fans between drawn directions (vertical ones too, and
+    half turns through a vertex that its exterior cuts in two) from vertices,
+    edge points and interior points; and pivot cones at reflex vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    P = [lambda: histogram_polygon(rng, 5), lambda: radial_polygon(rng, 8), lambda: comb(3),
+         lambda: lshape()][draw(st.integers(0, 3))]()
+    reflex = P.reflex_indices()
+    fans = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["edge", "free", "pivot"] if reflex else ["edge", "free"]))
+        edge = P.edge(draw(st.integers(0, P.n - 1)))
+        d = primitive_direction(edge.direction)
+        if kind == "pivot":
+            f = _Frame(P, P.vertices[draw(st.sampled_from(reflex))])
+            a, b = (edge.a, edge.b) if draw(st.booleans()) else (edge.point_at(F(1, 3)), edge.point_at(F(3, 4)))
+            if orientation(a, b, f.origin) is Orientation.COLLINEAR:
+                continue
+            a, b = (a, b) if draw(st.booleans()) else (b, a)
+            fans.append((_pivot_cones(f, a, b), pivot_cones_reference(f, a, b)))
+            continue
+        if kind == "edge":
+            f, lo = _Frame(P, edge.point_at(draw(st.sampled_from([F(0), F(1, 3), F(1)])))), d
+        else:
+            at = draw(st.sampled_from(["vertex", "edge", "interior"]))
+            o = edge.a if at == "vertex" else edge.point_at(F(1, 2)) if at == "edge" else interior_point(rng, P)
+            f, lo = _Frame(P, o), _direction(draw)
+        hi = _direction(draw) if draw(st.booleans()) else (-lo[0], -lo[1])
+        if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
+            hi = (-lo[0], -lo[1])
+        fans.append((_cone(f, lo, hi), cone_reference(f, lo, hi)))
+    samples = region_sample_points(Region.of(P), rng, 6)
+    samples += [v for _, ref in fans for part in ref for v in part.vertices]
+    return fans, samples
+
+
+def _check_fans(fans, samples):
+    # a fan's integer edges are the net boundary of the polygons it stood
+    # for: arcs on one edge joined, the rays of a half-turn fan joined at
+    # its origin across parts, vertical sides dropped
+    for fan, ref in fans:
+        reference = Region(ref)
+        assert Counter(map(edge_ends, fan._net_boundary())) == Counter(map(edge_ends, reference._net_boundary()))
+        assert fan.area == reference.area
+        assert fan.parts == reference.parts
+        swept = overlay([fan], any)
+        assert swept.area == fan.area
+        for x in samples:
+            assert swept.covers(x) == reference.covers(x), x
+    union = region_union_all([fan for fan, _ in fans])
+    assert union.parts == region_union_all([Region(ref) for _, ref in fans]).parts
+
+
+class TestFanEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(draws=fan_draws())
+    def test_fans_give_the_net_boundary_of_their_polygons(self, draws):
+        _check_fans(*draws)
+
+    def test_half_turn_through_a_reflex_vertex_joins_across_parts(self, rng):
+        # the exterior quadrant of the L's reflex corner (1, 1) cuts the half
+        # turn from (1, -1) to (-1, 1) in two; its rays lie on x + y = 2
+        L = lshape()
+        f = _Frame(L, Point(1, 1))
+        fan, ref = _cone(f, (1, -1), (-1, 1)), cone_reference(f, (1, -1), (-1, 1))
+        assert len(ref) == 2
+        _check_fans([(fan, ref)], region_sample_points(Region.of(L), rng, 20))
+        assert (Point(0, 2), Point(2, 0), 1) in map(edge_ends, fan._net_boundary())
+
+    def test_fans_build_no_point_before_their_parts_are_read(self, monkeypatch):
+        P = comb(3)
+        edge = P.edge(0)
+        d = primitive_direction(edge.direction)
+        a, b = edge.point_at(F(1, 3)), edge.point_at(F(3, 4))
+        frames = [_Frame(P, a)] + [_Frame(P, P.vertices[i]) for i in P.reflex_indices()]
+        built = Counter()
+        point_init, polygon_init = Point.__post_init__, SimplePolygon.__init__
+
+        def point(self, *args):
+            built["Point"] += 1
+            point_init(self, *args)
+
+        def polygon(self, *args, **kwargs):
+            built["SimplePolygon"] += 1
+            polygon_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Point, "__post_init__", point)
+        monkeypatch.setattr(SimplePolygon, "__init__", polygon)
+        fans = [_cone(frames[0], d, (-d[0], -d[1]))] + [_pivot_cones(f, a, b) for f in frames[1:]]
+        union = region_union_all(fans)
+        assert union.area > 0 and all(fan._net_boundary() for fan in fans if not fan.is_empty)
+        assert sum(not fan.is_empty for fan in fans) >= 2
+        assert built == Counter()
+        assert fans[0].area == sum((p.area for p in fans[0].parts), F(0))
+        assert built["Point"] > 0 and built["SimplePolygon"] == len(fans[0].parts)
 
 
 class TestWeakVisibility:
