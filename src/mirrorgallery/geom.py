@@ -11,8 +11,11 @@ integers and returns runs: a slab and the two edges bounding a cell,
 whose exact area is read off integer heights at the slab's midline. A
 swept region holds its runs and area, and a region given by integer
 rings (a fan of `visibility`) its net boundary; either builds its
-polygons only when its parts are read. No floating point is used
-anywhere; all results are exact.
+polygons only when its parts are read. A difference or intersection
+sweeps only the edges that meet the x-range where a kept cell can lie,
+and the pieces of a polygon edge that regions inside the polygon reach
+are read off their boundaries (`sides_along`). No floating point is
+used anywhere; all results are exact.
 """
 
 from __future__ import annotations
@@ -356,11 +359,11 @@ class Region:
     depth); it counts a point once per part covering it.
     """
 
-    __slots__ = ("_parts", "_runs", "_area", "_locator", "_boundary")
+    __slots__ = ("_parts", "_runs", "_rings", "_area", "_locator", "_boundary")
 
     def __init__(self, parts: Iterable[SimplePolygon] = ()):
         self._parts = tuple(parts)  # or, until first read, a function that builds them
-        self._runs = self._area = self._locator = self._boundary = None
+        self._runs = self._rings = self._area = self._locator = self._boundary = None
 
     @classmethod
     def _deferred(cls, cells: Callable[[], tuple], area: Fraction, runs=None) -> "Region":
@@ -373,16 +376,18 @@ class Region:
         return region
 
     @classmethod
-    def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list) -> "Region":
+    def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list, parts: tuple = ()) -> "Region":
         """The region of counterclockwise rings of points (x, y, w), for (x/w, y/w),
-        w > 0, and of its net boundary: sides (line, u, v) from point u to point v on
-        the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins them, vertical
-        ones dropped. The parts, and the area, are built from the rings when first read."""
-        region = cls()
+        w > 0, or of given parts, and of its net boundary: sides (line, u, v) from point
+        u to point v on the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins
+        them, vertical ones dropped. Parts of rings, and the area, are built from them
+        when first read."""
+        region = cls(parts)
         if rings:
+            region._rings = rings
             region._parts = lambda: tuple(SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w))
                                                                    for x, y, w in ring]) for ring in rings)
-            region._boundary = [e for line, u, v in sides if (e := _edge(line, (u[0], u[2]), (v[0], v[2]), 1))]
+        region._boundary = [e for line, u, v in sides if (e := _edge(line, (u[0], u[2]), (v[0], v[2]), 1))]
         return region
 
     @property
@@ -457,14 +462,20 @@ class Region:
                     for c in (f.numerator, f.denominator)), default=0)
 
     def _bits_bound(self) -> int:
-        """An upper bound on `max_coordinate_bits()`: for a swept region, the bits of
-        the unreduced corners of its runs' cells, read off the runs."""
+        """An upper bound on `max_coordinate_bits()`, with no part built: a fan's is the
+        largest integer of its rings; a swept region's cell corner (x, (C*xd - A*xn) /
+        (B*xd)) is bounded from the largest slab end x = xn/xd and line coefficients of
+        its runs, as bits(C*xd - A*xn) <= max(bits(C) + bits(xd), bits(A) + bits(xn)) + 1."""
+        if self._rings is not None:
+            return max(c.bit_length() for ring in self._rings for p in ring for c in p)
         if self._runs is None:
             return self.max_coordinate_bits()
         xs, runs = self._runs
-        return max((v.bit_length() for k, *edges in runs for x in xs[k:k + 2] for s in edges
-                    for v in (x.numerator, s.C * x.denominator - s.A * x.numerator, s.B * x.denominator)),
-                   default=0)
+        ends = [xs[j] for k in {k for k, _, _ in runs} for j in (k, k + 1)]
+        edges = {s for _, bottom, top in runs for s in (bottom, top)}
+        xn, xd = (max(getattr(x, f).bit_length() for x in ends) for f in ("numerator", "denominator"))
+        A, B, C = (max(getattr(s, f).bit_length() for s in edges) for f in "ABC")
+        return max(xn, max(C + xd, A + xn) + 1, B + xd)
 
     def __repr__(self):
         return f"Region({len(self.parts)} parts, area={self.area})"
@@ -809,7 +820,10 @@ def region_union_all(regions: Sequence[Region]) -> Region:
 def region_intersection(a: Region, b: Region) -> Region:
     if a.is_empty or b.is_empty:
         return Region.empty()
-    return overlay([a, b], lambda c: c[0] > 0 and c[1] > 0)
+    (alo, ahi), (blo, bhi) = _extent(a), _extent(b)
+    lo = alo if alo[0] * blo[1] >= blo[0] * alo[1] else blo
+    hi = ahi if ahi[0] * bhi[1] <= bhi[0] * ahi[1] else bhi
+    return overlay([_window(a, lo, hi), _window(b, lo, hi)], lambda c: c[0] > 0 and c[1] > 0)
 
 
 def region_difference(a: Region, b: Region) -> Region:
@@ -817,7 +831,27 @@ def region_difference(a: Region, b: Region) -> Region:
         return Region.empty()
     if b.is_empty:
         return a
-    return overlay([a, b], lambda c: c[0] > 0 and c[1] == 0)
+    return overlay([a, _window(b, *_extent(a))], lambda c: c[0] > 0 and c[1] == 0)
+
+
+def _extent(region: Region) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The x-range of a nonempty region's net boundary, as (numerator, denominator) pairs."""
+    edges = region._net_boundary()
+    lo, hi = edges[0][3:5], edges[0][5:7]
+    for e in edges:
+        lo = e[3:5] if e[3] * lo[1] < lo[0] * e[4] else lo
+        hi = e[5:7] if e[5] * hi[1] > hi[0] * e[6] else hi
+    return lo, hi
+
+
+def _window(region: Region, lo: tuple[int, int], hi: tuple[int, int]) -> Region:
+    """The region as a sweep input over the slabs between x = lo and x = hi only: its
+    net boundary edges whose x-extent meets that range, the only ones active in those
+    slabs, which are cut as the whole region's are. Its parts are the region's."""
+    view = Region()
+    view._parts = lambda: region.parts
+    view._boundary = [e for e in region._net_boundary() if e[3] * hi[1] < hi[0] * e[4] and e[5] * lo[1] > lo[0] * e[6]]
+    return view
 
 
 def bbox_pad(bbox, pad) -> tuple:
@@ -845,26 +879,41 @@ def segment_breakpoints(seg: Segment, edges: Iterable[Segment]) -> list[Fraction
     return sorted(t for t in ts if 0 <= t <= 1)
 
 
-def segment_parts_inside(seg: Segment, parts: Sequence[SimplePolygon]) -> list[Segment]:
-    """Maximal subsegments of `seg` covered by the closed union of `parts`."""
-    all_edges = [e for p in parts for e in p.edges()]
-    ts = segment_breakpoints(seg, all_edges)
-    kept: list[tuple[Fraction, Fraction]] = []
-    for t0, t1 in zip(ts, ts[1:]):
-        if t0 == t1:
-            continue
-        mid = seg.point_at((t0 + t1) / 2)
-        loc = PointLocation.EXTERIOR
-        for p in parts:
-            loc = p.contains(mid)
-            if loc is not PointLocation.EXTERIOR:
-                break
-        if loc is not PointLocation.EXTERIOR:
-            if kept and kept[-1][1] == t0:
-                kept[-1] = (kept[-1][0], t1)
+def sides_along(regions: Sequence[Region], a: Point, b: Point) -> list[Segment]:
+    """The maximal pieces of positive length of segment ab that lie on a side of one
+    of the regions with that region left of ab, in order from a to b: for regions
+    with disjoint interiors in a polygon of which ab is an edge, the pieces of ab
+    their closed union covers.
+
+    A non-vertical ab reads the net boundary edges on its line that run its way. A
+    vertical ab reads the sides at its x that run its way: the runs of a swept region
+    whose slab ends there on ab's left, and otherwise the sides of the parts. No
+    cell is built and no segment is intersected."""
+    vertical = a.x == b.x
+    sign = 1 if (a.y < b.y if vertical else a.x < b.x) else -1
+    spans = []  # (lo, hi) in y on a vertical ab, in x otherwise
+    if vertical:
+        x = a.x
+        for region in regions:
+            if region._runs is not None:
+                xs, runs = region._runs
+                spans += [((bottom.C - bottom.A * x) / bottom.B, (top.C - top.A * x) / top.B)
+                          for k, bottom, top in runs if xs[k + (sign > 0)] == x]
             else:
-                kept.append((t0, t1))
-    return [Segment(seg.point_at(t0), seg.point_at(t1)) for t0, t1 in kept]
+                spans += [(min(u.y, v.y), max(u.y, v.y)) for part in region.parts
+                          for u, v in zip(part.vertices, part.vertices[1:] + part.vertices[:1])
+                          if u.x == v.x == x and (v.y - u.y) * sign > 0]
+        ends = (a.y, b.y)
+    else:
+        A, B, C = _int_line(a, b)
+        spans = [(Fraction(e[3], e[4]), Fraction(e[5], e[6])) for region in regions for e in region._net_boundary()
+                 if e[0] * B == A * e[1] and e[2] * B == C * e[1] and e[7] * sign > 0]
+        ends = (a.x, b.x)
+    lo, hi = min(ends), max(ends)
+    pieces = merge_intervals([(max(s0, lo), min(s1, hi)) for s0, s1 in spans])
+    point = (lambda y: Point(x, y)) if vertical else (lambda x: Point(x, (C - A * x) / B))
+    return [Segment(point(s0), point(s1)) if sign > 0 else Segment(point(s1), point(s0))
+            for s0, s1 in (pieces if sign > 0 else reversed(pieces))]
 
 
 def along(a: Point, b: Point) -> Callable[[Point], Fraction]:

@@ -80,7 +80,7 @@ def extended_region(P: SimplePolygon, p: Point, r: int) -> Region:
     boundaries and builds the cells only when the parts are read. The last
     256 results per polygon are kept on it (`geom.memo_per_polygon`).
     """
-    vp = Region.of(visibility_polygon(P, p).polygon)
+    vp = visibility_polygon(P, p).region
     return vp if r == 0 else region_join([vp, extend_all_edges(P, p, r).added])
 
 
@@ -138,14 +138,8 @@ def greedy_cover(P: SimplePolygon, r: int) -> GuardSolution:
     uncovered = set(range(ncells))
     chosen: list[int] = []
     while uncovered:
-        best = None
-        best_gain = -1
-        for vi in range(len(points)):
-            gain = len(sets[vi] & uncovered)
-            if gain > best_gain:
-                best = vi
-                best_gain = gain
-        if best_gain <= 0:
+        best = max(range(len(points)), key=lambda vi: (len(sets[vi] & uncovered), -vi))
+        if not sets[best] & uncovered:
             raise CoverageCertificationFailed("some class is covered by no vertex")
         chosen.append(best)
         uncovered -= sets[best]
@@ -154,15 +148,10 @@ def greedy_cover(P: SimplePolygon, r: int) -> GuardSolution:
 
 
 def _certificate(ncells: int, chosen: list[int], sets: list[set[int]]) -> tuple[int, ...]:
-    cert = []
-    for ci in range(ncells):
-        for gi, vi in enumerate(chosen):
-            if ci in sets[vi]:
-                cert.append(gi)
-                break
-        else:
-            raise CoverageCertificationFailed(f"class {ci} uncovered")
-    return tuple(cert)
+    cert = tuple(next((gi for gi, vi in enumerate(chosen) if ci in sets[vi]), None) for ci in range(ncells))
+    if None in cert:
+        raise CoverageCertificationFailed(f"class {cert.index(None)} uncovered")
+    return cert
 
 
 def optimal_cover_bruteforce(P: SimplePolygon, r: int) -> GuardSolution:
@@ -176,10 +165,7 @@ def optimal_cover_bruteforce(P: SimplePolygon, r: int) -> GuardSolution:
     universe = set(range(ncells))
     for size in range(1, P.n + 1):
         for combo in combinations(range(P.n), size):
-            covered = set()
-            for vi in combo:
-                covered |= sets[vi]
-            if covered == universe:
+            if set().union(*(sets[vi] for vi in combo)) == universe:
                 certificate = _certificate(ncells, list(combo), sets)
                 return GuardSolution(tuple(combo), r, certificate)
     raise CoverageCertificationFailed("no vertex subset covers all classes")
@@ -190,12 +176,8 @@ def _mutual_one_bounce(P: SimplePolygon, a: Point, b: Point) -> bool:
 
 
 def graph_from_points(P: SimplePolygon, points: list[Point]) -> frozenset[tuple[int, int]]:
-    edges = set()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if _mutual_one_bounce(P, points[i], points[j]):
-                edges.add((i, j))
-    return frozenset(edges)
+    return frozenset((i, j) for i, j in combinations(range(len(points)), 2)
+                     if _mutual_one_bounce(P, points[i], points[j]))
 
 
 def build_guard_graph(P: SimplePolygon, S) -> GuardGraph:

@@ -68,12 +68,7 @@ class CandidateEdges:
     base: int | None  # floor edge, bounce family only
 
     def all_edges(self) -> set[int]:
-        out = set(self.main)
-        if self.second:
-            out |= set(self.second)
-        if self.base is not None:
-            out.add(self.base)
-        return out
+        return set(self.main) | set(self.second or ()) | ({self.base} if self.base is not None else set())
 
 
 @dataclass(frozen=True)
@@ -109,21 +104,16 @@ def subset_sum_bruteforce(ss: SubsetSumInstance):
     if m > 20:
         raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
     for mask in range(1 << m):
-        total = 0
-        for i in range(m):
-            if mask >> i & 1:
-                total += ss.values[i]
-        if total == ss.target:
+        if sum(ss.values[i] for i in range(m) if mask >> i & 1) == ss.target:
             return tuple(i for i in range(m) if mask >> i & 1)
     return None
 
 
 def _edge_index_of(P: SimplePolygon, a: Point, b: Point) -> int:
-    for i in range(P.n):
-        e = P.edge(i)
-        if (e.a, e.b) == (a, b):
-            return i
-    raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
+    i = next((i for i, v in enumerate(P.vertices) if v == a and P.vertices[(i + 1) % P.n] == b), None)
+    if i is None:
+        raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
+    return i
 
 
 def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
@@ -280,33 +270,15 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
     spike_regions = [Region.of(s) for s in ri.spikes]
     added_regions = {}
     for i, e in enumerate(ri.candidates.main):
-        added = added_region_for_edge(ri, e)
-        added_regions[e] = added
-        exact = added.area == values[i]
-        clauses.append(
-            (
-                f"exact[{i}]",
-                exact,
-                f"edge {e} adds {added.area}, value is {values[i]}",
-            )
-        )
+        added = added_regions[e] = added_region_for_edge(ri, e)
+        clauses.append((f"exact[{i}]", added.area == values[i], f"edge {e} adds {added.area}, value is {values[i]}"))
 
     ns = len(spike_regions)
     shared = classes(spike_regions + [added_regions[e] for e in ri.candidates.main])
-    exclusive_ok = True
-    exclusive_detail = "no candidate reaches another value's spike"
-    for j, ej in enumerate(ri.candidates.main):
-        for i in range(m):
-            if i == j:
-                continue
-            leak = _leak(shared, ns + j, (i,))
-            if leak != 0:
-                exclusive_ok = False
-                exclusive_detail = f"mirror {ej} leaks {leak} into spike {i}"
-                break
-        if not exclusive_ok:
-            break
-    clauses.append(("exclusive", exclusive_ok, exclusive_detail))
+    leak = next(((ej, i, x) for j, ej in enumerate(ri.candidates.main) for i in range(m)
+                 if i != j and (x := _leak(shared, ns + j, (i,)))), None)
+    clauses.append(("exclusive", leak is None, "no candidate reaches another value's spike" if leak is None
+                    else f"mirror {leak[0]} leaks {leak[2]} into spike {leak[1]}"))
 
     if ri.kind is ReductionKind.SPECULAR_SINGLE:
         for i, e in enumerate(ri.candidates.main):
@@ -321,15 +293,8 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
         for i, e2 in enumerate(ri.candidates.second or ()):
             spec = ReflectionSpec(frozenset({base, e2}), ReflectionKind.DIFFUSE, 2)
             ev = diffuse_extend(P, ri.q, spec)
-            missing = region_intersection(spike_regions[i], ev.added).area != ri.spikes[i].area
-            route_ok = not missing
-            clauses.append(
-                (
-                    f"second-route[{i}]",
-                    route_ok,
-                    "floor + second edge reach the spike with two bounces",
-                )
-            )
+            reached = region_intersection(spike_regions[i], ev.added).area == ri.spikes[i].area
+            clauses.append((f"second-route[{i}]", reached, "floor + second edge reach the spike with two bounces"))
 
     if ri.kind is ReductionKind.DIFFUSE_SINGLE and check_noncandidates:
         if m < 2:
@@ -341,15 +306,9 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
             candidate_set = ri.candidates.all_edges()
             others = [e for e in range(P.n) if e not in candidate_set]
             shared = classes(spike_regions + [added_region_for_edge(ri, e) for e in others])
-            ok_all = True
-            detail = "non-candidate edges add no spike area"
-            for k, e in enumerate(others):
-                leak = _leak(shared, ns + k, range(ns))
-                if leak != 0:
-                    ok_all = False
-                    detail = f"non-candidate edge {e} adds {leak} of spike area"
-                    break
-            clauses.append(("opaque", ok_all, detail))
+            leak = next(((e, x) for k, e in enumerate(others) if (x := _leak(shared, ns + k, range(ns)))), None)
+            clauses.append(("opaque", leak is None, "non-candidate edges add no spike area" if leak is None
+                            else f"non-candidate edge {leak[0]} adds {leak[1]} of spike area"))
 
     report = VerificationReport(tuple(clauses), tuple(added_regions.values()))
     if not report.ok:
@@ -374,10 +333,6 @@ def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
     if any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")
     for mask in range(1 << m):
-        total = Fraction(0)
-        for i in range(m):
-            if mask >> i & 1:
-                total += areas[i]
-        if total == ri.k:
+        if sum((areas[i] for i in range(m) if mask >> i & 1), Fraction(0)) == ri.k:
             return tuple(ri.candidates.main[i] for i in range(m) if mask >> i & 1)
     return None

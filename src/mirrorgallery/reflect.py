@@ -4,8 +4,9 @@ Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
 source re-emits into the inner half-plane of e as star-shaped fans (see
 `visibility`), which give the sweep their edges in integers and build no
 polygon; the fans of one depth are unioned in one sweep, and newly
-lit parts of other designated edges re-emit at the next depth, up to the
-bounce budget. Each depth is a step memoized on the polygon
+lit parts of other designated edges, read off the boundary of the VP and
+the added region so far (`geom.sides_along`), re-emit at the next depth,
+up to the bounce budget. Each depth is a step memoized on the polygon
 (`geom.memo_per_polygon`) that extends the memoized depth before it, so a
 call at budget r reuses what earlier calls from the same source over the
 same edges ran. A depth carries the added cells so far, from one sweep of
@@ -44,7 +45,7 @@ from .geom import (
     overlay,
     region_difference,
     region_union_all,
-    segment_parts_inside,
+    sides_along,
     subtract_intervals,
 )
 from .visibility import (
@@ -108,21 +109,22 @@ class ExtendedVisibility:
 
 
 def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
-    """Maximal subsegments of edge e lit by the source.
+    """Maximal subsegments of edge e lit by the source, in order along e.
 
-    A point source lights the parts it sees directly; a region source
-    lights the parts of the edge the region reaches.
+    A point source lights the parts it sees directly; a region source,
+    which must lie in P, lights the parts of the edge the region reaches.
+    Both are read off a boundary: the VP ring's, or the region's.
     """
     if not (0 <= e < P.n):
         raise SpecMismatch(f"edge index {e} out of range")
-    edge_seg = P.edge(e)
+    a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
     if isinstance(src, Point):
         vp = visibility_polygon(P, src)
-        if orientation(edge_seg.a, edge_seg.b, src) is not Orientation.COLLINEAR:
+        if orientation(a, b, src) is not Orientation.COLLINEAR:
             return vp.edge_parts(e)
-        return segment_parts_inside(edge_seg, [vp.polygon])
+        return sides_along([vp.region], a, b)
     if isinstance(src, Region):
-        return segment_parts_inside(edge_seg, src.parts)
+        return sides_along([src], a, b)
     raise SpecMismatch(f"unsupported source {src!r}")
 
 
@@ -187,8 +189,11 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
         return prev  # saturated: nothing further to light
     records = list(prev.records)
     if depth > 1:
-        covered = [prev.vp.polygon, *prev.added.parts]
-        _light(P, edges, depth - 1, lambda e: segment_parts_inside(P.edge(e), covered), records)
+        # the covered region, the VP and `added`, lies in P, so an edge's lit parts are
+        # its pieces on their net boundary: no cell is built
+        covered = [prev.vp.region, prev.added]
+        _light(P, edges, depth - 1, lambda e: sides_along(covered, P.vertices[e], P.vertices[(e + 1) % P.n]),
+               records)
 
     # s re-emits to the points left of e that see it; each sees an interval
     # of s that ends toward s.a at s.a or on a tangent through a reflex
@@ -206,7 +211,7 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     dr = region_union_all(fans)
     if dr.is_empty:  # the cascade stops here
         return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added, prev.added_bits)
-    added = overlay([Region.of(prev.vp.polygon), prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))
+    added = overlay([prev.vp.region, prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))
     return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), (*prev.bits, dr._bits_bound()), added,
                     added._bits_bound())
 
@@ -274,7 +279,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     if not pieces:
         added = Region.empty()
     else:
-        added = region_difference(Region(pieces), Region.of(vp.polygon))
+        added = region_difference(Region(pieces), vp.region)
         _check_bits(added, "specular bounce", added._bits_bound())
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 

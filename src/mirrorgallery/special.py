@@ -89,22 +89,12 @@ def detect_funnel(P: SimplePolygon) -> Funnel:
     convex_set = set(convex)
     for c in convex:
         if (c + 1) % P.n in convex_set:
-            u = c
-            v = (c + 1) % P.n
+            u, v = c, (c + 1) % P.n
             apex = next(i for i in convex if i not in {u, v})
-            left = [u]
-            i = (u - 1) % P.n
-            while i != apex:
-                left.append(i)
-                i = (i - 1) % P.n
-            left.append(apex)
-            right = [v]
-            i = (v + 1) % P.n
-            while i != apex:
-                right.append(i)
-                i = (i + 1) % P.n
-            right.append(apex)
-            return Funnel(P, u, apex, tuple(left), tuple(right))
+            # both chains run from the chord's end to the apex, both included
+            left = tuple((u - k) % P.n for k in range((u - apex) % P.n + 1))
+            right = tuple((v + k) % P.n for k in range((apex - v) % P.n + 1))
+            return Funnel(P, u, apex, left, right)
     raise NotAFunnel("no two convex corners are adjacent; chord side is not a single edge")
 
 
@@ -137,11 +127,7 @@ def _ray_landing(P: SimplePolygon, q: Point, through: Point) -> Point:
 
 
 def _edges_containing(P: SimplePolygon, p: Point) -> tuple[int, ...]:
-    out = []
-    for i in range(P.n):
-        if P.edge(i).contains_point(p):
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i in range(P.n) if P.edge(i).contains_point(p))
 
 
 def funnel_tangents(F: Funnel, q: Point) -> TangentQuadruple:
@@ -183,20 +169,12 @@ def funnel_best_mirrors(F: Funnel, q: Point, *, include_chord: bool = False) -> 
     """
     P = F.polygon
     quad = funnel_tangents(F, q)
-    candidates: list[int] = []
-    for contact in quad.contacts():
-        for e in contact.edges:
-            if e == F.chord and not include_chord:
-                continue
-            if e not in candidates:
-                candidates.append(e)
-    if include_chord and F.chord not in candidates:
-        candidates.append(F.chord)
+    candidates = sorted({e for c in quad.contacts() for e in c.edges if e != F.chord}
+                        | ({F.chord} if include_chord else set()))
     if len(candidates) > 8:
         raise InvariantViolated(f"{len(candidates)} tangent candidate edges exceed the cap of 8")
-    candidates.sort()
 
-    vp_region = Region.of(visibility_polygon(P, q).polygon)
+    vp_region = visibility_polygon(P, q).region
     if vp_region.area == P.area:
         return MirrorChoice(frozenset(), Fraction(0), True)
     # layer 0 is the VP and layer 1 + k the added region of candidates[k]

@@ -18,7 +18,8 @@ so the open sight segment lies wholly inside or wholly outside.
 
 Each ring edge is labelled with the host edge it lies on, or -1 along a
 sight ray, by ring index, so the lit parts of an edge not collinear with
-the source are read off the ring.
+the source are read off the ring, and the VP is a region whose net
+boundary comes from the labels and the integer ring once, as a fan's does.
 
 Weak visibility from a segment s is the union of the visibility polygons
 of its endpoints and reflex vertices inside it and, for every reflex vertex
@@ -36,7 +37,7 @@ polygon (`geom.memo_per_polygon`), so they die with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import groupby
@@ -67,6 +68,8 @@ class VisibilityPolygon:
     host_vertices: tuple[Point, ...]
     # per ring edge k (vertex k to k + 1): the host edge it lies on, -1 along a sight ray
     edge_hosts: tuple[int, ...]
+    # the polygon as a region, with its net boundary from the integer ring, for the sweeps
+    region: Region = field(compare=False, repr=False)
 
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
@@ -249,6 +252,7 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     o = (f.ox, f.oy, f.scale)
     ring: list[tuple[int, int, int]] = []  # as `_Frame.ray_at` gives them
     into: list[int] = []  # host edge of the ring edge ending at ring[k]
+    lines: list[tuple[int, int, int]] = []  # and its line, as `_fan` takes it
     for da, db in zip(dirs, dirs[1:] + dirs[:1]):
         i = f.arc(da, db)
         # the edge to an arc's first point, or to q, runs along the ray da
@@ -256,9 +260,10 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
             if not ring or not _same(ring[-1], p):
                 ring.append(p)
                 into.append(h)
+                lines.append(f.line(h) if h >= 0 else f.ray_line(da))
     if len(ring) > 1 and _same(ring[0], ring[-1]):
         ring.pop()
-        into[0] = into.pop()
+        into[0], lines[0] = into.pop(), lines.pop()
     # a point between two arcs on one host edge, or q inside an edge, is no vertex:
     # no arc lies on a line through q, and no two host edges on a line meet
     n = len(ring)
@@ -266,7 +271,10 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     polygon = SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w)) for x, y, w in (ring[k] for k in keep)])
     if polygon.n != len(keep):
         raise InvariantViolated(f"the visibility ring from {q!r} has a straight vertex left")
-    return VisibilityPolygon(polygon, q, P.vertices, tuple(into[(k + 1) % n] for k in keep))
+    # the side from a kept point to the next lies on the line of the ring edge out of it
+    sides = [(lines[(k + 1) % n], ring[k], ring[m]) for k, m in zip(keep, keep[1:] + keep[:1])]
+    return VisibilityPolygon(polygon, q, P.vertices, tuple(into[(k + 1) % n] for k in keep),
+                             Region._from_rings([], sides, (polygon,)))
 
 
 def _lit(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[list[tuple]]:
@@ -354,11 +362,11 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """
     if not sees(P, s.a, s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")
-    pieces = [Region.of(visibility_polygon(P, p).polygon) for p in (s.a, s.b)]
+    pieces = [visibility_polygon(P, p).region for p in (s.a, s.b)]
     for v in (P.vertices[i] for i in P.reflex_indices()):
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
             f = _Frame(P, v)
             pieces += [_pivot_cones(f, s.a, s.b), _pivot_cones(f, s.b, s.a)]
         elif v not in (s.a, s.b) and s.contains_point(v):
-            pieces.append(Region.of(visibility_polygon(P, v).polygon))
+            pieces.append(visibility_polygon(P, v).region)
     return region_union_all(pieces)

@@ -11,6 +11,11 @@ only: the weak visibility polygon of each lit part, clipped to its edge's
 inner half-plane by a region intersection, and lit edge parts found by
 segment-in-polygon tests, never from ring labels or fans.
 
+The segment reference `segment_parts_inside` splits a segment at every
+edge of some polygons, in `Fraction`s, and locates each piece's midpoint
+in them: the pieces their closed union covers, which `geom.sides_along`
+reads off the polygons' boundary instead.
+
 The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
 integer construction must reproduce exactly, and the Fraction crossing
@@ -68,8 +73,8 @@ from mirrorgallery.geom import (
     region_intersection,
     region_union_all,
     sees,
+    segment_breakpoints,
     segment_intersection,
-    segment_parts_inside,
     subtract_intervals,
 )
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
@@ -161,6 +166,22 @@ def halfplane_rect(a: Point, b: Point, box) -> SimplePolygon:
         if e_in:
             out.append(e)
     return SimplePolygon(out)
+
+
+def segment_parts_inside(seg: Segment, parts) -> list[Segment]:
+    """Maximal subsegments of `seg` covered by the closed union of `parts`, in order
+    from seg.a: seg split at every edge of every part, and each piece's midpoint
+    located in the parts."""
+    ts = segment_breakpoints(seg, [e for p in parts for e in p.edges()])
+    kept: list[tuple[Fraction, Fraction]] = []
+    for t0, t1 in zip(ts, ts[1:]):
+        mid = seg.point_at((t0 + t1) / 2)
+        if any(p.contains(mid) is not PointLocation.EXTERIOR for p in parts):
+            if kept and kept[-1][1] == t0:
+                kept[-1] = (kept[-1][0], t1)
+            else:
+                kept.append((t0, t1))
+    return [Segment(seg.point_at(t0), seg.point_at(t1)) for t0, t1 in kept]
 
 
 def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):

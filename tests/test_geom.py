@@ -31,7 +31,7 @@ from mirrorgallery.geom import (
     region_union_all,
     sees,
     segment_intersection,
-    segment_parts_inside,
+    sides_along,
     subtract_intervals,
 )
 from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, visibility_polygon
@@ -45,6 +45,7 @@ from oracles import (
     polygon_reference,
     primitive_direction,
     region_sample_points,
+    segment_parts_inside,
     slab_rows_reference,
     validate_disjoint,
 )
@@ -261,6 +262,16 @@ class TestSegmentHelpers:
         assert len(parts) == 1
         assert {parts[0].a, parts[0].b} == {Point(0, F(1, 2)), Point(1, F(1, 2))}
 
+    def test_sides_along_keeps_sides_with_the_region_on_the_left(self):
+        # the square's bottom side runs rightward and its left side downward,
+        # read off the net boundary, the square's ring or a swept copy's runs
+        square = Region.of(UNIT)
+        for region in (square, overlay([square], any)):
+            for a, b, side in [((-1, 0), (2, 0), ((0, 0), (1, 0))), ((0, 2), (0, -1), ((0, 1), (0, 0)))]:
+                a, b = Point(*a), Point(*b)
+                assert sides_along([region], a, b) == [Segment(Point(*side[0]), Point(*side[1]))]
+                assert sides_along([region], b, a) == []
+
     def test_interval_algebra(self):
         base = [(F(0), F(1))]
         cut = [(F(1, 4), F(1, 2))]
@@ -320,6 +331,9 @@ def tie_regions(draw):
     ring = _hull(draw(st.lists(tie_points, min_size=3, max_size=5)))
     assume(len(ring) >= 3)
     return Region.of(SimplePolygon(ring))
+
+
+THIN = Region.of(SimplePolygon([(1, 1000), (2, 2000), (2, 2001)]))
 
 
 def _clip_area(subject, clip):
@@ -513,6 +527,57 @@ class TestIntegerSweep:
             assert xs == sorted(set(xs))
             assert r.area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))
         assert ends <= set(swept[0]._runs[0])
+
+    @settings(max_examples=60, deadline=None)
+    @example(a=Region.of(UNIT), b=Region.of(rect(1, 0, 2, 1)), dx=0, parts=1)  # touch at a window end
+    @example(a=Region.of(UNIT), b=Region.of(SimplePolygon([(-1, 2), (0, 0), (0, 3)])), dx=0, parts=2)
+    @given(a=convex_regions(), b=convex_regions(), dx=st.sampled_from([0, 1, -1]), parts=st.integers(1, 3))
+    def test_windowed_booleans_keep_the_full_sweeps_cells(self, a, b, dx, parts):
+        # a difference sweeps only the edges of b that meet a's x-range, an
+        # intersection only the edges that meet both ranges; b is moved to
+        # touch a's range at one end (dx), and a may be swept, of several parts
+        if dx:
+            (lo, hi), (blo, bhi) = ((min(v.x for p in r.parts for v in p.vertices),
+                                     max(v.x for p in r.parts for v in p.vertices)) for r in (a, b))
+            shift = hi - blo if dx > 0 else lo - bhi
+            b = Region.of(SimplePolygon([(v.x + shift, v.y) for v in b.parts[0].vertices]))
+        if parts > 1:
+            a = region_union(a, Region.of(rect(-3, -3, -2, -2 + parts)))
+        if parts > 2:
+            b = Region(b.parts + (rect(5, 5, 6, 6),))
+        for got, keep in ((region_difference(a, b), lambda c: c[0] > 0 and c[1] == 0),
+                          (region_difference(b, a), lambda c: c[1] > 0 and c[0] == 0),
+                          (region_intersection(a, b), lambda c: c[0] > 0 and c[1] > 0)):
+            full = overlay([a, b], keep)
+            assert got.area == full.area and got.parts == full.parts
+
+    def test_difference_sweeps_only_the_edges_in_its_window(self, monkeypatch):
+        seen = []
+        sweep = geom._sweep
+
+        def traced(layers, key, group):
+            seen.append([len(layer._net_boundary()) for layer in layers])
+            return sweep(layers, key, group)
+
+        monkeypatch.setattr(geom, "_sweep", traced)
+        a = Region.of(UNIT)
+        b = Region((rect(F(1, 2), 0, F(3, 2), 1), rect(1, 3, 2, 4), rect(5, 5, 6, 6)))
+        assert region_difference(a, b).area == F(1, 2)
+        assert region_intersection(a, b).area == F(1, 2)
+        assert region_intersection(Region.of(b.parts[0]), Region.of(rect(F(3, 2), 0, 5, 1))).is_empty  # at x = 3/2
+        # b's squares right of x = 1, or touching it there, leave the sweep
+        assert seen == [[2, 2], [2, 2], [0, 0]]
+
+    @settings(max_examples=40, deadline=None)
+    @example(a=THIN, b=THIN, c=THIN)  # the corners' bits come from A*xn, on a line through the origin
+    @given(a=convex_regions(), b=convex_regions(), c=tie_regions())
+    def test_bits_bound_bounds_the_cells(self, a, b, c):
+        # the bound read off the runs' slab ends and lines is at least the
+        # cells' coordinate bits, and so at least those of merged rings
+        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b),
+                  region_union_all([a, c]), *classes([a, b, c]).values()):
+            if not r.is_empty:
+                assert r._bits_bound() >= r.max_coordinate_bits() >= merge_region(r).max_coordinate_bits()
 
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))

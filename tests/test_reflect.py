@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorgallery import geom, reflect, visibility
 from mirrorgallery.errors import BitBlowup, SourceOnMirrorLine, SpecMismatch
@@ -31,8 +34,8 @@ from mirrorgallery.reflect import (
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import (FrameReference, diffuse_added_reference, region_sample_points, specular_added_reference,
-                     validate_disjoint)
+from oracles import (FrameReference, diffuse_added_reference, region_sample_points, segment_parts_inside,
+                     specular_added_reference, validate_disjoint)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -75,6 +78,62 @@ class TestVisibleEdgeParts:
         # left wall of the hexagon: only the stretch below the shadow line is lit
         assert len(parts) == 1
         assert parts[0].contains_point(Point(0, F(1, 2)))
+
+
+def _check_lit_parts(P, q, seen):
+    # the pieces read off the net boundary (and, on a vertical edge, the runs
+    # and ring sides) of the VP and the added region of cascade depths 1 and
+    # 2, and of the VP alone for an edge collinear with q, are the pieces the
+    # oracle finds by splitting the edge at every cell edge and locating midpoints
+    vp = visibility_polygon(P, q)
+    cases = [([vp.region], [vp.polygon],
+              [e for e in range(P.n) if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR])]
+    for depth in (1, 2):
+        c = reflect._cascade(P, q, frozenset(range(P.n)), depth)
+        cases.append(([c.vp.region, c.added], [vp.polygon, *c.added.parts], range(P.n)))
+    for covered, cells, edges in cases:
+        for e in edges:
+            a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
+            got = geom.sides_along(covered, a, b)
+            assert got == segment_parts_inside(P.edge(e), cells), (P, q, e)
+            kind = "collinear" if len(covered) == 1 else "slanted" if a.x != b.x else "up" if a.y < b.y else "down"
+            seen[kind] += bool(got)
+
+
+class TestLitPartsFromBoundary:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "snake"]),
+           at=st.sampled_from(["interior", "vertex", "edge"]))
+    def test_match_the_oracle_on_drawn_cascades(self, seed, shape, at):
+        rng = random.Random(seed)
+        P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
+             "radial": lambda: radial_polygon(rng, 8), "snake": lambda: SNAKE}[shape]()
+        e = rng.randrange(P.n)
+        q = {"interior": lambda: interior_point(rng, P), "vertex": lambda: P.vertices[e],
+             "edge": lambda: P.edge(e).point_at(F(rng.randint(1, 6), 7))}[at]()
+        _check_lit_parts(P, q, Counter())
+
+    def test_cover_vertical_edges_both_ways_and_collinear_edges(self):
+        rng = random.Random(53)
+        seen = Counter()
+        for P in [SNAKE, lshape(), comb(3), histogram_polygon(rng, 5)]:
+            for q in [interior_point(rng, P), P.vertices[1], P.edge(2).point_at(F(1, 3))]:
+                _check_lit_parts(P, q, seen)
+        assert all(seen[kind] > 0 for kind in ("up", "down", "slanted", "collinear")), seen
+
+    def test_light_pass_builds_no_cells(self, monkeypatch):
+        # the later depths read lit parts off the covered region's boundary
+        # and runs: a cascade builds no cell of its own
+        rng = random.Random(59)
+        sources = [(P, interior_point(rng, P)) for P in [SNAKE, comb(3), histogram_polygon(rng, 5)]]
+        built = []
+        trapezoid = geom._trapezoid
+        monkeypatch.setattr(geom, "_trapezoid", lambda *args: built.append(args) or trapezoid(*args))
+        deepest = 0
+        for P, q in sources:
+            ev = extend_all_edges(P, q, 3)
+            deepest = max([deepest, *(x.bounce_depth for x in ev.per_edge_illumination)])
+        assert deepest == 2 and built == []
 
 
 class TestDiffuseExtend:

@@ -8,6 +8,9 @@ modules on the exact computation path hold no float literal and call no
 `geom` reads a region's sweep runs (`Region._runs`), builds their cells
 (`_trapezoid`) or builds sweep edges (`_SweepSeg`): every other module sees
 cells through `Region.parts`, and hands the sweep a region, not edges.
+Only `geom` calls `segment_intersection` or `segment_breakpoints`: every
+other module asks its exact questions of boundaries, rings and frames,
+with no `Fraction` segment splitting.
 """
 
 import ast
@@ -19,6 +22,7 @@ SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
 SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg"}
+SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -101,3 +105,29 @@ def test_the_sweep_walk_finds_each_kind():
     assert _sweep_internals(source, "probe.py") == ["probe.py:1: _trapezoid", "probe.py:1: _SweepSeg",
                                                     "probe.py:2: _runs", "probe.py:3: _trapezoid",
                                                     "probe.py:5: _SweepSeg", "probe.py:6: _SweepSeg"]
+
+
+def _calls(source: str, name: str, names: set[str]) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in names:
+                out.append(f"{name}:{node.lineno}: {called}")
+    return out
+
+
+def test_only_geom_splits_segments():
+    assert [v for path in SOURCES if path.name != "geom.py"
+            for v in _calls(path.read_text(), path.name, SEGMENT_SPLITTERS)] == []
+
+
+def test_the_call_walk_finds_each_kind():
+    source = ("from .geom import segment_intersection, segment_breakpoints\n"
+              "hit = segment_intersection(s, e)\n"
+              "ts = geom.segment_breakpoints(s, edges)\n"
+              "split = segment_breakpoints\n"
+              "inside = segment_parts_inside(s, parts)\n")
+    assert _calls(source, "probe.py", SEGMENT_SPLITTERS) == ["probe.py:2: segment_intersection",
+                                                             "probe.py:3: segment_breakpoints"]

@@ -10,7 +10,6 @@ from mirrorgallery.geom import (
     SimplePolygon,
     region_union_all,
     sees,
-    segment_parts_inside,
 )
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
 from mirrorgallery.special import (
@@ -23,7 +22,7 @@ from mirrorgallery.special import (
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import histogram_polygon, lshape, random_funnel
-from oracles import funnel_best_mirrors_reference, region_sample_points
+from oracles import funnel_best_mirrors_reference, region_sample_points, segment_parts_inside
 
 PENTA = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 DEEP = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])

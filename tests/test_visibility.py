@@ -25,14 +25,13 @@ from mirrorgallery.geom import (
     region_intersection,
     region_union_all,
     sees,
-    segment_parts_inside,
 )
 from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, visibility_polygon,
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
 from oracles import (cone_reference, edge_ends, halfplane_rect, midpoint, pivot_cones_reference, primitive_direction,
-                     region_sample_points, visibility_area_oracle)
+                     region_sample_points, segment_parts_inside, visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -258,6 +257,10 @@ class TestEdgeHosts:
                 vp = visibility_polygon(P, q)
                 ring = vp.polygon.edges()
                 assert len(vp.edge_hosts) == len(ring)
+                # the region's net boundary, from the integer ring and the labels, is the polygon's
+                assert vp.region.parts == (vp.polygon,)
+                assert Counter(map(edge_ends, vp.region._net_boundary())) == Counter(
+                    map(edge_ends, Region.of(vp.polygon)._net_boundary()))
                 for h, re in zip(vp.edge_hosts, ring):
                     if h < 0:
                         assert orientation(re.a, re.b, q) is Orientation.COLLINEAR
@@ -391,6 +394,7 @@ def _check_fans(fans, samples):
         reference = Region(ref)
         assert Counter(map(edge_ends, fan._net_boundary())) == Counter(map(edge_ends, reference._net_boundary()))
         assert fan.area == reference.area
+        assert fan._bits_bound() >= reference.max_coordinate_bits()  # read off the rings, before the parts
         assert fan.parts == reference.parts
         swept = overlay([fan], any)
         assert swept.area == fan.area
@@ -415,6 +419,13 @@ class TestFanEdges:
         assert len(ref) == 2
         _check_fans([(fan, ref)], region_sample_points(Region.of(L), rng, 20))
         assert (Point(0, 2), Point(2, 0), 1) in map(edge_ends, fan._net_boundary())
+
+    def test_bits_bound_reads_the_ring_denominators(self):
+        # coordinates far below 1: the parts' reduced denominators carry the bits
+        s = F(1, 2**20 + 7)
+        L = SimplePolygon([(0, 0), (2 * s, 0), (2 * s, s), (s, s), (s, 2 * s), (0, 2 * s)])
+        fan = _cone(_Frame(L, Point(3 * s / 2, s / 2)), (1, 0), (-1, 0))
+        assert fan._bits_bound() >= fan.max_coordinate_bits() > 20
 
     def test_fans_build_no_point_before_their_parts_are_read(self, monkeypatch):
         P = comb(3)
