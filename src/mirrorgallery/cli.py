@@ -133,7 +133,7 @@ def cmd_extend(args) -> int:
         spec = ReflectionSpec(frozenset(edges), ReflectionKind.DIFFUSE, args.bounces)
         ev = diffuse_extend(inst.polygon, q, spec)
     lines = [
-        f"direct-area: {format_rational(ev.direct.polygon.area)}",
+        f"direct-area: {format_rational(ev.direct.area)}",
         f"added-area: {format_rational(ev.added.area)}",
         "illumination:",
     ]
@@ -201,14 +201,12 @@ def cmd_reduce_gen(args) -> int:
     code = 0
     try:
         report = verify_instance(ri)
-        for name, ok, _ in report.clauses:
-            expect[f"verify-{name}"] = "pass" if ok else "fail"
     except VerificationFailed as ex:
-        report = ex.report
-        for name, ok, _ in (report.clauses if report else ()):
-            expect[f"verify-{name}"] = "pass" if ok else "fail"
+        report, code = ex.report, 6
+    for name, ok, _ in (report.clauses if report else ()):
+        expect[f"verify-{name}"] = "pass" if ok else "fail"
+    if code:
         expect["verify"] = "failed"
-        code = 6
     text = format_instance(instance_to_file(ri, expect))
     _write(args.out, text)
     if args.solve:
@@ -289,12 +287,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MirrorGalleryError as ex:
-        for cls, code in _EXIT_CODES:
-            if isinstance(ex, cls):
-                print(f"error: {ex}", file=sys.stderr)
-                return code
         print(f"error: {ex}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(ex, cls)), 1)
 
 
 if __name__ == "__main__":

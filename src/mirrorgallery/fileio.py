@@ -91,14 +91,8 @@ def parse_instance(text: str) -> InstanceFile:
     while i < len(lines):
         ln = lines[i]
         i += 1
-        if ln == "polygon:":
-            section = "polygon"
-            continue
-        if ln == "candidates:":
-            section = "candidates"
-            continue
-        if ln == "expect:":
-            section = "expect"
+        if ln in ("polygon:", "candidates:", "expect:"):
+            section = ln[:-1]
             continue
         if ln.startswith("query:"):
             parts = ln.split()

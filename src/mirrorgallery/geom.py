@@ -174,6 +174,12 @@ def _shoelace2(scale: int, pts: list[tuple[int, int]]) -> Fraction:
                     scale * scale)
 
 
+def _ring_area(ring: list[tuple[int, int, int]]) -> Fraction:
+    """The signed area of a ring of points (x, y, w), for (x/w, y/w), scaled to the lcm of the w."""
+    L = lcm(*(w for _, _, w in ring))
+    return _shoelace2(L, [(x * (L // w), y * (L // w)) for x, y, w in ring]) / 2
+
+
 class SimplePolygon:
     """Counterclockwise simple polygon over exact rationals.
 
@@ -181,7 +187,7 @@ class SimplePolygon:
     positive signed area and checks simplicity, all on an integer copy of the ring.
     """
 
-    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo", "_ring", "_reflex")
+    __slots__ = ("vertices", "_area", "_bbox", "_hash", "_memo", "_ring", "_reflex", "_frames")
 
     def __init__(self, vertices: Iterable, *, _skip_simplicity_check: bool = False):
         verts = [v if isinstance(v, Point) else Point(*v) for v in vertices]
@@ -194,7 +200,7 @@ class SimplePolygon:
             raise GeometryError("polygon must be counterclockwise with positive area")
         self.vertices = tuple(verts)
         self._area = area2 / 2
-        self._bbox = self._hash = self._memo = self._ring = self._reflex = None
+        self._bbox = self._hash = self._memo = self._ring = self._reflex = self._frames = None
         if not _skip_simplicity_check:
             self._check_simple(pts)
 
@@ -211,7 +217,7 @@ class SimplePolygon:
         self = object.__new__(cls)
         self.vertices = vertices
         self._area = area
-        self._bbox = self._hash = self._memo = self._ring = self._reflex = None
+        self._bbox = self._hash = self._memo = self._ring = self._reflex = self._frames = None
         return self
 
     def _check_simple(self, pts: list[tuple[int, int]]):
@@ -376,13 +382,13 @@ class Region:
         return region
 
     @classmethod
-    def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list, parts: tuple = ()) -> "Region":
+    def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list) -> "Region":
         """The region of counterclockwise rings of points (x, y, w), for (x/w, y/w),
-        w > 0, or of given parts, and of its net boundary: sides (line, u, v) from point
-        u to point v on the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins
-        them, vertical ones dropped. Parts of rings, and the area, are built from them
-        when first read."""
-        region = cls(parts)
+        w > 0, and of its net boundary: sides (line, u, v) from point u to point v on
+        the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins them, vertical
+        ones dropped. The area is read off the rings, and their parts are built from
+        them, when first read."""
+        region = cls()
         if rings:
             region._rings = rings
             region._parts = lambda: tuple(SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w))
@@ -421,7 +427,8 @@ class Region:
     @property
     def area(self) -> Fraction:
         if self._area is None:
-            self._area = sum((p.area for p in self.parts), Fraction(0))
+            self._area = sum((_ring_area(r) for r in self._rings) if self._rings is not None else
+                             (p.area for p in self.parts), Fraction(0))
         return self._area
 
     def contains(self, p: Point) -> PointLocation:
@@ -473,7 +480,7 @@ class Region:
         xs, runs = self._runs
         ends = [xs[j] for k in {k for k, _, _ in runs} for j in (k, k + 1)]
         edges = {s for _, bottom, top in runs for s in (bottom, top)}
-        xn, xd = (max(getattr(x, f).bit_length() for x in ends) for f in ("numerator", "denominator"))
+        xn, xd = (max(x[i].bit_length() for x in ends) for i in (0, 1))
         A, B, C = (max(getattr(s, f).bit_length() for s in edges) for f in "ABC")
         return max(xn, max(C + xd, A + xn) + 1, B + xd)
 
@@ -568,8 +575,9 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
     falsy value, and runs between two edges of one line, are skipped. The
     run's trapezoid is built only when the region's parts are read: its area
     is the slab's width times the difference of the edges' integer row keys
-    over their scale, summed per slab and group on integers. A Fraction is
-    built only per slab boundary and per slab and group.
+    over their scale, summed per slab and group on integers. Slab ends stay
+    reduced (numerator, denominator) pairs; a Fraction is built only per slab
+    and group, for its area.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
@@ -605,7 +613,7 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
         index = {x: k for k, x in enumerate(_order(ends | crossings))}
     for s in segs:
         s.k0, s.k1 = index[s.x0n, s.x0d], index[s.x1n, s.x1d]
-    xs = [Fraction(n, d) for n, d in index]
+    xs = list(index)
 
     runs, areas = {}, {}
     active: list[_SweepSeg] = []
@@ -634,31 +642,32 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
                     heights[g] = heights.get(g, 0) + h - run_h
                 run_key, run_bottom, run_h = value, seg, h
         # a run's area is (xr - xl) * dh / scale, and xr - xl = (rn*ld - ln*rd) / (ld*rd)
-        ln, ld, rn, rd = xl.numerator, xl.denominator, xr.numerator, xr.denominator
+        (ln, ld), (rn, rd) = xl, xr
         for g, dh in heights.items():
             areas[g] = areas.get(g, 0) + Fraction((rn * ld - ln * rd) * dh, ld * rd * scale)
     return {g: Region._deferred(lambda r=r: tuple(_trapezoid(xs[k], xs[k + 1], b, t) for k, b, t in r),
                                 areas[g], (xs, r)) for g, r in runs.items()}
 
 
-def _rows(active: list[_SweepSeg], xl: Fraction, xr: Fraction) -> tuple[int, list]:
-    """The edges across the slab [xl, xr] from bottom to top, then in input order, as
-    (row key, order, edge), and the scale L*q of the keys: the key is the height
-    (C*q - A*p) / (B*q) at the midline x = p/q times L*q, for L the lcm of the B."""
-    p = xl.numerator * xr.denominator + xr.numerator * xl.denominator
-    q = 2 * xl.denominator * xr.denominator
+def _rows(active: list[_SweepSeg], xl: tuple[int, int], xr: tuple[int, int]) -> tuple[int, list]:
+    """The edges across the slab from xl to xr, (numerator, denominator) pairs, bottom to
+    top, then in input order, as (row key, order, edge), and the scale L*q of the keys: the
+    key is the height (C*q - A*p) / (B*q) at the midline x = p/q times L*q, L the lcm of the B."""
+    (ln, ld), (rn, rd) = xl, xr
+    p, q = ln * rd + rn * ld, 2 * ld * rd
     L = lcm(*(s.B for s in active))
     return L * q, sorted(((s.C * q - s.A * p) * (L // s.B), s.order, s) for s in active)
 
 
-def _trapezoid(xl: Fraction, xr: Fraction, bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon:
-    """The cell between two edges of distinct lines over the slab [xl, xr].
+def _trapezoid(xl: tuple[int, int], xr: tuple[int, int], bottom: _SweepSeg, top: _SweepSeg) -> SimplePolygon:
+    """The cell between two edges of distinct lines over the slab from xl to xr, pairs (n, d).
 
     The edges do not cross inside the slab and `top` is above `bottom`, so the
     ring is counterclockwise; a side of zero height leaves a triangle, as
     `_normalize_ring` would.
     """
-    ln, ld, rn, rd = xl.numerator, xl.denominator, xr.numerator, xr.denominator
+    (ln, ld), (rn, rd) = xl, xr
+    xl, xr = Fraction(ln, ld), Fraction(rn, rd)
     ybl = Fraction(bottom.C * ld - bottom.A * ln, bottom.B * ld)
     ybr = Fraction(bottom.C * rd - bottom.A * rn, bottom.B * rd)
     ytl = Fraction(top.C * ld - top.A * ln, top.B * ld)
@@ -706,13 +715,12 @@ def _net_runs(sides: Iterable[tuple[Point, Point, int]]) -> list[tuple[Point, Po
     return [(pts[key, s], pts[key, t], w) for key, s, t, w in _joined(pieces)]
 
 
-def _runs_boundary(xs: list[Fraction], runs: list) -> list[tuple]:
+def _runs_boundary(xs: list[tuple[int, int]], runs: list) -> list[tuple]:
     """`_net_runs` over the non-vertical sides of the runs' cells, as integer edges
     (`_edge`), without the cells: each run adds +1 over its slab k on its bottom
     edge's line and -1 on its top edge's."""
     pieces = ((s.A, s.B, s.C, k, k + 1, w) for k, bottom, top in runs for s, w in ((bottom, 1), (top, -1)))
-    return [(*key, xs[s].numerator, xs[s].denominator, xs[t].numerator, xs[t].denominator, w)
-            for key, s, t, w in _joined(pieces)]
+    return [(*key, *xs[s], *xs[t], w) for key, s, t, w in _joined(pieces)]
 
 
 def _netted(edges: Iterable[tuple]) -> list[tuple]:
@@ -854,11 +862,6 @@ def _window(region: Region, lo: tuple[int, int], hi: tuple[int, int]) -> Region:
     return view
 
 
-def bbox_pad(bbox, pad) -> tuple:
-    pad = rational(pad)
-    return (bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad)
-
-
 # ---------------------------------------------------------------------------
 # Segment-level helpers used throughout the visibility machinery.
 # ---------------------------------------------------------------------------
@@ -898,7 +901,7 @@ def sides_along(regions: Sequence[Region], a: Point, b: Point) -> list[Segment]:
             if region._runs is not None:
                 xs, runs = region._runs
                 spans += [((bottom.C - bottom.A * x) / bottom.B, (top.C - top.A * x) / top.B)
-                          for k, bottom, top in runs if xs[k + (sign > 0)] == x]
+                          for k, bottom, top in runs if xs[k + (sign > 0)] == (x.numerator, x.denominator)]
             else:
                 spans += [(min(u.y, v.y), max(u.y, v.y)) for part in region.parts
                           for u, v in zip(part.vertices, part.vertices[1:] + part.vertices[:1])

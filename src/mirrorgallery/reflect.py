@@ -14,12 +14,12 @@ the VP, the previous depth's cells and its own region, and a call returns
 them as they are. Specular extension unfolds the source across the mirror
 line and splits the wedge from there through each lit part of the mirror
 at the vertex directions, in the integer frame of `visibility`: the first
-edge beyond the mirror in each sub-wedge closes one exact quad. Added
-regions are kept disjoint from direct visibility so their exact areas can
-be summed and thresholded. The coordinate bit cap (`MG_BIT_CAP`) holds on
-the merged rings of every depth region, the added region and the
-specular region, on every call; cells whose bound from the sweep's runs
-is within it are not merged, nor built.
+edge beyond the mirror in each sub-wedge closes one exact quad, and the
+quads of a part are one integer ring, a fan cut off by the mirror. Added
+regions are kept disjoint from direct visibility so their exact areas sum.
+The coordinate bit cap (`MG_BIT_CAP`) holds on the merged rings of every
+depth region, the added region and the specular region, on every call;
+cells whose bound from the sweep's runs is within it are not merged, nor built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 from .errors import BitBlowup, ParseError, SourceOnMirrorLine, SpecMismatch
 from .geom import (
@@ -51,7 +50,9 @@ from .geom import (
 from .visibility import (
     VisibilityPolygon,
     _cone,
-    _Frame,
+    _fan,
+    _frame,
+    _lit,
     _pivot_cones,
     _primitive,
     visibility_polygon,
@@ -185,7 +186,7 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     prev = _cascade(P, q, edges, depth - 1)
     if len(prev.regions) < depth - 1:
         return prev  # stopped before depth - 1
-    if prev.vp.polygon.area + prev.added.area == P.area:
+    if prev.vp.area + prev.added.area == P.area:
         return prev  # saturated: nothing further to light
     records = list(prev.records)
     if depth > 1:
@@ -199,14 +200,13 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     # of s that ends toward s.a at s.a or on a tangent through a reflex
     # vertex left of e: the half-turn fan of s.a and those cones
     pts = P._int_ring()[1]
-    frame = cache(lambda p: _Frame(P, p))
     fans: list[Region] = []
     for part in [x for x in records if x.bounce_depth == depth - 1]:
         a, b = pts[part.edge], pts[(part.edge + 1) % P.n]
         d = _primitive(b[0] - a[0], b[1] - a[1])
-        pivots = [frame(P.vertices[i]) for i in P.reflex_indices() if _turn(a, b, pts[i]) > 0]
+        pivots = [_frame(P, i) for i in P.reflex_indices() if _turn(a, b, pts[i]) > 0]
         for s in part.subsegments:
-            fans.append(_cone(frame(s.a), d, (-d[0], -d[1])))
+            fans.append(_cone(_frame(P, s.a), d, (-d[0], -d[1])))
             fans += [_pivot_cones(f, s.a, s.b) for f in pivots]
     dr = region_union_all(fans)
     if dr.is_empty:  # the cascade stops here
@@ -263,24 +263,17 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
 
     # unfold the source across the mirror line to q2 and split the wedge
     # from q2 through each lit part at the vertex directions: each sub-wedge
-    # meets one edge beyond the mirror, which closes its quad. A lit part
-    # runs along e, and q2 lies right of e, so its directions turn clockwise
-    frame = _Frame(P, reflect_point_across_line(q, a, b))
-    pieces: list[SimplePolygon] = []
+    # meets one edge beyond the mirror, which closes its quad, and the quads
+    # of a part are one ring from the mirror, a fan cut off by its line. A lit
+    # part runs along e, and q2 lies right of e, so its directions turn
+    # counterclockwise from its end to its start
+    frame = _frame(P, reflect_point_across_line(q, a, b))
+    runs = []
     for sigma in vis:
         da, db = (_primitive(*frame.local(w)[:2]) for w in (sigma.a, sigma.b))
-        dirs = [da, *reversed(frame.between(db, da)), db]
-        for d0, d1 in zip(dirs, dirs[1:]):
-            far_edge = frame.first_hit(d0[0] + d1[0], d0[1] + d1[1], beyond=e)
-            if far_edge is not None:
-                pieces.append(SimplePolygon.unchecked([frame.ray_point(d0, e), frame.ray_point(d1, e),
-                                                       frame.ray_point(d1, far_edge),
-                                                       frame.ray_point(d0, far_edge)]))
-    if not pieces:
-        added = Region.empty()
-    else:
-        added = region_difference(Region(pieces), vp.region)
-        _check_bits(added, "specular bounce", added._bits_bound())
+        runs += _lit(frame, db, da, beyond=e)
+    added = region_difference(_fan(frame, runs, near=e), vp.region)
+    _check_bits(added, "specular bounce", added._bits_bound())
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 
 

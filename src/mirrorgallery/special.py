@@ -231,7 +231,7 @@ def wvp_three_reflection_cover(
     spec = ReflectionSpec(frozenset({chord, edge_au}), ReflectionKind.DIFFUSE, 3)
     for q in region_interior_points(Region.of(P), samples):
         ev = diffuse_extend(P, q, spec)
-        if ev.direct.polygon.area + ev.added.area != P.area:
+        if ev.direct.area + ev.added.area != P.area:
             raise CertificationFailed(
                 f"three-bounce cover misses area for query point {q!r}"
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geom import Point, Region, Segment, SimplePolygon, bbox_pad, merge_region
+from .geom import Point, Region, Segment, SimplePolygon, merge_region
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -38,7 +38,8 @@ def fmt_decimal(x: Fraction, sig: int = 12) -> str:
 
 class SvgCanvas:
     def __init__(self, bbox, scale: int = 64):
-        xmin, ymin, xmax, ymax = bbox_pad(bbox, max((bbox[2] - bbox[0]) / 20, Fraction(1, 2)))
+        pad = max((bbox[2] - bbox[0]) / 20, Fraction(1, 2))
+        xmin, ymin, xmax, ymax = bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad
         self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
         self.scale = scale
         self.body: list[str] = []

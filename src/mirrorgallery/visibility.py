@@ -7,8 +7,10 @@ fan of wedge hits. The sweep works in integers: the polygon keeps one
 copy of its ring scaled by its least common denominator, and a frame
 translates it to the source, rescaled only when the source has a
 denominator the scale lacks. The first-hit scan compares cross-multiplied
-integer determinants, and each ring point is an integer ray cast; only the
-ring's vertices become `Point`s.
+integer determinants, and each ring point is an integer ray cast. Frames are
+built only here (`_frame`): a vertex's once per polygon, kept on it, and every
+frame keeps the wedge answers it gave, so a reflex vertex answers each
+sub-wedge once per polygon, not once per cascade.
 
 A wedge is lit when its mid direction leaves the source into the
 polygon. That is a constant-time test at the source: always from the
@@ -16,25 +18,22 @@ interior, left of the host edge from inside an edge, and inside the
 interior angle from a vertex. The mid direction passes through no vertex,
 so the open sight segment lies wholly inside or wholly outside.
 
-Each ring edge is labelled with the host edge it lies on, or -1 along a
-sight ray, by ring index, so the lit parts of an edge not collinear with
-the source are read off the ring, and the VP is a region whose net
-boundary comes from the labels and the integer ring once, as a fan's does.
-
 Weak visibility from a segment s is the union of the visibility polygons
 of its endpoints and reflex vertices inside it and, for every reflex vertex
 v off its line, the pivot cones of sight lines from s through v. One sweep
-from v over the directions toward s finds the sub-wedges across which v sees s and blocks the view toward
-one end; each maximal run of them is swept again beyond v. A diffuse
-bounce takes the half-turn fan and the cones of one end only (`reflect`).
-A fan gives the sweep its net boundary in integers, so a union of fans
-builds no `Point` and no polygon.
+from v over the directions toward s finds the sub-wedges across which v
+sees s and blocks the view toward one end; each maximal run of them is
+swept again beyond v. A diffuse bounce takes the half-turn fan and the
+cones of one end only (`reflect`). A fan gives the sweep its net boundary
+in integers, so a union of fans builds no `Point` and no polygon.
 
-The windows of a visibility polygon are computed on first access and kept
-on it. `visibility_polygon` keeps its last 256 results per polygon on the
-polygon (`geom.memo_per_polygon`), so they die with it.
+A visibility polygon keeps its integer ring, each edge labelled with the
+host edge it lies on, or -1 along a sight ray: the lit parts of an edge not
+collinear with the source, its area and, as a fan's, its net boundary are
+read off it, and its polygon and windows are built on first read. The last
+256 results of `visibility_polygon` per polygon are kept on the polygon
+(`geom.memo_per_polygon`), so they die with it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -61,20 +60,32 @@ from .geom import (
 
 @dataclass(frozen=True)
 class VisibilityPolygon:
-    polygon: SimplePolygon
     source: Point
     # the vertices of the polygon it was computed in, shared with it: a
     # reference to the polygon itself would make every memoized VP a cycle
     host_vertices: tuple[Point, ...]
+    # the ring, counterclockwise, as integer points (x, y, w) for (x/w, y/w), w > 0
+    ring: tuple[tuple[int, int, int], ...]
     # per ring edge k (vertex k to k + 1): the host edge it lies on, -1 along a sight ray
     edge_hosts: tuple[int, ...]
-    # the polygon as a region, with its net boundary from the integer ring, for the sweeps
+    # the ring as a region: its net boundary and area from the integer ring, its one part built when read
     region: Region = field(compare=False, repr=False)
+
+    @property
+    def polygon(self) -> SimplePolygon:
+        """The ring as a polygon, built on first read: the region's one part."""
+        return self.region.parts[0]
+
+    @property
+    def area(self) -> Fraction:
+        return self.region.area
 
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
-        vs, hv = self.polygon.vertices, self.host_vertices
-        parts = [Segment(vs[k], vs[(k + 1) % len(vs)]) for k, h in enumerate(self.edge_hosts) if h == e]
+        ring, hv = self.ring, self.host_vertices
+        point = (lambda p: Point(Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+        parts = [Segment(point(ring[k]), point(ring[(k + 1) % len(ring)]))
+                 for k, h in enumerate(self.edge_hosts) if h == e]
         return sorted(parts, key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
     @cached_property
@@ -96,23 +107,6 @@ def _primitive(x: int, y: int) -> tuple[int, int]:
     return (x // g, y // g)
 
 
-def _dir_half(d: tuple[int, int]) -> int:
-    x, y = d
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _dir_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
-    h1, h2 = _dir_half(d1), _dir_half(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cr = d1[0] * d2[1] - d1[1] * d2[0]
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
-    return 0
-
-
 class _Frame:
     """A polygon seen from an origin o, in integer coordinates.
 
@@ -121,13 +115,16 @@ class _Frame:
     scale, so rays from o are tested with integer determinants; `ox, oy`
     is o on that scale. Also records which directions leave o into the polygon:
     those strictly left of all of `sides` (`convex`) or of any of them;
-    `inside` is False when o is outside the polygon.
+    `inside` is False when o is outside the polygon. It keeps the answers of `first_hit`
+    and `between` by their arguments: a frame kept on its polygon answers each once.
     """
 
-    __slots__ = ("origin", "ox", "oy", "scale", "host", "dirs", "edges", "sides", "convex", "inside")
+    __slots__ = ("origin", "ox", "oy", "scale", "host", "dirs", "edges", "sides", "convex", "inside",
+                 "_hits", "_between")
 
     def __init__(self, P: SimplePolygon, o: Point):
         self.origin = o
+        self._hits, self._between = {}, {}
         self.host = P._int_ring()  # unscaled, for the lines of its edges
         (scale, pts), xd, yd = self.host, o.x.denominator, o.y.denominator
         m = lcm(scale, xd, yd) // scale
@@ -161,9 +158,11 @@ class _Frame:
 
     def between(self, lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
         """Vertex directions strictly between lo and hi (at most a half turn), counterclockwise."""
-        inner = {d for d in self.dirs
-                 if lo[0] * d[1] - lo[1] * d[0] > 0 and d[0] * hi[1] - d[1] * hi[0] > 0}
-        return sorted(inner, key=cmp_to_key(lambda a, b: b[0] * a[1] - b[1] * a[0]))
+        if (lo, hi) not in self._between:
+            inner = {d for d in self.dirs
+                     if lo[0] * d[1] - lo[1] * d[0] > 0 and d[0] * hi[1] - d[1] * hi[0] > 0}
+            self._between[lo, hi] = sorted(inner, key=cmp_to_key(lambda a, b: b[0] * a[1] - b[1] * a[0]))
+        return self._between[lo, hi]
 
     def hit(self, mx: int, my: int) -> int | None:
         """Nearest edge along the ray in direction (mx, my); None if the ray leaves o outward."""
@@ -178,6 +177,9 @@ class _Frame:
         With `beyond`, only crossings past edge `beyond` count. The ray must
         pass through no vertex, so every crossing is proper.
         """
+        key = (mx, my, beyond)
+        if key in self._hits:
+            return self._hits[key]
         lo_n, lo_d = 0, 1
         if beyond is not None:
             _, _, ex, ey, lo_n = self.edges[beyond]
@@ -196,6 +198,7 @@ class _Frame:
                 continue
             if best is None or tn * best_d < best_n * den:
                 best, best_n, best_d = i, tn, den
+        self._hits[key] = best
         return best
 
     def ray_at(self, d: tuple[int, int], i: int) -> tuple[int, int, int]:
@@ -206,11 +209,6 @@ class _Frame:
         if den < 0:
             den, tn = -den, -tn
         return self.ox * den + d[0] * tn, self.oy * den + d[1] * tn, den * self.scale
-
-    def ray_point(self, d: tuple[int, int], i: int) -> Point:
-        """Where the ray from o in direction d meets the line of edge i."""
-        x, y, w = self.ray_at(d, i)
-        return Point(Fraction(x, w), Fraction(y, w))
 
     def line(self, i: int) -> tuple[int, int, int]:
         """The line A*x + B*y = C of edge i, from the polygon's integer ring."""
@@ -223,8 +221,9 @@ class _Frame:
         d = d if d > (0, 0) else (-d[0], -d[1])
         return d[1] * self.scale, -d[0] * self.scale, d[1] * self.ox - d[0] * self.oy
 
-    def arc(self, da: tuple[int, int], db: tuple[int, int]) -> int | None:
-        """Nearest edge of the wedge from da counterclockwise to db; None if dark."""
+    def arc(self, da: tuple[int, int], db: tuple[int, int], beyond: int | None = None) -> int | None:
+        """Nearest edge of the wedge from da counterclockwise to db; None if dark. With
+        `beyond`, the nearest past that edge, lit or not (`first_hit`)."""
         cr = da[0] * db[1] - da[1] * db[0]
         if cr > 0:
             mx, my = da[0] + db[0], da[1] + db[1]
@@ -234,7 +233,23 @@ class _Frame:
             mx, my = -da[0] - db[0], -da[1] - db[1]
         else:
             mx, my = -da[1], da[0]  # opposite directions: bisect with a quarter turn
-        return self.hit(mx, my)
+        return self.hit(mx, my) if beyond is None else self.first_hit(mx, my, beyond)
+
+
+def _frame(P: SimplePolygon, o: Point | int) -> _Frame:
+    """The frame of P from o, a point or a vertex index: a vertex's is built on first use and
+    kept on P by vertex index (`SimplePolygon._frames`), with its answers; another point's anew."""
+    if isinstance(o, Point):
+        scale, pts = P._int_ring()
+        xd, yd = o.x.denominator, o.y.denominator
+        at = None if scale % xd or scale % yd else (o.x.numerator * (scale // xd), o.y.numerator * (scale // yd))
+        if at not in pts:
+            return _Frame(P, o)
+        o = pts.index(at)
+    frames = P._frames = P._frames or {}
+    if o not in frames:
+        frames[o] = _Frame(P, P.vertices[o])
+    return frames[o]
 
 
 def _same(p: tuple[int, int, int], q: tuple[int, int, int]) -> bool:
@@ -242,13 +257,20 @@ def _same(p: tuple[int, int, int], q: tuple[int, int, int]) -> bool:
     return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
 
 
+def _det3(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
+    """The determinant of three points (x, y, w) as rows: zero when they are collinear."""
+    return p[0] * (q[1] * r[2] - q[2] * r[1]) - p[1] * (q[0] * r[2] - q[2] * r[0]) + p[2] * (q[0] * r[1] - q[1] * r[0])
+
+
 @memo_per_polygon
 def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     """All points of the closed polygon visible from q, as a star-shaped ring."""
-    f = _Frame(P, q)
+    f = _frame(P, q)
     if not f.inside:
         raise QueryOutsidePolygon(f"{q!r} is outside the polygon")
-    dirs = sorted(f.dirs, key=cmp_to_key(_dir_cmp))
+    # the vertex directions counterclockwise from (1, 0), a half turn at a time
+    dirs = [d for half in ([(1, 0)], f.between((1, 0), (-1, 0)), [(-1, 0)], f.between((-1, 0), (1, 0)))
+            for d in half if d in f.dirs]
     o = (f.ox, f.oy, f.scale)
     ring: list[tuple[int, int, int]] = []  # as `_Frame.ray_at` gives them
     into: list[int] = []  # host edge of the ring edge ending at ring[k]
@@ -268,32 +290,36 @@ def visibility_polygon(P: SimplePolygon, q: Point) -> VisibilityPolygon:
     # no arc lies on a line through q, and no two host edges on a line meet
     n = len(ring)
     keep = [k for k in range(n) if not (into[k] == into[(k + 1) % n] >= 0 or (ring[k] is o and len(f.sides) == 1))]
-    polygon = SimplePolygon.unchecked([Point(Fraction(x, w), Fraction(y, w)) for x, y, w in (ring[k] for k in keep)])
-    if polygon.n != len(keep):
+    pts = tuple(ring[k] for k in keep)
+    if any(_det3(pts[k - 1], p, pts[(k + 1) % len(pts)]) == 0 for k, p in enumerate(pts)):
         raise InvariantViolated(f"the visibility ring from {q!r} has a straight vertex left")
     # the side from a kept point to the next lies on the line of the ring edge out of it
     sides = [(lines[(k + 1) % n], ring[k], ring[m]) for k, m in zip(keep, keep[1:] + keep[:1])]
-    return VisibilityPolygon(polygon, q, P.vertices, tuple(into[(k + 1) % n] for k in keep),
-                             Region._from_rings([], sides, (polygon,)))
+    return VisibilityPolygon(q, P.vertices, pts, tuple(into[(k + 1) % n] for k in keep),
+                             Region._from_rings([pts], sides))
 
 
-def _lit(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[list[tuple]]:
+def _lit(f: _Frame, lo: tuple[int, int], hi: tuple[int, int], beyond: int | None = None) -> list[list[tuple]]:
     """The maximal runs of lit sub-wedges (da, db, nearest edge) from direction lo
-    counterclockwise to hi, at most a half turn."""
+    counterclockwise to hi, at most a half turn; with `beyond`, the nearest edge past
+    that edge, lit or not (`_Frame.arc`)."""
     dirs = [lo, *f.between(lo, hi), hi]
-    wedges = [(da, db, f.arc(da, db)) for da, db in zip(dirs, dirs[1:])]
+    wedges = [(da, db, f.arc(da, db, beyond)) for da, db in zip(dirs, dirs[1:])]
     return [list(run) for lit, run in groupby(wedges, key=lambda w: w[2] is not None) if lit]
 
 
-def _fan(f: _Frame, runs: list[list[tuple]]) -> Region:
+def _fan(f: _Frame, runs: list[list[tuple]], near: int | None = None) -> Region:
     """The region seen from the frame's origin across runs of lit sub-wedges, a ring
     each, with its net boundary in integers (`Region._from_rings`): an arc lies on its
     edge's line, a side along a sight ray on the ray's line. Arcs on one edge join,
-    and so do the opposite rays of a half-turn fan at its origin."""
+    and so do the opposite rays of a half-turn fan at its origin. With edge `near`, a
+    ring is cut off by that edge's line, from the run's last ray to its first, not at o."""
     o = (f.ox, f.oy, f.scale)
     rings, sides = [], []  # a side is [line, from, to]
     for run in runs:
-        ring, lines = [o], []  # lines[k]: the line from ring[k] to the next point
+        # lines[k]: the line from ring[k] to the next point
+        ring, lines = ([o], []) if near is None else \
+            ([f.ray_at(run[-1][1], near), f.ray_at(run[0][0], near)], [f.line(near)])
         for da, db, i in run:
             for p, line in ((f.ray_at(da, i), f.ray_line(da)), (f.ray_at(db, i), f.line(i))):
                 if not _same(p, ring[-1]):
@@ -365,7 +391,7 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     pieces = [visibility_polygon(P, p).region for p in (s.a, s.b)]
     for v in (P.vertices[i] for i in P.reflex_indices()):
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
-            f = _Frame(P, v)
+            f = _frame(P, v)
             pieces += [_pivot_cones(f, s.a, s.b), _pivot_cones(f, s.b, s.a)]
         elif v not in (s.a, s.b) and s.contains_point(v):
             pieces.append(visibility_polygon(P, v).region)

@@ -14,7 +14,7 @@ import pytest
 from mirrorgallery.geom import Point, Region, SimplePolygon
 from mirrorgallery.special import detect_funnel
 
-from oracles import region_sample_points
+from oracles import dir_cmp, region_sample_points
 
 
 def lshape() -> SimplePolygon:
@@ -64,10 +64,9 @@ def radial_polygon(rng: random.Random, n: int = 8, rmax: int = 8) -> SimplePolyg
 
             g = gcd(abs(dx), abs(dy))
             dirs.add((dx // g, dy // g))
-        from mirrorgallery.visibility import _dir_cmp
         from functools import cmp_to_key
 
-        ordered = sorted(dirs, key=cmp_to_key(_dir_cmp))
+        ordered = sorted(dirs, key=cmp_to_key(dir_cmp))
         pts = []
         for dx, dy in ordered:
             r = Fraction(rng.randint(2, rmax), rng.randint(1, 2))
@@ -82,8 +81,6 @@ def _angle_sorted_steps(rng: random.Random, count: int, increasing: bool):
     """Random integer step vectors with strictly sorted direction angles."""
     from functools import cmp_to_key
 
-    from mirrorgallery.visibility import _dir_cmp
-
     dirs = set()
     while len(dirs) < count:
         dx = rng.randint(-4, 4)
@@ -94,7 +91,7 @@ def _angle_sorted_steps(rng: random.Random, count: int, increasing: bool):
 
         g = gcd(abs(dx), abs(dy))
         dirs.add((dx // g, dy // g))
-    ordered = sorted(dirs, key=cmp_to_key(_dir_cmp))
+    ordered = sorted(dirs, key=cmp_to_key(dir_cmp))
     if not increasing:
         ordered.reverse()
     steps = []

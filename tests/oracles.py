@@ -27,11 +27,14 @@ The frame reference scales the origin and the vertices per frame, as
 `visibility._Frame` did before the polygon kept its integer ring, and
 builds ray points as the origin plus `Fraction` offsets, which its
 integer ray casts (`ray_at`, what the rings and fans read) are taken from.
+The frame answer references scan every edge, or every vertex, in
+`Fraction`s for a ray's first crossing, its lit test and the vertex
+directions inside a wedge, which a frame keeps once it has answered.
 
 The fan references build `visibility._cone` and `visibility._pivot_cones`
 as they were before fans gave the sweep their edges in integers: one
 `SimplePolygon` per run of lit sub-wedges, its ring of `Point`s through
-`_Frame.ray_point`. `edge_ends` reads an integer net boundary edge back as
+`ray_point`. `edge_ends` reads an integer net boundary edge back as
 the side of `geom._net_runs` it stands for.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
@@ -44,9 +47,9 @@ The funnel mirror reference unions the VP and the added regions of every
 candidate subset, one boolean per subset, where the library reads the
 subsets' areas off one class sweep.
 
-The test aids at the end sample random points of a region, check that a
-region's parts are pairwise disjoint, and take a direction's primitive
-integer vector and a segment's midpoint.
+The test aids at the end order directions by angle, sample random points
+of a region, check that a region's parts are pairwise disjoint, and take a
+direction's primitive integer vector and a segment's midpoint.
 """
 
 from __future__ import annotations
@@ -262,6 +265,53 @@ class FrameReference(_Frame):
         return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
 
 
+def first_hit_reference(P: SimplePolygon, o: Point, m: tuple[int, int], beyond: int | None = None) -> int | None:
+    """The edge of P that the open ray o + t*m, t > 0, crosses first, by a `Fraction`
+    scan of every edge; with `beyond`, the first crossing past the point where the
+    ray meets that edge's line. The ray must pass through no vertex."""
+    d, lo = Point(*m), Fraction(0)
+    if beyond is not None:
+        e = P.edge(beyond)
+        lo = (e.a - o).cross(e.direction) / d.cross(e.direction)
+    best, best_t = None, None
+    for i, e in enumerate(P.edges()):
+        den = d.cross(e.direction)
+        if den == 0:
+            continue
+        w = e.a - o
+        t, s = w.cross(e.direction) / den, w.cross(d) / den
+        if t > lo and 0 <= s <= 1 and (best is None or t < best_t):
+            best, best_t = i, t
+    return best
+
+
+def hit_reference(P: SimplePolygon, o: Point, m: tuple[int, int]) -> int | None:
+    """`first_hit_reference` from o in the closed polygon, or None where the ray leaves
+    o outward: where the midpoint of o and the first crossing lies outside P."""
+    i = first_hit_reference(P, o, m)
+    if i is None:
+        return None
+    e, d = P.edge(i), Point(*m)
+    t = (e.a - o).cross(e.direction) / d.cross(e.direction)
+    return i if P.contains(o + d * (t / 2)) is not PointLocation.EXTERIOR else None
+
+
+def between_reference(P: SimplePolygon, o: Point, lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
+    """The primitive directions from o to the vertices of P strictly between lo and hi, at
+    most a half turn apart, counterclockwise: by the cotangent of their angle from lo."""
+    lo_p, hi_p = Point(*lo), Point(*hi)
+    dirs = {primitive_direction(v - o) for v in P.vertices if v != o}
+    inner = [d for d in dirs if lo_p.cross(Point(*d)) > 0 and Point(*d).cross(hi_p) > 0]
+    return sorted(inner, key=lambda d: -Fraction(lo_p.dot(Point(*d)), lo_p.cross(Point(*d))))
+
+
+def ray_point(f: _Frame, d: tuple[int, int], i: int) -> Point:
+    """Where the ray from the frame's origin in direction d meets the line of edge i:
+    the frame's integer ray cast (`_Frame.ray_at`) as a `Point`."""
+    x, y, w = f.ray_at(d, i)
+    return Point(Fraction(x, w), Fraction(y, w))
+
+
 def cone_reference(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:
     """`visibility._cone` as polygons: the part of VP(origin) between directions lo
     and hi (at most a half turn), one polygon per maximal run of lit sub-wedges."""
@@ -271,7 +321,7 @@ def cone_reference(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[
     for da, db in zip(dirs, dirs[1:]):
         i = f.arc(da, db)
         if i is not None:
-            arc = [f.ray_point(da, i), f.ray_point(db, i)]
+            arc = [ray_point(f, da, i), ray_point(f, db, i)]
             ring += arc if arc[0] != ring[-1] else arc[1:]
         elif len(ring) > 1:
             parts.append(SimplePolygon.unchecked(ring))
@@ -368,8 +418,8 @@ def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:
             far_edge = frame.first_hit(*primitive_direction(wm - q2), beyond=e)
             if far_edge is None:
                 continue
-            x0 = frame.ray_point(primitive_direction(w0 - q2), far_edge)
-            x1 = frame.ray_point(primitive_direction(w1 - q2), far_edge)
+            x0 = ray_point(frame, primitive_direction(w0 - q2), far_edge)
+            x1 = ray_point(frame, primitive_direction(w1 - q2), far_edge)
             ring = [w0, w1, x1, x0]
             if _shoelace2(*_integer_ring(ring)) < 0:
                 ring.reverse()
@@ -501,6 +551,15 @@ def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -
                 extra = region_union_all([added[e] for e in subset]).area
                 return MirrorChoice(frozenset(subset), extra, False)
     return MirrorChoice(frozenset(), Fraction(0), False)
+
+
+def dir_cmp(d1, d2) -> int:
+    """Angular order of two nonzero directions counterclockwise from (1, 0): -1, 0 or 1."""
+    h1, h2 = (0 if (y > 0 or (y == 0 and x > 0)) else 1 for x, y in (d1, d2))
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cr = d1[0] * d2[1] - d1[1] * d2[0]
+    return -1 if cr > 0 else 1 if cr < 0 else 0
 
 
 def primitive_direction(d: Point) -> tuple[int, int]:

@@ -34,11 +34,12 @@ from mirrorgallery.geom import (
     sides_along,
     subtract_intervals,
 )
-from mirrorgallery.visibility import _cone, _dir_cmp, _Frame, visibility_polygon
+from mirrorgallery.visibility import _cone, _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
 from oracles import (
     contains_reference,
+    dir_cmp,
     edge_ends,
     halfplane_rect,
     midpoint,
@@ -436,9 +437,9 @@ class TestIntegerSweep:
         shared = classes([a, a])
         one_line = []
         for region in shared.values():
-            xs, runs = region._runs
+            (xs, runs), x = region._runs, lambda k: F(*xs[k])  # slab ends as (numerator, denominator)
             one_line += [all((bottom.C - bottom.A * x) / bottom.B == (top.C - top.A * x) / top.B
-                             for x in (xs[k], xs[k + 1])) for k, bottom, top in runs]
+                             for x in (x(k), x(k + 1))) for k, bottom, top in runs]
         assert one_line and not any(one_line)
         assert list(shared) == [frozenset({0, 1})]
         assert shared[frozenset({0, 1})].area == a.area
@@ -469,6 +470,7 @@ class TestIntegerSweep:
 
         def traced(active, xl, xr):
             scale, got = rows(active, xl, xr)
+            xl, xr = F(*xl), F(*xr)  # the slab ends come as reduced (numerator, denominator) pairs
             xm = (xl + xr) / 2
             # each row key is the edge's height at the midline times the scale
             seen.append([s for *_, s in got] == slab_rows_reference(active, xl, xr)
@@ -523,10 +525,10 @@ class TestIntegerSweep:
         for r in swept:
             if r.is_empty:
                 continue
-            xs = r._runs[0]
-            assert xs == sorted(set(xs))
+            xs = [F(n, d) for n, d in r._runs[0]]  # slab ends as reduced (numerator, denominator)
+            assert r._runs[0] == [(x.numerator, x.denominator) for x in xs] and xs == sorted(set(xs))
             assert r.area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))
-        assert ends <= set(swept[0]._runs[0])
+        assert ends <= {F(n, d) for n, d in swept[0]._runs[0]}
 
     @settings(max_examples=60, deadline=None)
     @example(a=Region.of(UNIT), b=Region.of(rect(1, 0, 2, 1)), dx=0, parts=1)  # touch at a window end
@@ -619,7 +621,7 @@ def rings(draw):
     if draw(st.booleans()):
         c = Point(sum((p.x for p in ring), F(0)) / len(ring), sum((p.y for p in ring), F(0)) / len(ring))
         assume(c not in ring)
-        ring.sort(key=cmp_to_key(lambda a, b: _dir_cmp(((a - c).x, (a - c).y), ((b - c).x, (b - c).y))))
+        ring.sort(key=cmp_to_key(lambda a, b: dir_cmp(((a - c).x, (a - c).y), ((b - c).x, (b - c).y))))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(ring) - 1))
         a, b = ring[i], ring[(i + 1) % len(ring)]

@@ -118,6 +118,20 @@ class TestDecompose:
 
 
 class TestLazyCells:
+    def test_decompose_builds_no_visibility_polygon(self, monkeypatch):
+        # at r = 0 every guard's region is its VP, swept from its integer ring:
+        # no polygon is built, neither a VP's nor a cell
+        polys = [comb(3), histogram_polygon(random.Random(11), 5), radial_polygon(random.Random(13), 9)]
+        built = []
+        init = SimplePolygon.__init__
+        monkeypatch.setattr(SimplePolygon, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        for P in polys:
+            assert decompose(P, 0).cells
+            vps = [visibility_polygon(P, v) for v in P.vertices]  # the memoized ones
+            assert all(vp.area > 0 for vp in vps)
+        assert built == []
+        assert [vp.polygon.n for vp in vps] and len(built) == len(vps)  # the count sees a polygon once read
+
     def test_greedy_builds_no_cells(self, monkeypatch):
         # coverage classes read areas and signatures off the sweep's runs
         built = []

@@ -34,8 +34,8 @@ from mirrorgallery.reflect import (
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import (FrameReference, diffuse_added_reference, region_sample_points, segment_parts_inside,
-                     specular_added_reference, validate_disjoint)
+from oracles import (FrameReference, diffuse_added_reference, ray_point, region_sample_points,
+                     segment_parts_inside, specular_added_reference, validate_disjoint)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -271,7 +271,7 @@ class TestIntegerFrames:
                 for d in f.dirs:
                     for i, (_, _, ex, ey, _) in enumerate(f.edges):
                         if d[0] * ey - d[1] * ex:
-                            assert f.ray_point(d, i) == ref.ray_point(d, i)
+                            assert ray_point(f, d, i) == ref.ray_point(d, i)
                 for v in (*P.vertices, q):
                     (x, y, w), (rx, ry, rw) = f.local(v), ref.local(v)
                     assert (F(x, w), F(y, w)) == (F(rx, rw), F(ry, rw))
@@ -293,8 +293,7 @@ class TestIntegerFrames:
         for P, q in self._cases():
             got = run(SimplePolygon(P.vertices), q)
             with monkeypatch.context() as m:
-                m.setattr(visibility, "_Frame", FrameReference)
-                m.setattr(reflect, "_Frame", FrameReference)
+                m.setattr(visibility, "_Frame", FrameReference)  # every frame is built in `visibility`
                 assert got == run(SimplePolygon(P.vertices), q), (P, q)
             for r in (1, 2, 3):
                 records = diffuse_added_reference(P, q, range(P.n), r)[1]
@@ -401,6 +400,8 @@ class TestSpecularReference:
                         continue
                     added = specular_extend_single(P, q, e).added
                     assert self._cells(added) == self._cells(specular_added_reference(P, q, e)), (P, q, e)
+                    # the bound the bit cap reads is one on the cells' bits
+                    assert added._bits_bound() >= added.max_coordinate_bits(), (P, q, e)
                     compared += 1
                     nonempty += not added.is_empty
         assert nonempty > 20 and compared > 4 * nonempty / 3

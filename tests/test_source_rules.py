@@ -10,7 +10,10 @@ modules on the exact computation path hold no float literal and call no
 cells through `Region.parts`, and hands the sweep a region, not edges.
 Only `geom` calls `segment_intersection` or `segment_breakpoints`: every
 other module asks its exact questions of boundaries, rings and frames,
-with no `Fraction` segment splitting.
+with no `Fraction` segment splitting. Only `visibility` builds a frame
+(`_Frame(`), so every frame of a polygon vertex is the one kept on the
+polygon, and `reflect` constructs no `SimplePolygon`: its regions are
+integer rings and sweeps, built into polygons only when read.
 """
 
 import ast
@@ -131,3 +134,47 @@ def test_the_call_walk_finds_each_kind():
               "inside = segment_parts_inside(s, parts)\n")
     assert _calls(source, "probe.py", SEGMENT_SPLITTERS) == ["probe.py:2: segment_intersection",
                                                              "probe.py:3: segment_breakpoints"]
+
+
+def test_only_visibility_builds_frames():
+    assert [v for path in SOURCES if path.name != "visibility.py"
+            for v in _calls(path.read_text(), path.name, {"_Frame"})] == []
+
+
+def test_the_frame_walk_finds_each_kind():
+    source = ("from .visibility import _Frame, _frame\n"
+              "f = _Frame(P, o)\n"
+              "g = visibility._Frame(P, o)\n"
+              "h = _frame(P, o)\n"
+              "cls = _Frame\n")
+    assert _calls(source, "probe.py", {"_Frame"}) == ["probe.py:2: _Frame", "probe.py:3: _Frame"]
+
+
+def _constructs(source: str, name: str, cls: str) -> list[str]:
+    # calls of the class, plain or through a module, and of its classmethods
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            owner = func.value if isinstance(func, ast.Attribute) else None
+            if any(isinstance(n, ast.Name) and n.id == cls or isinstance(n, ast.Attribute) and n.attr == cls
+                   for n in (func, owner)):
+                out.append(f"{name}:{node.lineno}: {cls}")
+    return out
+
+
+def test_reflect_constructs_no_polygon():
+    path = next(p for p in SOURCES if p.name == "reflect.py")
+    assert _constructs(path.read_text(), path.name, "SimplePolygon") == []
+
+
+def test_the_construction_walk_finds_each_kind():
+    source = ("a = SimplePolygon(ring)\n"
+              "b = SimplePolygon.unchecked(ring)\n"
+              "c = geom.SimplePolygon._trusted(ring, area)\n"
+              "d = geom.SimplePolygon(ring)\n"
+              "e = isinstance(x, SimplePolygon)\n"
+              "f = Region.of(P)\n"
+              "def g(P: SimplePolygon) -> SimplePolygon:\n"
+              "    return P\n")
+    assert _constructs(source, "probe.py", "SimplePolygon") == [f"probe.py:{k}: SimplePolygon" for k in (1, 2, 3, 4)]

@@ -1,8 +1,10 @@
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction as F
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -26,12 +28,14 @@ from mirrorgallery.geom import (
     region_union_all,
     sees,
 )
-from mirrorgallery.visibility import (_cone, _Frame, _pivot_cones, visibility_polygon,
+from mirrorgallery.reflect import reflect_point_across_line
+from mirrorgallery.visibility import (_cone, _frame, _Frame, _pivot_cones, visibility_polygon,
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import (cone_reference, edge_ends, halfplane_rect, midpoint, pivot_cones_reference, primitive_direction,
-                     region_sample_points, segment_parts_inside, visibility_area_oracle)
+from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, first_hit_reference, halfplane_rect,
+                     hit_reference, midpoint, pivot_cones_reference, primitive_direction, region_sample_points,
+                     segment_parts_inside, shoelace2_reference, visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -116,6 +120,8 @@ class TestVisibilityPolygon:
             q = region_sample_points(Region.of(poly), rng, 1)[0]
             vp = visibility_polygon(poly, q)
             assert vp.polygon.area == visibility_area_oracle(poly, q)
+            # the area read off the integer ring is the polygon's shoelace area
+            assert vp.area == shoelace2_reference(list(vp.polygon.vertices)) / 2 == vp.polygon.area
 
     def test_oracle_equivalence_boundary_sources(self, rng):
         # from a vertex or from inside an edge, some wedges leave the polygon;
@@ -128,6 +134,7 @@ class TestVisibilityPolygon:
             for q in sources:
                 vp = visibility_polygon(poly, q)
                 assert vp.polygon.area == visibility_area_oracle(poly, q), (poly, q)
+                assert vp.area == shoelace2_reference(list(vp.polygon.vertices)) / 2 == vp.polygon.area, (poly, q)
 
     def test_raises_exactly_outside(self):
         # the sweep's own inside test stands in for SimplePolygon.contains
@@ -169,7 +176,9 @@ class TestVisibilityPolygon:
     def test_cache_is_bounded(self):
         # results live on their polygon: repeats are served, at most
         # MEMO_SIZE per polygon are kept, and they die with the polygon by
-        # reference counting alone: a VP keeps the polygon's vertices, not it
+        # reference counting alone: a VP keeps the polygon's vertices, not
+        # it, and so does a vertex's frame, kept on the polygon outside the
+        # memo, which its VP reads
         gc.disable()
         try:
             sq = SimplePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -181,9 +190,15 @@ class TestVisibilityPolygon:
             assert len(sq._memo) == MEMO_SIZE
             assert visibility_polygon(sq, q) is not first  # the oldest entry was dropped
             assert visibility_polygon(sq, q).host_vertices is sq.vertices
-            ref = weakref.ref(visibility_polygon(sq, q))
-            del sq, first
-            assert ref() is None
+            corner = visibility_polygon(sq, sq.vertices[2])
+            assert _frame(sq, sq.vertices[2]) is _frame(sq, 2) and list(sq._frames) == [2]
+            assert corner.area == F(1) and set(corner.polygon.vertices) == set(sq.vertices)
+            refs = [weakref.ref(visibility_polygon(sq, q)), weakref.ref(corner)]
+            frame = _frame(sq, 2)  # frames take no weak references: count the polygon's reference to it
+            held = sys.getrefcount(frame)
+            del sq, first, corner
+            assert [ref() for ref in refs] == [None, None]
+            assert sys.getrefcount(frame) == held - 1
         finally:
             gc.enable()
 
@@ -453,6 +468,64 @@ class TestFanEdges:
         assert built == Counter()
         assert fans[0].area == sum((p.area for p in fans[0].parts), F(0))
         assert built["Point"] > 0 and built["SimplePolygon"] == len(fans[0].parts)
+
+
+@st.composite
+def frame_draws(draw):
+    """A polygon, an origin, an edge and rays from the origin through no vertex: the
+    mid directions of neighbouring vertex directions and drawn ones. The origin is an
+    interior point, a vertex or a point inside the edge, or an interior point unfolded
+    across the edge's line, as a mirror source, which may lie outside the polygon."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    P = [lambda: histogram_polygon(rng, 5), lambda: radial_polygon(rng, 8), lambda: comb(3), lambda: lshape(),
+         lambda: random_funnel(rng, 3, 2).polygon][draw(st.integers(0, 4))]()
+    kind = draw(st.sampled_from(["interior", "vertex", "edge", "mirror"]))
+    e = draw(st.integers(0, P.n - 1))
+    edge = P.edge(e)
+    if kind == "vertex":
+        o = edge.a
+    elif kind == "edge":
+        o = edge.point_at(draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 7)])))
+    else:
+        o = interior_point(rng, P)
+        if kind == "mirror":
+            o = reflect_point_across_line(o, edge.a, edge.b)
+    dirs = sorted({primitive_direction(v - o) for v in P.vertices if v != o}, key=cmp_to_key(dir_cmp))
+    rays = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, dirs[1:] + dirs[:1]) if a[0] * b[1] - a[1] * b[0] > 0]
+    rays += [m for m in draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4))
+             if m != (0, 0) and not any(m[0] * d[1] == m[1] * d[0] and m[0] * d[0] + m[1] * d[1] > 0 for d in dirs)]
+    return P, o, kind, e, rays
+
+
+class TestFrameAnswers:
+    @settings(max_examples=60, deadline=None)
+    @given(draws=frame_draws())
+    def test_answers_match_the_edge_scan_when_asked_again(self, draws):
+        # a frame keeps what it answered, by its arguments, and a vertex's frame is
+        # kept on its polygon: asked twice, in turn with other questions, every
+        # answer must be the scan's
+        P, o, kind, e, rays = draws
+        f = _frame(P, o)
+        if kind == "vertex":
+            assert f is _frame(P, P.vertices.index(o)) is _frame(P, P.vertices[P.vertices.index(o)])
+        asked = []
+        for m in rays:
+            if kind != "mirror":
+                asked.append((lambda m=m: f.hit(*m), hit_reference(P, o, m)))
+            asked.append((lambda m=m: f.first_hit(*m), first_hit_reference(P, o, m)))
+            # past the drawn edge, as a mirror, and past one more edge, where the ray meets their lines ahead
+            for b in {e, (e + 2) % P.n}:
+                d, eb = Point(*m), P.edge(b)
+                if d.cross(eb.direction) and (eb.a - o).cross(eb.direction) / d.cross(eb.direction) > 0:
+                    asked.append((lambda m=m, b=b: f.first_hit(*m, beyond=b), first_hit_reference(P, o, m, b)))
+        for a, b in zip(rays, rays[1:] + rays[:1]):
+            for lo, hi in ((a, b), (b, a), (a, (-a[0], -a[1]))):
+                if lo[0] * hi[1] - lo[1] * hi[0] >= 0:
+                    asked.append((lambda lo=lo, hi=hi: f.between(lo, hi), between_reference(P, o, lo, hi)))
+        assert asked
+        for _ in range(2):
+            for ask, expected in asked:
+                assert ask() == expected, (P, o, kind, e)
 
 
 class TestWeakVisibility:
