@@ -360,9 +360,9 @@ class Region:
     later sweep reads the region's net boundary, kept on it, which a swept
     region joins from its runs' edges and a fan is given, with no polygon.
     `merge_region` glues cells into maximal polygons only where merged
-    rings are wanted: SVG output and the coordinate bit cap. Only a
-    boolean's input may have overlapping parts (the fans of a cascade
-    depth); it counts a point once per part covering it.
+    rings are wanted: SVG output and the coordinate bit cap. A region
+    counts a point once per part covering it, never negatively; only in
+    a boolean's input, such as a depth's stacked fans, do parts overlap.
     """
 
     __slots__ = ("_parts", "_runs", "_rings", "_area", "_locator", "_boundary")
@@ -372,13 +372,11 @@ class Region:
         self._runs = self._rings = self._area = self._locator = self._boundary = None
 
     @classmethod
-    def _deferred(cls, cells: Callable[[], tuple], area: Fraction, runs=None) -> "Region":
-        """A region of known area whose parts `cells()` builds on first read;
-        `runs` are the slab boundaries and runs of a sweep, when it made them."""
+    def _deferred(cls, cells: Callable[[], tuple], area: Fraction | None = None, runs=None, boundary=None) -> "Region":
+        """A nonempty region whose parts `cells()` builds on first read, with its area, the
+        slab boundaries and runs of the sweep that made it, and its net boundary, if known."""
         region = cls()
-        if area:
-            region._parts = cells
-        region._area, region._runs = area, runs
+        region._parts, region._area, region._runs, region._boundary = cells, area, runs, boundary
         return region
 
     @classmethod
@@ -751,14 +749,18 @@ def _joined(pieces: Iterable[tuple], order: Callable = sorted) -> list[tuple]:
     return runs
 
 
+def _stacked(regions: Sequence[Region], area: Fraction | None = None) -> Region:
+    """The regions as one, of the given area if known: their net boundaries netted per
+    line on integers, where opposite sides cancel, and their parts, built when first
+    read. It counts a point once per part covering it; no input's area or part is read."""
+    return Region._deferred(lambda: tuple(p for r in regions for p in r.parts), area,
+                            boundary=_netted(e for r in regions for e in r._net_boundary()))
+
+
 def region_join(regions: Sequence[Region]) -> Region:
-    """The union of regions with pairwise disjoint interiors, without a sweep: its
-    area is the sum of theirs, its net boundary their boundaries netted per line
-    on integers, and its parts theirs, in order, built when first read."""
-    joined = Region._deferred(lambda: tuple(p for r in regions for p in r.parts),
-                              sum((r.area for r in regions), Fraction(0)))
-    joined._boundary = _netted(e for r in regions for e in r._net_boundary())
-    return joined
+    """The union of regions with pairwise disjoint interiors, not all empty, without a
+    sweep: `_stacked` with the sum of their areas."""
+    return _stacked(regions, sum((r.area for r in regions), Fraction(0)))
 
 
 def merge_region(region: Region) -> Region:
@@ -812,17 +814,14 @@ def merge_region(region: Region) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def region_union(a: Region, b: Region) -> Region:
-    return region_union_all([a, b])
-
-
 def region_union_all(regions: Sequence[Region]) -> Region:
+    """The union of the regions in a sweep of one layer, `_stacked`. A region counts a
+    point a nonnegative number of times, so a point lies in one exactly where the sum of
+    their counts is positive; the sides adjacent fans share cancel before the sweep."""
     regions = [r for r in regions if not r.is_empty]
-    if not regions:
-        return Region.empty()
-    if len(regions) == 1:
-        return regions[0]
-    return overlay(regions, any)
+    if len(regions) <= 1:
+        return regions[0] if regions else Region.empty()
+    return overlay([_stacked(regions)], lambda c: c[0] > 0)
 
 
 def region_intersection(a: Region, b: Region) -> Region:
@@ -856,10 +855,8 @@ def _window(region: Region, lo: tuple[int, int], hi: tuple[int, int]) -> Region:
     """The region as a sweep input over the slabs between x = lo and x = hi only: its
     net boundary edges whose x-extent meets that range, the only ones active in those
     slabs, which are cut as the whole region's are. Its parts are the region's."""
-    view = Region()
-    view._parts = lambda: region.parts
-    view._boundary = [e for e in region._net_boundary() if e[3] * hi[1] < hi[0] * e[4] and e[5] * lo[1] > lo[0] * e[6]]
-    return view
+    return Region._deferred(lambda: region.parts, boundary=[
+        e for e in region._net_boundary() if e[3] * hi[1] < hi[0] * e[4] and e[5] * lo[1] > lo[0] * e[6]])
 
 
 # ---------------------------------------------------------------------------
@@ -890,22 +887,23 @@ def sides_along(regions: Sequence[Region], a: Point, b: Point) -> list[Segment]:
 
     A non-vertical ab reads the net boundary edges on its line that run its way. A
     vertical ab reads the sides at its x that run its way: the runs of a swept region
-    whose slab ends there on ab's left, and otherwise the sides of the parts. No
-    cell is built and no segment is intersected."""
+    whose slab ends there on ab's left, else the sides of its integer rings, or of its
+    parts'. No cell or polygon is built and no segment is intersected."""
     vertical = a.x == b.x
     sign = 1 if (a.y < b.y if vertical else a.x < b.x) else -1
     spans = []  # (lo, hi) in y on a vertical ab, in x otherwise
     if vertical:
-        x = a.x
+        x, xn, xd = a.x, a.x.numerator, a.x.denominator
         for region in regions:
             if region._runs is not None:
                 xs, runs = region._runs
                 spans += [((bottom.C - bottom.A * x) / bottom.B, (top.C - top.A * x) / top.B)
-                          for k, bottom, top in runs if xs[k + (sign > 0)] == (x.numerator, x.denominator)]
+                          for k, bottom, top in runs if xs[k + (sign > 0)] == (xn, xd)]
             else:
-                spans += [(min(u.y, v.y), max(u.y, v.y)) for part in region.parts
-                          for u, v in zip(part.vertices, part.vertices[1:] + part.vertices[:1])
-                          if u.x == v.x == x and (v.y - u.y) * sign > 0]
+                rings = region._rings or [[(*p, w) for p in pts] for w, pts in (q._int_ring() for q in region.parts)]
+                ys = [(Fraction(u[1], u[2]), Fraction(v[1], v[2])) for ring in rings for u, v in
+                      zip(ring, ring[1:] + ring[:1]) if u[0] * xd == xn * u[2] and v[0] * xd == xn * v[2]]
+                spans += [(min(y), max(y)) for y in ys if (y[1] - y[0]) * sign > 0]
         ends = (a.y, b.y)
     else:
         A, B, C = _int_line(a, b)

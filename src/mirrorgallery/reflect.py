@@ -3,10 +3,10 @@
 Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
 source re-emits into the inner half-plane of e as star-shaped fans (see
 `visibility`), which give the sweep their edges in integers and build no
-polygon; the fans of one depth are unioned in one sweep, and newly
-lit parts of other designated edges, read off the boundary of the VP and
-the added region so far (`geom.sides_along`), re-emit at the next depth,
-up to the bounce budget. Each depth is a step memoized on the polygon
+polygon; the fans of one depth are unioned as one netted layer in one sweep,
+and newly lit parts of other designated edges, read off the boundary of the
+VP and the added region so far (`geom.sides_along`), re-emit at the next
+depth, up to the bounce budget. Each depth is a step memoized on the polygon
 (`geom.memo_per_polygon`) that extends the memoized depth before it, so a
 call at budget r reuses what earlier calls from the same source over the
 same edges ran. A depth carries the added cells so far, from one sweep of

@@ -25,7 +25,7 @@ from v over the directions toward s finds the sub-wedges across which v
 sees s and blocks the view toward one end; each maximal run of them is
 swept again beyond v. A diffuse bounce takes the half-turn fan and the
 cones of one end only (`reflect`). A fan gives the sweep its net boundary
-in integers, so a union of fans builds no `Point` and no polygon.
+in integers, so a netted union of fans builds no `Point` or polygon.
 
 A visibility polygon keeps its integer ring, each edge labelled with the
 host edge it lies on, or -1 along a sight ray: the lit parts of an edge not

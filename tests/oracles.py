@@ -47,6 +47,10 @@ The funnel mirror reference unions the VP and the added regions of every
 candidate subset, one boolean per subset, where the library reads the
 subsets' areas off one class sweep.
 
+The union reference sweeps every region as a layer of its own and keeps
+the cells some layer covers, as `geom.region_union_all` did before it
+swept the regions' summed count as one netted layer.
+
 The test aids at the end order directions by angle, sample random points
 of a region, check that a region's parts are pairwise disjoint, and take a
 direction's primitive integer vector and a segment's midpoint.
@@ -74,7 +78,6 @@ from mirrorgallery.geom import (
     overlay,
     region_difference,
     region_intersection,
-    region_union_all,
     sees,
     segment_breakpoints,
     segment_intersection,
@@ -217,11 +220,11 @@ def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
         for e in sorted(newly):
             inner = Region.of(halfplane_rect(P.edge(e).a, P.edge(e).b, box))
             pieces += [region_intersection(weak_visibility_polygon(P, s), inner) for s in newly[e]]
-        dr = region_union_all(pieces)
+        dr = union_reference(pieces)
         if dr.is_empty:
             break
         depth_regions.append(dr)
-        covered = region_union_all([covered, dr])
+        covered = union_reference([covered, dr])
         if covered.area == P.area or depth == r:
             break
         newly = {}
@@ -236,7 +239,7 @@ def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
                 records.append((e, tuple(newly[e]), depth))
         if not newly:
             break
-    return region_difference(region_union_all(depth_regions), vp), tuple(records)
+    return region_difference(union_reference(depth_regions), vp), tuple(records)
 
 
 class FrameReference(_Frame):
@@ -534,23 +537,29 @@ def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -
     target = P.area
 
     def covered_area(subset) -> Fraction:
-        return region_union_all([vp_region] + [added[e] for e in subset]).area
+        return union_reference([vp_region] + [added[e] for e in subset]).area
 
     if vp_region.area == target:
         return MirrorChoice(frozenset(), Fraction(0), True)
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             if covered_area(subset) == target:
-                extra = region_union_all([added[e] for e in subset]).area
+                extra = union_reference([added[e] for e in subset]).area
                 return MirrorChoice(frozenset(subset), extra, True)
     best_subset = tuple(candidates)
     best_area = covered_area(best_subset)
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             if covered_area(subset) == best_area:
-                extra = region_union_all([added[e] for e in subset]).area
+                extra = union_reference([added[e] for e in subset]).area
                 return MirrorChoice(frozenset(subset), extra, False)
     return MirrorChoice(frozenset(), Fraction(0), False)
+
+
+def union_reference(regions) -> Region:
+    """The union of the regions in one sweep with a layer per region: a cell is
+    kept where the winding count of some layer is nonzero."""
+    return overlay(list(regions), any)
 
 
 def dir_cmp(d1, d2) -> int:

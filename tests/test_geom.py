@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mirrorgallery import geom
+from mirrorgallery import geom, reflect, visibility
 from mirrorgallery.errors import GeometryError, InvariantViolated
 from mirrorgallery.geom import (
     Orientation,
@@ -27,16 +27,16 @@ from mirrorgallery.geom import (
     overlay,
     region_difference,
     region_intersection,
-    region_union,
     region_union_all,
     sees,
     segment_intersection,
     sides_along,
     subtract_intervals,
 )
-from mirrorgallery.visibility import _cone, _Frame, visibility_polygon
+from mirrorgallery.reflect import extend_all_edges
+from mirrorgallery.visibility import _cone, _Frame, visibility_polygon, weak_visibility_polygon
 
-from conftest import comb, histogram_polygon, lshape, radial_polygon
+from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
 from oracles import (
     contains_reference,
     dir_cmp,
@@ -48,6 +48,7 @@ from oracles import (
     region_sample_points,
     segment_parts_inside,
     slab_rows_reference,
+    union_reference,
     validate_disjoint,
 )
 
@@ -161,16 +162,16 @@ class TestRegionOps:
     def test_union_disjoint(self):
         a = Region.of(UNIT)
         b = Region.of(rect(5, 5, 6, 6))
-        assert region_union(a, b).area == 2
+        assert region_union_all([a, b]).area == 2
 
     def test_union_self(self):
         a = Region.of(UNIT)
-        assert region_union(a, a).area == 1
+        assert region_union_all([a, a]).area == 1
 
     def test_union_overlap_half(self):
         a = Region.of(UNIT)
         b = Region.of(rect(F(1, 2), 0, F(3, 2), 1))
-        u = region_union(a, b)
+        u = region_union_all([a, b])
         assert u.area == F(3, 2)
         estimate = grid_area_estimate(u, (F(0), F(0), F(3, 2), F(1)))
         assert abs(estimate - F(3, 2)) < F(1, 5)
@@ -192,9 +193,9 @@ class TestRegionOps:
     def test_union_membership_symmetry(self, rng):
         a = Region.of(rect(0, 0, 3, 2))
         b = Region.of(SimplePolygon([(1, 1), (4, 1), (4, 4), (1, 4)]))
-        u1 = region_union(a, b)
-        u2 = region_union(b, a)
-        idem = region_union(u1, u1)
+        u1 = region_union_all([a, b])
+        u2 = region_union_all([b, a])
+        idem = region_union_all([u1, u1])
         pts = region_sample_points(u1, rng, 500)
         assert all(u2.covers(p) and idem.covers(p) for p in pts)
         pts2 = region_sample_points(u2, rng, 500)
@@ -212,7 +213,7 @@ class TestRegionOps:
             a = Region.of(rect(x0, y0, x0 + F(rng.randint(1, 20), 4), y0 + F(rng.randint(1, 20), 4)))
             x1, y1 = F(rng.randint(0, 30), 4), F(rng.randint(0, 30), 4)
             b = Region.of(rect(x1, y1, x1 + F(rng.randint(1, 20), 4), y1 + F(rng.randint(1, 20), 4)))
-            assert region_union(a, b).area == a.area + b.area - region_intersection(a, b).area
+            assert region_union_all([a, b]).area == a.area + b.area - region_intersection(a, b).area
 
     def test_halfplane_clip(self, rng):
         # the half-turn fan of a boundary point p left of its edge is VP(p)
@@ -375,7 +376,7 @@ class TestIntegerSweep:
     def test_inclusion_exclusion(self, a, b):
         inter = region_intersection(a, b).area
         assert inter == _clip_area(a.parts[0].vertices, b.parts[0].vertices)
-        assert region_union(a, b).area + inter == a.area + b.area
+        assert region_union_all([a, b]).area + inter == a.area + b.area
         assert region_difference(a, b).area + inter == a.area
 
     @settings(max_examples=40, deadline=None)
@@ -383,7 +384,7 @@ class TestIntegerSweep:
     def test_boolean_cells_merge_to_the_same_set(self, a, b):
         # booleans return disjoint cells; merging them for output keeps the set
         rng = random.Random(7)
-        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b)):
+        for r in (region_union_all([a, b]), region_intersection(a, b), region_difference(a, b)):
             assert validate_disjoint(r)
             merged = merge_region(r)
             assert merged.area == r.area
@@ -422,7 +423,7 @@ class TestIntegerSweep:
     def test_classes_of_a_layer_sum_to_its_area(self, a, b):
         # every layer's parts are disjoint: the inputs, booleans and a
         # symmetric difference made of the cells of two booleans
-        layers = [a, b, region_union(a, b), region_intersection(a, b),
+        layers = [a, b, region_union_all([a, b]), region_intersection(a, b),
                   Region(region_difference(a, b).parts + region_difference(b, a).parts)]
         shared = classes(layers)
         for i, layer in enumerate(layers):
@@ -451,14 +452,14 @@ class TestIntegerSweep:
         # one layer of two parts that may overlap: a point inside both counts twice
         both = Region(a.parts + b.parts)
         assert overlay([both], lambda c: c[0] >= 2).area == region_intersection(a, b).area
-        assert overlay([both], lambda c: c[0] >= 1).area == region_union(a, b).area
+        assert overlay([both], lambda c: c[0] >= 1).area == region_union_all([a, b]).area
 
     @settings(max_examples=40, deadline=None)
     @given(a=convex_regions(), b=convex_regions())
     def test_cells_sweep_like_their_merged_ring(self, a, b):
         # cells enter a later sweep as their net boundary, which is not cut at
         # the slab boundaries of the sweep that made them
-        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b)):
+        for r in (region_union_all([a, b]), region_intersection(a, b), region_difference(a, b)):
             assert len(overlay([r], any).parts) <= len(overlay([merge_region(r)], any).parts)
 
     @settings(max_examples=40, deadline=None)
@@ -489,7 +490,7 @@ class TestIntegerSweep:
         # a swept region's area and net boundary come from its runs; its cells,
         # built afterwards, must give the same shoelace areas and sides
         both = Region(a.parts + b.parts)  # one layer of two parts that may overlap
-        out = [region_union(both, c), region_intersection(both, c), region_difference(both, c),
+        out = [region_union_all([both, c]), region_intersection(both, c), region_difference(both, c),
                region_difference(c, both), *classes([both, c, a]).values()]
         for r in out:
             area, boundary = r.area, r._net_boundary()
@@ -544,7 +545,7 @@ class TestIntegerSweep:
             shift = hi - blo if dx > 0 else lo - bhi
             b = Region.of(SimplePolygon([(v.x + shift, v.y) for v in b.parts[0].vertices]))
         if parts > 1:
-            a = region_union(a, Region.of(rect(-3, -3, -2, -2 + parts)))
+            a = region_union_all([a, Region.of(rect(-3, -3, -2, -2 + parts))])
         if parts > 2:
             b = Region(b.parts + (rect(5, 5, 6, 6),))
         for got, keep in ((region_difference(a, b), lambda c: c[0] > 0 and c[1] == 0),
@@ -576,7 +577,7 @@ class TestIntegerSweep:
     def test_bits_bound_bounds_the_cells(self, a, b, c):
         # the bound read off the runs' slab ends and lines is at least the
         # cells' coordinate bits, and so at least those of merged rings
-        for r in (region_union(a, b), region_intersection(a, b), region_difference(a, b),
+        for r in (region_union_all([a, b]), region_intersection(a, b), region_difference(a, b),
                   region_union_all([a, c]), *classes([a, b, c]).values()):
             if not r.is_empty:
                 assert r._bits_bound() >= r.max_coordinate_bits() >= merge_region(r).max_coordinate_bits()
@@ -587,6 +588,78 @@ class TestIntegerSweep:
         for area in (F(0), F(-1, 2)):
             with pytest.raises(InvariantViolated):
                 SimplePolygon._trusted(ring, area)
+
+
+# rectangles on a small grid share sides often; a region of several may overlap itself
+grid_rects = st.builds(lambda x, y, w, h: rect(x, y, x + w, y + h), st.integers(0, 3), st.integers(0, 3),
+                       st.integers(1, 2), st.integers(1, 2))
+grid_regions = st.lists(grid_rects, min_size=1, max_size=3).map(Region)
+
+
+def _union_matches_reference(regions):
+    # the one-layer union and the sweep of a layer per region keep one point set:
+    # one area, one net boundary and, where cells merge, the same merged rings
+    got, ref = region_union_all(regions), union_reference(regions)
+    assert got.area == ref.area
+    assert sorted(geom._netted(got._net_boundary())) == sorted(geom._netted(ref._net_boundary()))
+    merged = [merge_region(r) for r in (got, ref)]
+    merges = [m is not r or len(r.parts) == 1 for m, r in zip(merged, (got, ref))]
+    assert merges[0] == merges[1]
+    if merges[0]:
+        assert [p.vertices for p in merged[0].parts] == [p.vertices for p in merged[1].parts]
+
+
+def _captured_unions(P, q, r):
+    # the regions each union of the cascade from q to depth r, and of a weak
+    # visibility polygon of an edge, is asked for
+    captured = []
+
+    def union(regions):
+        captured.append(list(regions))
+        return region_union_all(regions)
+
+    with mock.patch.object(reflect, "region_union_all", union), mock.patch.object(visibility, "region_union_all", union):
+        extend_all_edges(P, q, r)
+        weak_visibility_polygon(P, P.edge(0))
+    return captured
+
+
+class TestOneLayerUnion:
+    @settings(max_examples=60, deadline=None)
+    @example(regions=[Region.of(UNIT), Region.of(UNIT)], copies=0)
+    @example(regions=[Region.of(UNIT), Region.of(rect(1, 0, 2, 1)), Region.of(rect(0, 1, 1, 3))], copies=0)
+    @example(regions=[Region((rect(0, 0, 2, 2), rect(1, 1, 3, 3))), Region((rect(1, 0, 2, 3), UNIT))], copies=1)
+    @given(regions=st.lists(grid_regions | convex_regions(), min_size=2, max_size=4), copies=st.integers(0, 2))
+    def test_matches_a_layer_per_region(self, regions, copies):
+        # identical regions (the copies), regions sharing sides, and regions of
+        # several parts that overlap each other
+        _union_matches_reference(regions + regions[:copies])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "lshape"]))
+    def test_matches_a_layer_per_fan_on_cascades(self, seed, shape):
+        # the fans of each cascade depth (`_cone`, `_pivot_cones`) and the VPs
+        # and pivot cones of weak visibility, as the library unions them
+        rng = random.Random(seed)
+        P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
+             "radial": lambda: radial_polygon(rng, 8), "lshape": lshape}[shape]()
+        for regions in _captured_unions(P, interior_point(rng, P), 2):
+            if sum(not r.is_empty for r in regions) > 1:  # else the union is its one input
+                _union_matches_reference(regions)
+
+    def test_sweeps_one_layer_and_reads_no_fan(self, monkeypatch):
+        # a depth's fans enter the sweep as one netted boundary, in which the
+        # sides they share cancel; no fan's area or polygon is built
+        P = comb(3)
+        fans = max(_captured_unions(P, interior_point(random.Random(3), P), 2), key=len)
+        assert len(fans) >= 10
+        assert all(f._area is None and not isinstance(f._parts, tuple) for f in fans if not f.is_empty)
+        assert len(geom._stacked(fans)._net_boundary()) < sum(len(f._net_boundary()) for f in fans)
+        layers = []
+        sweep = geom._sweep
+        monkeypatch.setattr(geom, "_sweep", lambda ls, key, group: layers.append(len(ls)) or sweep(ls, key, group))
+        region_union_all(fans)
+        assert layers == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from mirrorgallery.geom import (
     PointLocation,
     Region,
     SimplePolygon,
+    merge_intervals,
     merge_region,
     orientation,
     region_difference,
@@ -120,6 +121,26 @@ class TestLitPartsFromBoundary:
             for q in [interior_point(rng, P), P.vertices[1], P.edge(2).point_at(F(1, 3))]:
                 _check_lit_parts(P, q, seen)
         assert all(seen[kind] > 0 for kind in ("up", "down", "slanted", "collinear")), seen
+
+    def test_vertical_edges_read_the_vp_ring(self):
+        # the depth-2 light pass reads the sides of the VP at a vertical edge's
+        # x off its integer ring: the VP's polygon stays unbuilt, and the parts
+        # lit by depth 1 are the oracle's pieces of the edge in the VP and the cells
+        rng = random.Random(61)
+        lit = 0
+        for q in [interior_point(rng, SNAKE) for _ in range(3)]:
+            P = SimplePolygon(SNAKE.vertices)  # with no VP built yet
+            c, prev = (reflect._cascade(P, q, frozenset(range(P.n)), d) for d in (2, 1))
+            assert not isinstance(c.vp.region._parts, tuple)
+            cells = [c.vp.polygon, *prev.added.parts]
+            for e in range(P.n):
+                a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
+                if a.x == b.x:
+                    t = geom.along(a, b)
+                    got = merge_intervals([(t(s.a), t(s.b)) for x in c.records if x.edge == e for s in x.subsegments])
+                    assert got == [(t(s.a), t(s.b)) for s in segment_parts_inside(P.edge(e), cells)], (P, q, e)
+                    lit += any(x.edge == e and x.bounce_depth == 1 for x in c.records)
+        assert lit
 
     def test_light_pass_builds_no_cells(self, monkeypatch):
         # the later depths read lit parts off the covered region's boundary

@@ -6,8 +6,10 @@ a handler names the exceptions it expects: no bare `except:` and no
 modules on the exact computation path hold no float literal and call no
 `float(`, so no float shortcut (in a sort key, say) slips into them. Only
 `geom` reads a region's sweep runs (`Region._runs`), builds their cells
-(`_trapezoid`) or builds sweep edges (`_SweepSeg`): every other module sees
-cells through `Region.parts`, and hands the sweep a region, not edges.
+(`_trapezoid`), builds sweep edges (`_SweepSeg`) or reads or nets a net
+boundary (`Region._boundary`, `Region._net_boundary`, `_netted`): every
+other module sees cells through `Region.parts`, and hands the sweep a
+region, not edges.
 Only `geom` calls `segment_intersection` or `segment_breakpoints`: every
 other module asks its exact questions of boundaries, rings and frames,
 with no `Fraction` segment splitting. Only `visibility` builds a frame
@@ -24,7 +26,7 @@ import mirrorgallery
 SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
-SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg"}
+SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg", "_boundary", "_net_boundary", "_netted"}
 SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints"}
 
 
@@ -99,15 +101,21 @@ def test_only_geom_reads_the_sweep_runs():
 
 
 def test_the_sweep_walk_finds_each_kind():
-    source = ("from .geom import _trapezoid, _SweepSeg\n"
+    source = ("from .geom import _trapezoid, _SweepSeg, _netted\n"
               "n = len(region._runs)\n"
               "cell = geom._trapezoid(xl, xr, bottom, top)\n"
               "runs = region.runs\n"
               "seg = _SweepSeg(edge, layer, order)\n"
-              "segs = [geom._SweepSeg(e, 0, k) for k, e in enumerate(edges)]\n")
-    assert _sweep_internals(source, "probe.py") == ["probe.py:1: _trapezoid", "probe.py:1: _SweepSeg",
-                                                    "probe.py:2: _runs", "probe.py:3: _trapezoid",
-                                                    "probe.py:5: _SweepSeg", "probe.py:6: _SweepSeg"]
+              "segs = [geom._SweepSeg(e, 0, k) for k, e in enumerate(edges)]\n"
+              "edges = region._net_boundary()\n"
+              "region._boundary = geom._netted(edges)\n"
+              "edges = _runs_boundary(xs, runs) + net_boundary(region)\n")
+    # the walk is breadth first, so the order of its finds is not the lines' order
+    assert sorted(_sweep_internals(source, "probe.py")) == ["probe.py:1: _SweepSeg", "probe.py:1: _netted",
+                                                            "probe.py:1: _trapezoid", "probe.py:2: _runs",
+                                                            "probe.py:3: _trapezoid", "probe.py:5: _SweepSeg",
+                                                            "probe.py:6: _SweepSeg", "probe.py:7: _net_boundary",
+                                                            "probe.py:8: _boundary", "probe.py:8: _netted"]
 
 
 def _calls(source: str, name: str, names: set[str]) -> list[str]:
