@@ -234,12 +234,10 @@ class SimplePolygon:
                     continue
                 c, d = edges[j]
                 adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                s, t = _turn(a, b, c), _turn(a, b, d)  # one is 0 for adjacent edges
+                s, t = _turn(a, b, c), _turn(a, b, d)
                 if s * t > 0 or (adjacent and (s or t)) or _turn(c, d, a) * _turn(c, d, b) > 0:
                     continue
                 inter = segment_intersection(self.edge(i), self.edge(j))
-                if adjacent and isinstance(inter, Point):
-                    continue  # collinear edges that only share their vertex
                 raise GeometryError(
                     f"polygon boundary is not simple: edges {i} and {j} meet at {inter!r}"
                 )
@@ -962,7 +960,8 @@ def sees(P: SimplePolygon, x: Point, y: Point) -> bool:
     """Closed visibility: the whole segment x..y stays inside the closed polygon.
 
     Grazing contact along boundary edges and through reflex vertices counts
-    as visible; any excursion to the exterior blocks.
+    as visible; any excursion to the exterior blocks. No library module calls
+    it: it is kept as the tests' reference and for the benchmark's tracer.
     """
     if P.contains(x) is PointLocation.EXTERIOR:
         return False

@@ -251,7 +251,7 @@ def _leak(shared: dict[frozenset[int], Region], layer: int, into) -> Fraction:
                Fraction(0))
 
 
-def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) -> VerificationReport:
+def verify_instance(ri: ReductionInstance) -> VerificationReport:
     """Check every structural claim the reduction relies on, exactly.
 
     Raises VerificationFailed carrying the report when any clause fails.
@@ -296,7 +296,7 @@ def verify_instance(ri: ReductionInstance, *, check_noncandidates: bool = True) 
             reached = region_intersection(spike_regions[i], ev.added).area == ri.spikes[i].area
             clauses.append((f"second-route[{i}]", reached, "floor + second edge reach the spike with two bounces"))
 
-    if ri.kind is ReductionKind.DIFFUSE_SINGLE and check_noncandidates:
+    if ri.kind is ReductionKind.DIFFUSE_SINGLE:
         if m < 2:
             # with a single value the hypotenuse split degenerates (0:1), the
             # boundary shadow piece below the seam vanishes, and side walls

@@ -4,7 +4,9 @@ A funnel has exactly three convex corners: the two chord endpoints and
 the apex; both boundary chains between them are strictly reflex. For a
 query point inside a funnel, the candidate reflecting edges that matter
 are the ones touched by the four tangent contacts, so mirror selection
-enumerates at most a handful of edge subsets. For polygons weakly
+enumerates at most a handful of edge subsets. The contacts are read off
+the query point's visibility polygon, with no segment split or ray cast
+here. For polygons weakly
 visible from a chord, the chord is certified as the best single
 reflector, and chord - adjacent edge - chord is the three-bounce cover.
 """
@@ -26,11 +28,9 @@ from .geom import (
     Point,
     PointLocation,
     Region,
-    Segment,
     SimplePolygon,
     classes,
     region_interior_points,
-    sees,
 )
 from .reflect import ReflectionKind, ReflectionSpec, diffuse_extend
 from .visibility import visibility_polygon, weak_visibility_polygon
@@ -98,61 +98,31 @@ def detect_funnel(P: SimplePolygon) -> Funnel:
     raise NotAFunnel("no two convex corners are adjacent; chord side is not a single edge")
 
 
-def _ray_landing(P: SimplePolygon, q: Point, through: Point) -> Point:
-    """Where the sight ray from q grazing `through` stops being inside P."""
-    d = through - q
-    ts = {Fraction(1)}
-    ray = Segment(q, through)
-    for e in P.edges():
-        de = e.b - e.a
-        denom = d.cross(de)
-        w = e.a - q
-        if denom == 0:
-            if d.cross(w) == 0:
-                ts.add(ray.param_of(e.a))
-                ts.add(ray.param_of(e.b))
-            continue
-        t = w.cross(de) / denom
-        s = w.cross(d) / denom
-        if t >= 1 and 0 <= s <= 1:
-            ts.add(t)
-    ts = sorted(t for t in ts if t >= 1)
-    landing = through
-    for t0, t1 in zip(ts, ts[1:]):
-        mid = q + d * ((t0 + t1) / 2)
-        if P.contains(mid) is PointLocation.EXTERIOR:
-            break
-        landing = q + d * t1
-    return landing
-
-
-def _edges_containing(P: SimplePolygon, p: Point) -> tuple[int, ...]:
-    return tuple(i for i in range(P.n) if P.edge(i).contains_point(p))
+def _contact(P: SimplePolygon, p: Point, chain: str) -> TangentContact:
+    return TangentContact(p, chain, tuple(i for i in range(P.n) if P.edge(i).contains_point(p)))
 
 
 def funnel_tangents(F: Funnel, q: Point) -> TangentQuadruple:
+    """The tangent contacts of the view from q, an interior point of the funnel.
+
+    q sees the chain vertices its closed visibility polygon covers: p1 and p4
+    are the visible left-chain vertices nearest the apex and the chord, p3 the
+    visible right-chain vertex nearest the chord. p2 is the far end of the VP's
+    side along the sight ray through p1, or p1 where no such side exists.
+    """
     P = F.polygon
     if P.contains(q) is not PointLocation.INTERIOR:
         raise QueryOutside(f"{q!r} is not interior to the funnel")
-    left = F.left_chain
-    right = F.right_chain
-
-    def visible(idxs):
-        return [i for i in idxs if sees(P, q, P.vertices[i])]
-
-    vis_left = visible(left)
-    vis_right = visible(right)
+    vp = visibility_polygon(P, q)
     # chains are ordered chord-end first, apex last
-    p1_idx = max(vis_left, key=lambda i: left.index(i))
-    p4_idx = min(vis_left, key=lambda i: left.index(i))
-    p3_idx = min(vis_right, key=lambda i: right.index(i))
-    p1 = P.vertices[p1_idx]
-    p2_pt = _ray_landing(P, q, p1)
-    p1c = TangentContact(p1, "left", _edges_containing(P, p1))
-    p2c = TangentContact(p2_pt, "right", _edges_containing(P, p2_pt))
-    p3c = TangentContact(P.vertices[p3_idx], "right", _edges_containing(P, P.vertices[p3_idx]))
-    p4c = TangentContact(P.vertices[p4_idx], "left", _edges_containing(P, P.vertices[p4_idx]))
-    return TangentQuadruple(p1c, p2c, p3c, p4c)
+    vis_left = [P.vertices[i] for i in F.left_chain if vp.region.covers(P.vertices[i])]
+    vis_right = [P.vertices[i] for i in F.right_chain if vp.region.covers(P.vertices[i])]
+    p1 = vis_left[-1]
+    rays = [vp.polygon.edge(k) for k, h in enumerate(vp.edge_hosts) if h < 0]
+    ends = [p for ray in rays if p1 in (ray.a, ray.b) for p in (ray.a, ray.b)]
+    p2 = max(ends, key=lambda p: (p - q).dot(p - q), default=p1)
+    return TangentQuadruple(_contact(P, p1, "left"), _contact(P, p2, "right"),
+                            _contact(P, vis_right[0], "right"), _contact(P, vis_left[0], "left"))
 
 
 def _single_bounce_added(P: SimplePolygon, q: Point, e: int) -> Region:

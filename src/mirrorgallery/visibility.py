@@ -53,7 +53,6 @@ from .geom import (
     memo_per_polygon,
     orientation,
     region_union_all,
-    sees,
     subtract_intervals,
 )
 
@@ -385,10 +384,17 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     vertices strictly inside s plus the pivot cones, on both sides, of every
     reflex vertex off the line of s. The region holds the union's sweep cells;
     `merge_region` glues them into a single simple polygon for well-behaved inputs.
+
+    Raises `SegmentOutsidePolygon` when s.a is outside the polygon, or when
+    s.b is not in the closed visibility polygon of s.a, the first piece.
     """
-    if not sees(P, s.a, s.b):
+    try:
+        first = visibility_polygon(P, s.a).region
+    except QueryOutsidePolygon:
+        first = Region.empty()
+    if not first.covers(s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")
-    pieces = [visibility_polygon(P, p).region for p in (s.a, s.b)]
+    pieces = [first, visibility_polygon(P, s.b).region]
     for v in (P.vertices[i] for i in P.reflex_indices()):
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
             f = _frame(P, v)

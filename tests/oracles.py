@@ -45,7 +45,9 @@ oriented by its shoelace sign.
 
 The funnel mirror reference unions the VP and the added regions of every
 candidate subset, one boolean per subset, where the library reads the
-subsets' areas off one class sweep.
+subsets' areas off one class sweep. The ray landing reference casts the
+sight ray grazing a tangent vertex in `Fraction`s, as `special` did before
+it read the landing off the visibility polygon's side along that ray.
 
 The union reference sweeps every region as a layer of its own and keeps
 the cells some layer covers, as `geom.region_union_all` did before it
@@ -554,6 +556,34 @@ def funnel_best_mirrors_reference(F, q: Point, *, include_chord: bool = False) -
                 extra = union_reference([added[e] for e in subset]).area
                 return MirrorChoice(frozenset(subset), extra, False)
     return MirrorChoice(frozenset(), Fraction(0), False)
+
+
+def ray_landing_reference(P: SimplePolygon, q: Point, through: Point) -> Point:
+    """Where the sight ray from q grazing `through` stops being inside P."""
+    d = through - q
+    ts = {Fraction(1)}
+    ray = Segment(q, through)
+    for e in P.edges():
+        de = e.b - e.a
+        denom = d.cross(de)
+        w = e.a - q
+        if denom == 0:
+            if d.cross(w) == 0:
+                ts.add(ray.param_of(e.a))
+                ts.add(ray.param_of(e.b))
+            continue
+        t = w.cross(de) / denom
+        s = w.cross(d) / denom
+        if t >= 1 and 0 <= s <= 1:
+            ts.add(t)
+    ts = sorted(t for t in ts if t >= 1)
+    landing = through
+    for t0, t1 in zip(ts, ts[1:]):
+        mid = q + d * ((t0 + t1) / 2)
+        if P.contains(mid) is PointLocation.EXTERIOR:
+            break
+        landing = q + d * t1
+    return landing
 
 
 def union_reference(regions) -> Region:

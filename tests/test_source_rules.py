@@ -10,9 +10,10 @@ modules on the exact computation path hold no float literal and call no
 boundary (`Region._boundary`, `Region._net_boundary`, `_netted`): every
 other module sees cells through `Region.parts`, and hands the sweep a
 region, not edges.
-Only `geom` calls `segment_intersection` or `segment_breakpoints`: every
-other module asks its exact questions of boundaries, rings and frames,
-with no `Fraction` segment splitting. Only `visibility` builds a frame
+Only `geom` calls `segment_intersection`, `segment_breakpoints` or `sees`:
+every other module asks its exact questions of boundaries, rings and
+frames, and asks a visibility polygon what a point sees, with no
+`Fraction` segment splitting. Only `visibility` builds a frame
 (`_Frame(`), so every frame of a polygon vertex is the one kept on the
 polygon, and `reflect` constructs no `SimplePolygon`: its regions are
 integer rings and sweeps, built into polygons only when read.
@@ -27,7 +28,7 @@ SOURCES = sorted(Path(mirrorgallery.__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
 SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg", "_boundary", "_net_boundary", "_netted"}
-SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints"}
+SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints", "sees"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -139,9 +140,11 @@ def test_the_call_walk_finds_each_kind():
               "hit = segment_intersection(s, e)\n"
               "ts = geom.segment_breakpoints(s, edges)\n"
               "split = segment_breakpoints\n"
-              "inside = segment_parts_inside(s, parts)\n")
+              "inside = segment_parts_inside(s, parts)\n"
+              "seen = sees(P, q, v)\n")
     assert _calls(source, "probe.py", SEGMENT_SPLITTERS) == ["probe.py:2: segment_intersection",
-                                                             "probe.py:3: segment_breakpoints"]
+                                                             "probe.py:3: segment_breakpoints",
+                                                             "probe.py:6: sees"]
 
 
 def test_only_visibility_builds_frames():

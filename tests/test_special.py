@@ -22,7 +22,12 @@ from mirrorgallery.special import (
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import histogram_polygon, lshape, random_funnel
-from oracles import funnel_best_mirrors_reference, region_sample_points, segment_parts_inside
+from oracles import (
+    funnel_best_mirrors_reference,
+    ray_landing_reference,
+    region_sample_points,
+    segment_parts_inside,
+)
 
 PENTA = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 DEEP = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -66,13 +71,15 @@ class TestTangents:
         pts = {c.point for c in quad.contacts()}
         assert pts <= set(t.vertices)
 
-    def test_contacts_match_bruteforce_visibility(self, rng):
+    def test_contacts_match_bruteforce_visibility(self, rng, funnels):
         # exhaustive tangency check: the returned contacts are the extreme
-        # visible chain vertices, p2 the landing of the grazing ray
+        # visible chain vertices, p2 where a ray cast grazing p1 lands
+        cases = list(funnels)
         for _ in range(4):
             f = random_funnel(rng, 3, 3)
+            cases.append((f, region_sample_points(Region.of(f.polygon), rng, 1)[0]))
+        for f, q in cases:
             P = f.polygon
-            q = region_sample_points(Region.of(P), rng, 1)[0]
             quad = funnel_tangents(f, q)
             vis_left = [i for i in f.left_chain if sees(P, q, P.vertices[i])]
             vis_right = [i for i in f.right_chain if sees(P, q, P.vertices[i])]
@@ -80,6 +87,7 @@ class TestTangents:
             assert quad.p4.point == P.vertices[min(vis_left, key=f.left_chain.index)]
             assert quad.p3.point == P.vertices[min(vis_right, key=f.right_chain.index)]
             assert sees(P, q, quad.p2.point)
+            assert quad.p2.point == ray_landing_reference(P, q, quad.p1.point)
 
 
 class TestBestMirrors:

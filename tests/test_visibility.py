@@ -539,6 +539,7 @@ class TestWeakVisibility:
         for poly in [histogram_polygon(rng, 4), histogram_polygon(rng, 5), radial_polygon(rng, 7),
                      radial_polygon(rng, 8)]:
             cases += [(poly, poly.edge(rng.randrange(poly.n))) for _ in range(2)]
+        cases.append((L, Segment(Point(2, 0), Point(0, 2))))  # grazes the reflex corner (1, 1)
         outcomes = set()
         for poly, s in cases:
             w = weak_visibility_polygon(poly, s)
@@ -595,8 +596,12 @@ class TestWeakVisibility:
             x += F(1, 4)
 
     def test_segment_outside_raises(self):
-        with pytest.raises(SegmentOutsidePolygon):
-            weak_visibility_polygon(lshape(), Segment(Point(0, 0), Point(3, 3)))
+        for a, b in [((0, 0), (3, 3)),  # s.b outside, s crossing the notch
+                     ((3, 3), (F(1, 2), F(1, 2))),  # s.a outside
+                     ((F(1, 2), F(1, 2)), (F(3, 2), F(5, 2))),  # s.b outside, above the notch
+                     ((F(7, 4), F(1, 2)), (F(1, 2), F(7, 4)))]:  # both ends inside, s crossing the notch
+            with pytest.raises(SegmentOutsidePolygon):
+                weak_visibility_polygon(lshape(), Segment(Point(*a), Point(*b)))
 
     def test_monotone_in_segment(self, rng):
         L = lshape()
