@@ -1,14 +1,13 @@
 """Constant-size solvers for funnels and edge-weakly-visible polygons.
 
-A funnel has exactly three convex corners: the two chord endpoints and
-the apex; both boundary chains between them are strictly reflex. For a
-query point inside a funnel, the candidate reflecting edges that matter
-are the ones touched by the four tangent contacts, so mirror selection
-enumerates at most a handful of edge subsets. The contacts are read off
-the query point's visibility polygon, with no segment split or ray cast
-here. For polygons weakly
-visible from a chord, the chord is certified as the best single
-reflector, and chord - adjacent edge - chord is the three-bounce cover.
+A funnel has exactly three convex corners: the two chord endpoints and the
+apex; both boundary chains between them are strictly reflex. For a query point
+inside a funnel, the candidate reflecting edges that matter are the ones
+touched by the four tangent contacts, so mirror selection enumerates at most a
+handful of edge subsets. The contacts are read off the query point's visibility
+polygon, with no segment split or ray cast here. For polygons weakly visible
+from a chord, the chord is certified as the best single reflector, and
+chord - adjacent edge - chord is the three-bounce cover.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def funnel_tangents(F: Funnel, q: Point) -> TangentQuadruple:
     q sees the chain vertices its closed visibility polygon covers: p1 and p4
     are the visible left-chain vertices nearest the apex and the chord, p3 the
     visible right-chain vertex nearest the chord. p2 is the far end of the VP's
-    side along the sight ray through p1, or p1 where no such side exists.
+    side along the sight ray through p1, which p1 may lie inside, or p1.
     """
     P = F.polygon
     if P.contains(q) is not PointLocation.INTERIOR:
@@ -118,8 +117,7 @@ def funnel_tangents(F: Funnel, q: Point) -> TangentQuadruple:
     vis_left = [P.vertices[i] for i in F.left_chain if vp.region.covers(P.vertices[i])]
     vis_right = [P.vertices[i] for i in F.right_chain if vp.region.covers(P.vertices[i])]
     p1 = vis_left[-1]
-    rays = [vp.polygon.edge(k) for k, h in enumerate(vp.edge_hosts) if h < 0]
-    ends = [p for ray in rays if p1 in (ray.a, ray.b) for p in (ray.a, ray.b)]
+    ends = [p for ray in vp.ray_sides if ray.contains_point(p1) for p in (ray.a, ray.b)]
     p2 = max(ends, key=lambda p: (p - q).dot(p - q), default=p1)
     return TangentQuadruple(_contact(P, p1, "left"), _contact(P, p2, "right"),
                             _contact(P, vis_right[0], "right"), _contact(P, vis_left[0], "left"))
@@ -195,9 +193,7 @@ def wvp_three_reflection_cover(
     deterministic set of interior query points.
     """
     _check_weakly_visible(P, chord)
-    n = P.n
-    edge_au = (chord - 1) % n
-    sequence = [chord, edge_au, chord]
+    edge_au = (chord - 1) % P.n
     spec = ReflectionSpec(frozenset({chord, edge_au}), ReflectionKind.DIFFUSE, 3)
     for q in region_interior_points(Region.of(P), samples):
         ev = diffuse_extend(P, q, spec)
@@ -205,4 +201,4 @@ def wvp_three_reflection_cover(
             raise CertificationFailed(
                 f"three-bounce cover misses area for query point {q!r}"
             )
-    return sequence
+    return [chord, edge_au, chord]

@@ -88,13 +88,17 @@ class VisibilityPolygon:
         return sorted(parts, key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
     @cached_property
+    def ray_sides(self) -> tuple[Segment, ...]:
+        """The ring edges along sight rays, host edges on their line inside them."""
+        return tuple(self.polygon.edge(k) for k, h in enumerate(self.edge_hosts) if h < 0)
+
+    @cached_property
     def windows(self) -> tuple[Segment, ...]:
-        """Boundary pieces of the visibility polygon not lying on the host boundary: the
-        ring edges along sight rays (an arc lies on its host edge) less the host edges
-        on their line."""
+        """Boundary pieces of the visibility polygon off the host boundary: the
+        `ray_sides` (an arc lies on its host edge) less the host edges on their line."""
         wins: list[Segment] = []
         hv = self.host_vertices
-        for ve in (self.polygon.edge(k) for k, h in enumerate(self.edge_hosts) if h < 0):
+        for ve in self.ray_sides:
             cut = [tuple(sorted((ve.param_of(a), ve.param_of(b)))) for a, b in zip(hv, hv[1:] + hv[:1])
                    if orientation(a, b, ve.a) is orientation(a, b, ve.b) is Orientation.COLLINEAR]
             wins += [Segment(ve.point_at(lo), ve.point_at(hi)) for lo, hi in subtract_intervals([(0, 1)], cut)]

@@ -71,6 +71,23 @@ class TestTangents:
         pts = {c.point for c in quad.contacts()}
         assert pts <= set(t.vertices)
 
+    @pytest.mark.parametrize(
+        "ring, q, p1, p2",
+        [
+            # the sight ray passes (3, 2), runs along the left edge to p1 and lands on the right chain
+            ([(0, 0), (10, 0), (7, 2), (6, 5), (5, 12), (4, 5), (3, 2)], Point(F(5, 2), F(1, 2)),
+             Point(4, 5), Point(F(27, 5), F(46, 5))),
+            # the sight ray passes p1 and runs along the left edge on to the chord's corner
+            ([(0, 0), (10, 0), (7, 2), (5, 5), (5, 12), (4, 8), (2, 1)], Point(6, 3),
+             Point(2, 1), Point(0, 0)),
+        ],
+    )
+    def test_landing_through_a_chain_edge_on_the_sight_ray(self, ring, q, p1, p2):
+        P = SimplePolygon(ring)
+        quad = funnel_tangents(detect_funnel(P), q)
+        assert quad.p1.point == p1
+        assert quad.p2.point == ray_landing_reference(P, q, p1) == p2
+
     def test_contacts_match_bruteforce_visibility(self, rng, funnels):
         # exhaustive tangency check: the returned contacts are the extreme
         # visible chain vertices, p2 where a ray cast grazing p1 lands
