@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, wraps
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -279,22 +280,8 @@ class SimplePolygon:
         return self._reflex
 
     def contains(self, p: Point) -> PointLocation:
-        # crossings of the ray rightward from p, on the integer ring: p is
-        # (px, py) / w there, so the ring is scaled by w where w > 1
-        scale, pts = self._int_ring()
-        w = lcm(scale, p.x.denominator, p.y.denominator) // scale
-        px, py = p.x.numerator * (scale * w // p.x.denominator), p.y.numerator * (scale * w // p.y.denominator)
-        if w > 1:
-            pts = [(x * w, y * w) for x, y in pts]
-        inside = False
-        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-            t = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if t == 0 and min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
-                return PointLocation.BOUNDARY
-            # a crossing right of p has p left of the upward edge, right of the downward one
-            if (ay > py) != (by > py) and (t > 0) == (by > ay):
-                inside = not inside
-        return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
+        """Where p lies in the closed polygon, read off its ring's edges (`_locate`)."""
+        return _locate(Region.of(self)._net_boundary(), p)
 
     def __eq__(self, other):
         return isinstance(other, SimplePolygon) and self.vertices == other.vertices
@@ -354,20 +341,20 @@ class Region:
     The area of a region is the exact sum of part areas. A region built by
     a boolean holds the sweep's runs and their exact area; its parts, the
     convex trapezoid cells of the runs, are built when first read, by
-    membership queries (through an x-interval locator) and by output. A
-    later sweep reads the region's net boundary, kept on it, which a swept
-    region joins from its runs' edges and a fan is given, with no polygon.
+    output. A later sweep and a point query read the region's net boundary,
+    kept on it, which a swept region joins from its runs' edges and a fan
+    is given, with no polygon.
     `merge_region` glues cells into maximal polygons only where merged
     rings are wanted: SVG output and the coordinate bit cap. A region
     counts a point once per part covering it, never negatively; only in
     a boolean's input, such as a depth's stacked fans, do parts overlap.
     """
 
-    __slots__ = ("_parts", "_runs", "_rings", "_area", "_locator", "_boundary")
+    __slots__ = ("_parts", "_runs", "_rings", "_area", "_boundary")
 
     def __init__(self, parts: Iterable[SimplePolygon] = ()):
         self._parts = tuple(parts)  # or, until first read, a function that builds them
-        self._runs = self._rings = self._area = self._locator = self._boundary = None
+        self._runs = self._rings = self._area = self._boundary = None
 
     @classmethod
     def _deferred(cls, cells: Callable[[], tuple], area: Fraction | None = None, runs=None, boundary=None) -> "Region":
@@ -428,35 +415,24 @@ class Region:
         return self._area
 
     def contains(self, p: Point) -> PointLocation:
-        if not self._parts:
-            return PointLocation.EXTERIOR
-        if self._locator is None:
-            self._locator = sorted(((q.bbox[0], q.bbox[2], q) for q in self.parts), key=lambda e: (e[0], e[1]))
-        best = PointLocation.EXTERIOR
-        for xmin, xmax, part in self._locator:
-            if xmin > p.x:
-                break
-            if xmax < p.x:
-                continue
-            loc = part.contains(p)
-            if loc is PointLocation.INTERIOR:
-                return PointLocation.INTERIOR
-            if loc is PointLocation.BOUNDARY:
-                best = PointLocation.BOUNDARY
-        return best
+        """INTERIOR if the region covers a neighbourhood of p, EXTERIOR if its closure misses
+        p, else BOUNDARY: read off the net boundary (`_locate`), however the cells were cut."""
+        return _locate(self._net_boundary(), p)
 
     def covers(self, p: Point) -> bool:
         return self.contains(p) is not PointLocation.EXTERIOR
 
     def _net_boundary(self) -> list[tuple]:
-        # the non-vertical net boundary that `_sweep` reads, as integer edges (`_edge`);
-        # a single part is its own ring
+        # the non-vertical net boundary that `_sweep` reads, as integer edges (`_edge`); a
+        # part's edges come from its integer ring, side (a, b) / s on the line s*(ay - by)*x
+        # + s*(bx - ax)*y = ay*bx - ax*by, and a single part is its own ring
         if self._boundary is None:
             if self._runs is not None:
                 self._boundary = _runs_boundary(*self._runs)
             else:
-                edges = [e for a, b, w in _sides(self.parts) if (e := _edge(
-                    _int_line(a, b), (a.x.numerator, a.x.denominator), (b.x.numerator, b.x.denominator), w))]
+                edges = [e for s, pts in (part._int_ring() for part in self.parts)
+                         for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])
+                         if (e := _edge((s * (ay - by), s * (bx - ax), ay * bx - ax * by), (ax, s), (bx, s), 1))]
                 self._boundary = edges if len(self.parts) == 1 else _netted(edges)
         return self._boundary
 
@@ -515,6 +491,31 @@ def _edge(line: tuple[int, int, int], u: tuple[int, int], v: tuple[int, int], w:
         un, ud, vn, vd, w = vn, vd, un, ud, -w
     g, h, sign = gcd(un, ud), gcd(vn, vd), 1 if B > 0 else -1
     return sign * A, sign * B, sign * C, un // g, ud // g, vn // h, vd // h, w
+
+
+def _locate(edges: Iterable[tuple], p: Point) -> PointLocation:
+    """Where p lies in the region of a net boundary of integer edges (`_edge`). The
+    winding count below p just left and just right of p.x, stepped up past the edges
+    through p, by decreasing slope on the left and by increasing slope on the right,
+    gives the count of each sector around p: INTERIOR if all are positive, EXTERIOR if
+    all are zero, else BOUNDARY. A vertical side through p parts the two sides' counts."""
+    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    below, through = [0, 0], ([], [])  # left of p.x, right of p.x
+    for A, B, C, x0n, x0d, x1n, x1d, w in edges:
+        start, end = x0n * xd - xn * x0d, x1n * xd - xn * x1d  # signs of x0 - p.x and x1 - p.x
+        height = (C * xd - A * xn) * yd - B * yn * xd  # sign of the edge's y at p.x, less p.y
+        if start > 0 or end < 0 or height > 0:
+            continue
+        for side in [k for k, on in ((0, start < 0), (1, end > 0)) if on]:
+            if height:
+                below[side] += w
+            else:
+                through[side].append((Fraction(-A, B), w))  # (slope, weight)
+    counts = [c for side in (0, 1) for c in accumulate(
+        (w for _, w in sorted(through[side], reverse=side == 0)), initial=below[side])]
+    if min(counts) > 0:
+        return PointLocation.INTERIOR
+    return PointLocation.BOUNDARY if any(counts) else PointLocation.EXTERIOR
 
 
 class _SweepSeg:
@@ -764,8 +765,8 @@ def region_join(regions: Sequence[Region]) -> Region:
 def merge_region(region: Region) -> Region:
     """Glue region parts into maximal simple polygons by boundary tracing.
 
-    For output only (SVG rendering and the coordinate bit cap): regions
-    keep their cells for every query and boolean. Falls back to the input
+    For output only (SVG rendering and the coordinate bit cap): queries and
+    booleans read net boundaries, not polygons. Falls back to the input
     (still correct, just fragmented) whenever the union pinches to a
     point, produces a hole, or any consistency check fails.
     """
@@ -985,26 +986,15 @@ def sees(P: SimplePolygon, x: Point, y: Point) -> bool:
 
 
 def region_interior_points(region: Region, k: int) -> list[Point]:
-    """k deterministic interior points, cycling over the region's cells."""
+    """k deterministic interior points, cycling over the region's n cells: the i-th is
+    the vertex centroid of cell i mod n, on pass r = i // n > 0 moved 1/(2 + r) of the
+    way toward the cell's vertex r (mod its size), to vary repeated visits."""
     cells = overlay([region], any).parts  # a caller's part need not be convex
-    if not cells:
-        return []
     pts = []
-    i = 0
-    round_ = 0
-    while len(pts) < k:
-        cell = cells[i % len(cells)]
-        verts = cell.vertices
-        cx = sum((v.x for v in verts), Fraction(0)) / len(verts)
-        cy = sum((v.y for v in verts), Fraction(0)) / len(verts)
-        c = Point(cx, cy)
-        if round_ > 0:
-            # nudge toward a vertex to vary repeated visits to the same cell
-            w = Fraction(1, 2 + round_)
-            v = verts[round_ % len(verts)]
-            c = Point(c.x + (v.x - c.x) * w, c.y + (v.y - c.y) * w)
-        pts.append(c)
-        i += 1
-        if i % len(cells) == 0:
-            round_ += 1
+    for i in range(k if cells else 0):
+        r, j = divmod(i, len(cells))
+        verts = cells[j].vertices
+        sx, sy = sum((v.x for v in verts), Fraction(0)), sum((v.y for v in verts), Fraction(0))
+        c = Point(sx / len(verts), sy / len(verts))
+        pts.append(c + (verts[r % len(verts)] - c) * Fraction(1, 2 + r) if r else c)
     return pts

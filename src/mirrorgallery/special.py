@@ -189,8 +189,9 @@ def wvp_three_reflection_cover(
 ) -> list[int]:
     """Bounce sequence chord -> adjacent edge -> chord covering the polygon.
 
-    Certified by exact area equality of the three-bounce extension for a
-    deterministic set of interior query points.
+    Checked by exact area equality, the direct and three-bounce added areas
+    summing to the polygon's, for `samples` deterministic interior query
+    points (`region_interior_points`) only, not for every query point.
     """
     _check_weakly_visible(P, chord)
     edge_au = (chord - 1) % P.n

@@ -20,12 +20,12 @@ so the open sight segment lies wholly inside or wholly outside.
 
 Weak visibility from a segment s is the union of the visibility polygons
 of its endpoints and reflex vertices inside it and, for every reflex vertex
-v off its line, the pivot cones of sight lines from s through v. One sweep
-from v over the directions toward s finds the sub-wedges across which v
-sees s and blocks the view toward one end; each maximal run of them is
-swept again beyond v. A diffuse bounce takes the half-turn fan and the
-cones of one end only (`reflect`). A fan gives the sweep its net boundary
-in integers, so a netted union of fans builds no `Point` or polygon.
+v off its line, the pivot cones: sight lines from s through v that v bounds
+toward s.a. One sweep from v over the directions toward s finds the
+sub-wedges across which v sees s and blocks the view toward s.a; each
+maximal run of them is swept again beyond v. A diffuse bounce takes the
+half-turn fan of s.a in place of the VPs (`reflect`). A fan gives the sweep
+its net boundary in integers, so a netted union of fans builds no `Point`.
 
 A visibility polygon keeps its integer ring, each edge labelled with the
 host edge it lies on, or -1 along a sight ray: the lit parts of an edge not
@@ -385,9 +385,11 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
     Composed of the visibility polygons of the endpoints and of the reflex
-    vertices strictly inside s plus the pivot cones, on both sides, of every
-    reflex vertex off the line of s. The region holds the union's sweep cells;
-    `merge_region` glues them into a single simple polygon for well-behaved inputs.
+    vertices strictly inside s plus the pivot cones toward s.a of every reflex
+    vertex off the line of s. The cones toward s.b add nothing: p sees an
+    interval of s, P having no holes, and one that stops short of s.a is cut
+    off by a reflex vertex v on p's sight line, whose cone toward s.a holds p,
+    or whose VP does if v lies inside s or is s.b.
 
     Raises `SegmentOutsidePolygon` when s.a is outside the polygon, or when
     s.b is not in the closed visibility polygon of s.a, the first piece.
@@ -401,8 +403,7 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     pieces = [first, visibility_polygon(P, s.b).region]
     for v in (P.vertices[i] for i in P.reflex_indices()):
         if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
-            f = _frame(P, v)
-            pieces += [_pivot_cones(f, s.a, s.b), _pivot_cones(f, s.b, s.a)]
+            pieces.append(_pivot_cones(_frame(P, v), s.a, s.b))
         elif v not in (s.a, s.b) and s.contains_point(v):
             pieces.append(visibility_polygon(P, v).region)
     return region_union_all(pieces)

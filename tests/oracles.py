@@ -19,9 +19,13 @@ reads off the polygons' boundary instead.
 The ring references are the Fraction construction of `SimplePolygon`
 (normalization, shoelace area and pairwise simplicity check) that the
 integer construction must reproduce exactly, and the Fraction crossing
-test that its integer `contains` must agree with. The slab row reference
-orders a slab's edges by their height at the midline as one Fraction
-per edge, the order the sweep's integer row keys must reproduce.
+test that its `contains` must agree with. The region reference locates a
+point in each part of a region with that test, as `Region.contains` did
+before it read the net boundary: there a point on a seam between two
+parts is BOUNDARY, even where the parts cover all around it. The slab
+row reference orders a slab's edges by their height at the midline as
+one Fraction per edge, the order the sweep's integer row keys must
+reproduce.
 
 The frame reference scales the origin and the vertices per frame, as
 `visibility._Frame` did before the polygon kept its integer ring, and
@@ -509,6 +513,16 @@ def contains_reference(P: SimplePolygon, p: Point) -> PointLocation:
             if a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y) > p.x:
                 inside = not inside
     return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
+
+
+def region_contains_reference(region: Region, p: Point) -> PointLocation:
+    """Point location of p in a region by its parts (`contains_reference`):
+    INTERIOR inside some part, else BOUNDARY on some part's side, else EXTERIOR."""
+    locations = {contains_reference(part, p) for part in region.parts}
+    for loc in (PointLocation.INTERIOR, PointLocation.BOUNDARY):
+        if loc in locations:
+            return loc
+    return PointLocation.EXTERIOR
 
 
 def slab_rows_reference(active, xl: Fraction, xr: Fraction) -> list:

@@ -45,6 +45,7 @@ from oracles import (
     midpoint,
     polygon_reference,
     primitive_direction,
+    region_contains_reference,
     region_sample_points,
     segment_parts_inside,
     slab_rows_reference,
@@ -663,6 +664,88 @@ class TestOneLayerUnion:
 
 
 # ---------------------------------------------------------------------------
+# Point location on the net boundary against the scan over parts.
+# ---------------------------------------------------------------------------
+
+# the square [-1, 1]^2 with the wedge (1, -1/2), (0, 0), (1, 1/2) cut out, and its mirror image
+NOTCH = SimplePolygon([(-1, -1), (1, -1), (1, F(-1, 2)), (0, 0), (1, F(1, 2)), (1, 1), (-1, 1)])
+MIRRORED_NOTCH = SimplePolygon([(1, 1), (-1, 1), (-1, F(1, 2)), (0, 0), (-1, F(-1, 2)), (-1, -1), (1, -1)])
+
+
+@st.composite
+def located_regions(draw):
+    """A region and whether it is one polygon's: a polygon, a sweep's output, disjoint
+    regions joined with no sweep, or a fan (a visibility polygon or pivot cones)."""
+    kind = draw(st.sampled_from(["polygon", "swept", "joined", "fan"]))
+    if kind in ("swept", "joined"):
+        a, b = draw(grid_regions | convex_regions()), draw(grid_regions | convex_regions())
+        if kind == "joined":
+            return geom.region_join(list(classes([a, b]).values())), False
+        op = draw(st.sampled_from([region_intersection, region_difference, lambda a, b: region_union_all([a, b])]))
+        return op(a, b), False
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    P = draw(st.sampled_from([lambda: NOTCH, lambda: MIRRORED_NOTCH, lshape, lambda: comb(rng.randint(2, 3)),
+                              lambda: histogram_polygon(rng, 4), lambda: radial_polygon(rng, 7)]))()
+    if kind == "polygon":
+        return Region.of(P), True
+    v = P.vertices[draw(st.integers(0, P.n - 1))]
+    if draw(st.booleans()) or not P.reflex_indices():
+        return visibility_polygon(P, v).region, False
+    e = P.edge(draw(st.integers(0, P.n - 1)))
+    pivot = P.vertices[P.reflex_indices()[0]]
+    assume(orientation(e.a, e.b, pivot) is not Orientation.COLLINEAR)
+    return visibility._pivot_cones(visibility._frame(P, pivot), e.a, e.b), False
+
+
+def _probe_points(region: Region) -> set[Point]:
+    # the vertices and side midpoints of the parts and of the sweep's cells: the
+    # cells' corners and vertical sides lie on seams between parts
+    rings = [p.vertices for p in region.parts] + [c.vertices for c in overlay([region], any).parts]
+    return {p for ring in rings for a, b in zip(ring, ring[1:] + ring[:1]) for p in (a, (a + b) * F(1, 2))}
+
+
+class TestPointLocation:
+    def test_seam_between_cells_is_interior(self):
+        # the union is two cells split at x = 1; the scan over parts sees the split
+        union = region_union_all([Region.of(rect(0, 0, 2, 1)), Region.of(rect(0, 0, 1, 2))])
+        seam = Point(1, F(1, 2))
+        assert union.contains(seam) is PointLocation.INTERIOR
+        assert region_contains_reference(union, seam) is PointLocation.BOUNDARY
+        assert union.contains(Point(1, 1)) is PointLocation.BOUNDARY
+        assert union.contains(Point(1, 2)) is PointLocation.BOUNDARY
+        assert union.contains(Point(F(3, 2), F(3, 2))) is PointLocation.EXTERIOR
+
+    def test_reflex_notch_is_boundary(self):
+        # at the notch's tip the sectors right of it (left in the mirror image)
+        # read inside, outside, inside: walked in the wrong slope order they
+        # would read inside throughout
+        for P, side in ((NOTCH, 1), (MIRRORED_NOTCH, -1)):
+            cases = {Point(0, 0): PointLocation.BOUNDARY, Point(F(side, 2), 0): PointLocation.EXTERIOR,
+                     Point(F(-side, 2), 0): PointLocation.INTERIOR, Point(F(side, 2), F(1, 2)): PointLocation.INTERIOR,
+                     Point(side, F(1, 4)): PointLocation.EXTERIOR, Point(side, F(1, 2)): PointLocation.BOUNDARY}
+            for p, loc in cases.items():
+                assert P.contains(p) is loc is Region.of(P).contains(p) is contains_reference(P, p), (P, p)
+
+    @settings(max_examples=60, deadline=None)
+    @example(case=(geom.region_join([Region.of(rect(0, 0, 1, 1)), Region.of(rect(1, 0, 2, 1))]), False))
+    @example(case=(Region.of(NOTCH), True))
+    @given(case=located_regions())
+    def test_matches_the_scan_over_parts(self, case):
+        # the net boundary answers INTERIOR wherever some part does, and also on
+        # a seam whose neighbourhood the parts cover; it covers exactly the
+        # points some part covers, and on one polygon it is that polygon's answer
+        region, polygon = case
+        assume(not region.is_empty)
+        for p in _probe_points(region):
+            got, ref = region.contains(p), region_contains_reference(region, p)
+            assert region.covers(p) is (ref is not PointLocation.EXTERIOR), p
+            assert ref is not PointLocation.INTERIOR or got is PointLocation.INTERIOR, p
+            assert got is not PointLocation.BOUNDARY or ref is PointLocation.BOUNDARY, p
+            if polygon:
+                assert got is ref, p
+
+
+# ---------------------------------------------------------------------------
 # Integer ring construction against the Fraction reference.
 # ---------------------------------------------------------------------------
 
@@ -748,8 +831,8 @@ class TestIntegerRing:
     @settings(max_examples=200, deadline=None)
     @given(ring=rings(), data=st.data())
     def test_contains_matches_fraction_reference(self, ring, data):
-        # the integer crossing test scales the point to the ring, or the ring
-        # by the point's denominators that its scale lacks (7, 11, 2**20 + 7)
+        # the net boundary locator reads points on the ring's scale and on
+        # denominators its scale lacks (7, 11, 2**20 + 7)
         try:
             P = SimplePolygon(ring)
         except GeometryError:

@@ -550,6 +550,31 @@ class TestWeakVisibility:
                 outcomes.add(seen)
         assert outcomes == {True, False}
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["lshape", "comb", "histogram", "radial"]),
+           vertex_pair=st.booleans())
+    def test_cones_toward_one_end_suffice(self, seed, shape, vertex_pair):
+        # the region takes each pivot's cones toward s.a only: the brute force
+        # agrees with it, and the cones toward s.b add no area to it
+        rng = random.Random(seed)
+        P = {"lshape": lshape, "comb": lambda: comb(rng.randint(2, 4)),
+             "histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)),
+             "radial": lambda: radial_polygon(rng, rng.randint(6, 9))}[shape]()
+        if vertex_pair:
+            a, b = (P.vertices[i] for i in rng.sample(range(P.n), 2))
+        else:
+            a, b = region_sample_points(Region.of(P), rng, 2)
+        s = Segment(a, b)
+        if not sees(P, a, b):
+            with pytest.raises(SegmentOutsidePolygon):
+                weak_visibility_polygon(P, s)
+            return
+        w = weak_visibility_polygon(P, s)
+        pivots = [P.vertices[i] for i in P.reflex_indices() if orientation(a, b, P.vertices[i]) is not Orientation.COLLINEAR]
+        assert region_union_all([w, *(_pivot_cones(_frame(P, v), b, a) for v in pivots)]).area == w.area, (P, s)
+        for p in [*P.vertices, *region_sample_points(Region.of(P), rng, 12)]:
+            assert w.covers(p) == _sees_some_point(P, p, s), (P, s, p)
+
     def test_reflex_vertices_inside_the_segment(self, rng):
         # from between the notches, the view of s is bounded at both ends by
         # reflex vertices lying on s: only their own VPs reach those points
