@@ -280,8 +280,8 @@ class SimplePolygon:
         return self._reflex
 
     def contains(self, p: Point) -> PointLocation:
-        """Where p lies in the closed polygon, read off its ring's edges (`_locate`)."""
-        return _locate(Region.of(self)._net_boundary(), p)
+        """Where p lies in the closed polygon, read off its ring's edges (`_locate`, `_outline`)."""
+        return _locate(_outline(self), p)
 
     def __eq__(self, other):
         return isinstance(other, SimplePolygon) and self.vertices == other.vertices
@@ -328,6 +328,12 @@ def memo_per_polygon(fn):
         return P._memo[key]
 
     return memoized
+
+
+@memo_per_polygon
+def _outline(P: SimplePolygon) -> list[tuple]:
+    """P's ring as integer net boundary edges (`Region._net_boundary`), kept on P."""
+    return Region.of(P)._net_boundary()
 
 
 # ---------------------------------------------------------------------------

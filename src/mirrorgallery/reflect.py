@@ -1,25 +1,27 @@
 """Visibility extension through reflecting edges.
 
 Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
-source re-emits into the inner half-plane of e as star-shaped fans (see
-`visibility`), which give the sweep their edges in integers and build no
-polygon; the fans of one depth are unioned as one netted layer in one sweep,
-and newly lit parts of other designated edges, read off the boundary of the
-VP and the added region so far (`geom.sides_along`), re-emit at the next
-depth, up to the bounce budget. Each depth is a step memoized on the polygon
-(`geom.memo_per_polygon`) that extends the memoized depth before it, so a
-call at budget r reuses what earlier calls from the same source over the
-same edges ran. A depth carries the added cells so far, from one sweep of
-the VP, the previous depth's cells and its own region, and a call returns
-them as they are. Specular extension unfolds the source across the mirror
-line and splits the wedge from there through each lit part of the mirror
-at the vertex directions, in the integer frame of `visibility`: the first
-edge beyond the mirror in each sub-wedge closes one exact quad, and the
-quads of a part are one integer ring, a fan cut off by the mirror. Added
-regions are kept disjoint from direct visibility so their exact areas sum.
-The coordinate bit cap (`MG_BIT_CAP`) holds on the merged rings of every
-depth region, the added region and the specular region, on every call;
-cells whose bound from the sweep's runs is within it are not merged, nor built.
+source re-emits to the points left of e that see a positive length of s,
+the fans weak visibility is also built from (`visibility._seeing`, which
+holds the argument), which give the sweep their edges in integers and build
+no polygon; the fans of one depth are unioned as one netted layer in one
+sweep, and newly lit parts of other designated edges, read off the boundary
+of the VP and the added region so far (`geom.sides_along`), re-emit at the
+next depth, up to the bounce budget. Each depth is a step memoized on the
+polygon (`geom.memo_per_polygon`) that extends the memoized depth before
+it, so a call at budget r reuses what earlier calls from the same source
+over the same edges ran. A depth carries the added cells so far, from one
+sweep of the VP, the previous depth's cells and its own region, and a call
+returns them as they are. Specular extension unfolds the source across the
+mirror line and splits the wedge from there through each lit part of the
+mirror at the vertex directions, in the integer frame of `visibility`: the
+first edge beyond the mirror in each sub-wedge closes one exact quad, and
+the quads of a part are one integer ring, a fan cut off by the mirror.
+Added regions are kept disjoint from direct visibility so their exact areas
+sum. The coordinate bit cap (`MG_BIT_CAP`) holds on the merged rings of
+every depth region, the added region and the specular region, on every
+call; cells whose bound from the sweep's runs is within it are not merged,
+nor built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
-    _turn,
     along,
     memo_per_polygon,
     merge_intervals,
@@ -49,12 +50,11 @@ from .geom import (
 )
 from .visibility import (
     VisibilityPolygon,
-    _cone,
     _fan,
     _frame,
     _lit,
-    _pivot_cones,
     _primitive,
+    _seeing,
     visibility_polygon,
 )
 
@@ -196,19 +196,9 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
         _light(P, edges, depth - 1, lambda e: sides_along(covered, P.vertices[e], P.vertices[(e + 1) % P.n]),
                records)
 
-    # s re-emits to the points left of e that see it; each sees an interval
-    # of s that ends toward s.a at s.a or on a tangent through a reflex
-    # vertex left of e: the half-turn fan of s.a and those cones
-    pts = P._int_ring()[1]
-    fans: list[Region] = []
-    for part in [x for x in records if x.bounce_depth == depth - 1]:
-        a, b = pts[part.edge], pts[(part.edge + 1) % P.n]
-        d = _primitive(b[0] - a[0], b[1] - a[1])
-        pivots = [_frame(P, i) for i in P.reflex_indices() if _turn(a, b, pts[i]) > 0]
-        for s in part.subsegments:
-            fans.append(_cone(_frame(P, s.a), d, (-d[0], -d[1])))
-            fans += [_pivot_cones(f, s.a, s.b) for f in pivots]
-    dr = region_union_all(fans)
+    # a part s re-emits to the points left of its edge that see it (`_seeing`)
+    dr = region_union_all([fan for part in records if part.bounce_depth == depth - 1
+                           for s in part.subsegments for fan in _seeing(P, s)])
     if dr.is_empty:  # the cascade stops here
         return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added, prev.added_bits)
     added = overlay([prev.vp.region, prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))

@@ -18,14 +18,12 @@ interior, left of the host edge from inside an edge, and inside the
 interior angle from a vertex. The mid direction passes through no vertex,
 so the open sight segment lies wholly inside or wholly outside.
 
-Weak visibility from a segment s is the union of the visibility polygons
-of its endpoints and reflex vertices inside it and, for every reflex vertex
-v off its line, the pivot cones: sight lines from s through v that v bounds
-toward s.a. One sweep from v over the directions toward s finds the
-sub-wedges across which v sees s and blocks the view toward s.a; each
-maximal run of them is swept again beyond v. A diffuse bounce takes the
-half-turn fan of s.a in place of the VPs (`reflect`). A fan gives the sweep
-its net boundary in integers, so a netted union of fans builds no `Point`.
+Weak visibility from a segment s and a diffuse bounce from it (`reflect`)
+are built from one construction, `_seeing`, which holds the argument for
+it: the half-turn fan of s.a and the pivot cones of the reflex vertices
+left of s's line, two short sweeps from each (`_pivot_cones`). A fan gives
+the sweep its net boundary in integers, so a netted union of fans builds no
+`Point`.
 
 A visibility polygon keeps its integer ring, each edge labelled with the
 host edge it lies on, or -1 along a sight ray: the lit parts of an edge not
@@ -340,12 +338,6 @@ def _fan(f: _Frame, runs: list[list[tuple]], near: int | None = None) -> Region:
     return Region._from_rings(rings, sides)
 
 
-def _cone(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> Region:
-    """The part of VP(origin) between directions lo and hi (at most a half
-    turn): a `_fan` over the maximal runs of lit sub-wedges."""
-    return _fan(f, _lit(f, lo, hi))
-
-
 def _pivot_cones(f: _Frame, a: Point, b: Point) -> Region:
     """Sight lines from the segment ab through the frame's origin, a reflex
     vertex v off ab's line, that v bounds toward a, continued past v: a `_fan`
@@ -381,15 +373,28 @@ def _pivot_cones(f: _Frame, a: Point, b: Point) -> Region:
     return _fan(f, [lit for r0, r1 in runs for lit in _lit(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))])
 
 
+def _seeing(P: SimplePolygon, s: Segment) -> list[Region]:
+    """Fans whose union is the set of points strictly left of s's line that see
+    a positive length of s, for s in P with no vertex strictly inside it. Such
+    a point sees an interval of s, P having no holes, whose end toward s.a is
+    s.a, and the lit run of the half-turn fan of s.a from s's direction on
+    holds the point (a later run lies past an edge at s.a, which hides s near
+    s.a from it), or is cut off by a reflex vertex strictly between the point
+    and the line, whose pivot cones toward s.a hold it."""
+    f = _frame(P, s.a)
+    dx, dy = d = _primitive(*f.local(s.b)[:2])
+    fans = [_fan(f, [run for run in _lit(f, d, (-dx, -dy))[:1] if run[0][0] == d])]
+    return fans + [_pivot_cones(_frame(P, i), s.a, s.b) for i in P.reflex_indices()
+                   if dx * f.edges[i][1] > dy * f.edges[i][0]]
+
+
 def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
-    Composed of the visibility polygons of the endpoints and of the reflex
-    vertices strictly inside s plus the pivot cones toward s.a of every reflex
-    vertex off the line of s. The cones toward s.b add nothing: p sees an
-    interval of s, P having no holes, and one that stops short of s.a is cut
-    off by a reflex vertex v on p's sight line, whose cone toward s.a holds p,
-    or whose VP does if v lies inside s or is s.b.
+    The points off the line of s that see a positive length of it, from each
+    side (`_seeing` of s and of s reversed), with the visibility polygons of
+    the endpoints, which hold the points on the line, and of the reflex
+    vertices strictly inside s, which bound views of s that no fan reaches.
 
     Raises `SegmentOutsidePolygon` when s.a is outside the polygon, or when
     s.b is not in the closed visibility polygon of s.a, the first piece.
@@ -400,10 +405,7 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
         first = Region.empty()
     if not first.covers(s.b):
         raise SegmentOutsidePolygon(f"{s!r} is not contained in the polygon")
-    pieces = [first, visibility_polygon(P, s.b).region]
-    for v in (P.vertices[i] for i in P.reflex_indices()):
-        if orientation(s.a, s.b, v) is not Orientation.COLLINEAR:
-            pieces.append(_pivot_cones(_frame(P, v), s.a, s.b))
-        elif v not in (s.a, s.b) and s.contains_point(v):
-            pieces.append(visibility_polygon(P, v).region)
-    return region_union_all(pieces)
+    inside = [visibility_polygon(P, v).region for v in (P.vertices[i] for i in P.reflex_indices())
+              if v not in (s.a, s.b) and s.contains_point(v)]
+    return region_union_all([first, visibility_polygon(P, s.b).region, *inside,
+                             *_seeing(P, s), *_seeing(P, Segment(s.b, s.a))])

@@ -9,7 +9,12 @@ arithmetic; nothing here shares code with the angular sweep it verifies.
 The diffuse-cascade reference rebuilds every bounce from public calls
 only: the weak visibility polygon of each lit part, clipped to its edge's
 inner half-plane by a region intersection, and lit edge parts found by
-segment-in-polygon tests, never from ring labels or fans.
+segment-in-polygon tests, never from ring labels. It is not independent
+of the fans: weak visibility and the cascade are built from the same ones
+(`visibility._seeing`). What pins those fans on their own is
+`test_visibility.py::TestSeeing::test_matches_the_brute_force`, which
+checks them against `sees` at the midpoints between the crossings of the
+segment by sight lines through vertices.
 
 The segment reference `segment_parts_inside` splits a segment at every
 edge of some polygons, in `Fraction`s, and locates each piece's midpoint
@@ -35,11 +40,12 @@ The frame answer references scan every edge, or every vertex, in
 `Fraction`s for a ray's first crossing, its lit test and the vertex
 directions inside a wedge, which a frame keeps once it has answered.
 
-The fan references build `visibility._cone` and `visibility._pivot_cones`
-as they were before fans gave the sweep their edges in integers: one
-`SimplePolygon` per run of lit sub-wedges, its ring of `Point`s through
-`ray_point`. `edge_ends` reads an integer net boundary edge back as
-the side of `geom._net_runs` it stands for.
+The fan references build the fans of `visibility._fan` over the lit runs
+of `visibility._lit`, and `visibility._pivot_cones`, as they were before
+fans gave the sweep their edges in integers: one `SimplePolygon` per run
+of lit sub-wedges, its ring of `Point`s through `ray_point`. `edge_ends`
+reads an integer net boundary edge back as the side of `geom._net_runs`
+it stands for.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
 ran before it took its breakpoints from the integer frame: per lit part,
@@ -322,8 +328,9 @@ def ray_point(f: _Frame, d: tuple[int, int], i: int) -> Point:
 
 
 def cone_reference(f: _Frame, lo: tuple[int, int], hi: tuple[int, int]) -> list[SimplePolygon]:
-    """`visibility._cone` as polygons: the part of VP(origin) between directions lo
-    and hi (at most a half turn), one polygon per maximal run of lit sub-wedges."""
+    """`visibility._fan(f, _lit(f, lo, hi))` as polygons: the part of VP(origin)
+    between directions lo and hi (at most a half turn), one polygon per maximal
+    run of lit sub-wedges."""
     dirs = [lo, *f.between(lo, hi), hi]
     parts: list[SimplePolygon] = []
     ring = [f.origin]

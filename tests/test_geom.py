@@ -34,7 +34,7 @@ from mirrorgallery.geom import (
     subtract_intervals,
 )
 from mirrorgallery.reflect import extend_all_edges
-from mirrorgallery.visibility import _cone, _Frame, visibility_polygon, weak_visibility_polygon
+from mirrorgallery.visibility import _fan, _Frame, _lit, visibility_polygon, weak_visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
 from oracles import (
@@ -231,7 +231,8 @@ class TestRegionOps:
                 s = P.edge(e)
                 d = primitive_direction(s.direction)
                 for p in (s.a, midpoint(s), s.b):
-                    fan = Region(_cone(_Frame(P, p), d, (-d[0], -d[1])))
+                    f = _Frame(P, p)
+                    fan = Region(_fan(f, _lit(f, d, (-d[0], -d[1]))))
                     vp = Region.of(visibility_polygon(P, p).polygon)
                     clipped = region_intersection(vp, Region.of(halfplane_rect(s.a, s.b, box)))
                     assert fan.area == clipped.area, (P, e, p)
@@ -639,8 +640,8 @@ class TestOneLayerUnion:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "lshape"]))
     def test_matches_a_layer_per_fan_on_cascades(self, seed, shape):
-        # the fans of each cascade depth (`_cone`, `_pivot_cones`) and the VPs
-        # and pivot cones of weak visibility, as the library unions them
+        # the fans of each cascade depth and the VPs and fans of weak
+        # visibility (`_seeing`), as the library unions them
         rng = random.Random(seed)
         P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
              "radial": lambda: radial_polygon(rng, 8), "lshape": lshape}[shape]()
@@ -725,6 +726,23 @@ class TestPointLocation:
                      Point(side, F(1, 4)): PointLocation.EXTERIOR, Point(side, F(1, 2)): PointLocation.BOUNDARY}
             for p, loc in cases.items():
                 assert P.contains(p) is loc is Region.of(P).contains(p) is contains_reference(P, p), (P, p)
+
+    def test_a_polygon_keeps_its_outline(self, monkeypatch):
+        # the first query reads the ring into net boundary edges, and the
+        # polygon keeps them: a second query builds no edge
+        P = comb(3)
+        calls = Counter()
+        edge = geom._edge
+
+        def counted(*args):
+            calls["_edge"] += 1
+            return edge(*args)
+
+        monkeypatch.setattr(geom, "_edge", counted)
+        assert P.contains(Point(F(1, 2), F(1, 2))) is PointLocation.INTERIOR
+        assert calls["_edge"] == P.n
+        assert P.contains(Point(F(3, 2), F(3, 2))) is PointLocation.EXTERIOR
+        assert calls["_edge"] == P.n
 
     @settings(max_examples=60, deadline=None)
     @example(case=(geom.region_join([Region.of(rect(0, 0, 1, 1)), Region.of(rect(1, 0, 2, 1))]), False))

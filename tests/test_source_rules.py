@@ -16,7 +16,11 @@ frames, and asks a visibility polygon what a point sees, with no
 `Fraction` segment splitting. Only `visibility` builds a frame
 (`_Frame(`), so every frame of a polygon vertex is the one kept on the
 polygon, and `reflect` constructs no `SimplePolygon`: its regions are
-integer rings and sweeps, built into polygons only when read.
+integer rings and sweeps, built into polygons only when read. `reflect`
+re-emits a diffuse bounce through `visibility._seeing`, the fans weak
+visibility is built from, and calls neither `_pivot_cones` nor
+`weak_visibility_polygon`: the points that see a segment have one
+construction.
 """
 
 import ast
@@ -159,6 +163,23 @@ def test_the_frame_walk_finds_each_kind():
               "h = _frame(P, o)\n"
               "cls = _Frame\n")
     assert _calls(source, "probe.py", {"_Frame"}) == ["probe.py:2: _Frame", "probe.py:3: _Frame"]
+
+
+def test_reflect_reemits_through_seeing():
+    path = next(p for p in SOURCES if p.name == "reflect.py")
+    source = path.read_text()
+    assert _calls(source, path.name, {"_seeing"}) != []
+    assert _calls(source, path.name, {"_pivot_cones", "weak_visibility_polygon"}) == []
+
+
+def test_the_bounce_walk_finds_each_kind():
+    source = ("from .visibility import _pivot_cones, _seeing\n"
+              "fans = _seeing(P, s)\n"
+              "cones = visibility._pivot_cones(f, a, b)\n"
+              "w = weak_visibility_polygon(P, s)\n"
+              "seeing = _seeing\n")
+    assert _calls(source, "probe.py", {"_seeing", "_pivot_cones", "weak_visibility_polygon"}) == [
+        "probe.py:2: _seeing", "probe.py:3: _pivot_cones", "probe.py:4: weak_visibility_polygon"]
 
 
 def _constructs(source: str, name: str, cls: str) -> list[str]:

@@ -8,7 +8,7 @@ from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mirrorgallery.errors import QueryOutsidePolygon, SegmentOutsidePolygon
@@ -29,7 +29,7 @@ from mirrorgallery.geom import (
     sees,
 )
 from mirrorgallery.reflect import reflect_point_across_line
-from mirrorgallery.visibility import (_cone, _frame, _Frame, _pivot_cones, visibility_polygon,
+from mirrorgallery.visibility import (_fan, _frame, _Frame, _lit, _pivot_cones, _seeing, visibility_polygon,
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
@@ -236,10 +236,9 @@ class TestWindows:
         assert spike_mouth_windows == len(ri.spikes)
 
 
-def _sees_some_point(P: SimplePolygon, p: Point, s: Segment) -> bool:
-    """Brute force: along s, what p sees changes only where the line from p
-    through a vertex crosses s, so s's endpoints, those crossings and the
-    midpoints between consecutive ones decide it."""
+def _sight_breaks(P: SimplePolygon, p: Point, s: Segment) -> list[F]:
+    """Along s, what p sees changes only where the line from p through a vertex
+    crosses s: the parameters of s's endpoints and those crossings, in order."""
     d = s.b - s.a
     ts = {F(0), F(1)}
     for v in P.vertices:
@@ -251,9 +250,51 @@ def _sees_some_point(P: SimplePolygon, p: Point, s: Segment) -> bool:
             t = (p - s.a).cross(u) / denom
             if 0 < t < 1:
                 ts.add(t)
-    ts = sorted(ts)
-    ts += [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
-    return any(sees(P, p, s.point_at(t)) for t in ts)
+    return sorted(ts)
+
+
+def _sees_some_point(P: SimplePolygon, p: Point, s: Segment) -> bool:
+    """Brute force: s's endpoints, the crossings of `_sight_breaks` and the
+    midpoints between consecutive ones decide whether p sees a point of s."""
+    ts = _sight_breaks(P, p, s)
+    return any(sees(P, p, s.point_at(t)) for t in ts + [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])])
+
+
+def _sees_some_length(P: SimplePolygon, p: Point, s: Segment) -> bool:
+    """Brute force: p sees a positive length of s exactly when it sees the
+    midpoint between two consecutive crossings of `_sight_breaks`."""
+    ts = _sight_breaks(P, p, s)
+    return any(sees(P, p, s.point_at((t0 + t1) / 2)) for t0, t1 in zip(ts, ts[1:]))
+
+
+class TestSeeing:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["lshape", "comb", "histogram", "radial"]),
+           kind=st.sampled_from(["edge", "piece", "diagonal", "chord"]), reverse=st.booleans())
+    def test_matches_the_brute_force(self, seed, shape, kind, reverse):
+        # the fans of `_seeing` cover a point strictly left of s's line exactly
+        # when it sees a positive length of s: the weak visibility polygon and
+        # the diffuse cascade are built from them, so this pins them on their own.
+        # s is an edge, a piece of one, or a chord between two vertices or two
+        # interior points, either way round, with no vertex strictly inside it
+        rng = random.Random(seed)
+        P = {"lshape": lshape, "comb": lambda: comb(rng.randint(2, 4)),
+             "histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)),
+             "radial": lambda: radial_polygon(rng, rng.randint(6, 9))}[shape]()
+        if kind in ("edge", "piece"):
+            s = P.edge(rng.randrange(P.n))
+            if kind == "piece":
+                s = Segment(s.point_at(F(rng.randint(0, 3), 7)), s.point_at(F(rng.randint(4, 7), 7)))
+        else:
+            a, b = rng.sample(P.vertices, 2) if kind == "diagonal" else region_sample_points(Region.of(P), rng, 2)
+            s = Segment(a, b)
+            assume(sees(P, a, b) and not any(v not in (a, b) and s.contains_point(v) for v in P.vertices))
+        if reverse:
+            s = Segment(s.b, s.a)
+        seeing = region_union_all(_seeing(P, s))
+        left = [p for p in region_sample_points(Region.of(P), rng, 30) if orientation(s.a, s.b, p) is Orientation.CCW]
+        for p in left:
+            assert seeing.covers(p) == _sees_some_length(P, p, s), (P, s, p)
 
 
 class TestEdgeHosts:
@@ -351,9 +392,11 @@ class TestPivotCones:
                 for s in (edge, Segment(edge.point_at(F(1, 3)), edge.point_at(F(3, 4)))):
                     lit = region_intersection(weak_visibility_polygon(P, s), inner)
                     for a, b in [(s.a, s.b), (s.b, s.a)]:
-                        pieces = [Region(_cone(_Frame(P, a), d, (-d[0], -d[1])))]
+                        f = _Frame(P, a)
+                        pieces = [Region(_fan(f, _lit(f, d, (-d[0], -d[1]))))]
                         pieces += [Region(_pivot_cones(_Frame(P, v), a, b)) for v in reflex]
                         assert region_union_all(pieces).area == lit.area, (P, s, a)
+                    assert region_union_all(_seeing(P, s)).area == lit.area, (P, s)
 
 
 def _direction(draw) -> tuple[int, int]:
@@ -395,7 +438,7 @@ def fan_draws(draw):
         hi = _direction(draw) if draw(st.booleans()) else (-lo[0], -lo[1])
         if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
             hi = (-lo[0], -lo[1])
-        fans.append((_cone(f, lo, hi), cone_reference(f, lo, hi)))
+        fans.append((_fan(f, _lit(f, lo, hi)), cone_reference(f, lo, hi)))
     samples = region_sample_points(Region.of(P), rng, 6)
     samples += [v for _, ref in fans for part in ref for v in part.vertices]
     return fans, samples
@@ -430,7 +473,7 @@ class TestFanEdges:
         # turn from (1, -1) to (-1, 1) in two; its rays lie on x + y = 2
         L = lshape()
         f = _Frame(L, Point(1, 1))
-        fan, ref = _cone(f, (1, -1), (-1, 1)), cone_reference(f, (1, -1), (-1, 1))
+        fan, ref = _fan(f, _lit(f, (1, -1), (-1, 1))), cone_reference(f, (1, -1), (-1, 1))
         assert len(ref) == 2
         _check_fans([(fan, ref)], region_sample_points(Region.of(L), rng, 20))
         assert (Point(0, 2), Point(2, 0), 1) in map(edge_ends, fan._net_boundary())
@@ -439,7 +482,8 @@ class TestFanEdges:
         # coordinates far below 1: the parts' reduced denominators carry the bits
         s = F(1, 2**20 + 7)
         L = SimplePolygon([(0, 0), (2 * s, 0), (2 * s, s), (s, s), (s, 2 * s), (0, 2 * s)])
-        fan = _cone(_Frame(L, Point(3 * s / 2, s / 2)), (1, 0), (-1, 0))
+        f = _Frame(L, Point(3 * s / 2, s / 2))
+        fan = _fan(f, _lit(f, (1, 0), (-1, 0)))
         assert fan._bits_bound() >= fan.max_coordinate_bits() > 20
 
     def test_fans_build_no_point_before_their_parts_are_read(self, monkeypatch):
@@ -461,7 +505,7 @@ class TestFanEdges:
 
         monkeypatch.setattr(Point, "__post_init__", point)
         monkeypatch.setattr(SimplePolygon, "__init__", polygon)
-        fans = [_cone(frames[0], d, (-d[0], -d[1]))] + [_pivot_cones(f, a, b) for f in frames[1:]]
+        fans = [_fan(frames[0], _lit(frames[0], d, (-d[0], -d[1])))] + [_pivot_cones(f, a, b) for f in frames[1:]]
         union = region_union_all(fans)
         assert union.area > 0 and all(fan._net_boundary() for fan in fans if not fan.is_empty)
         assert sum(not fan.is_empty for fan in fans) >= 2
@@ -554,8 +598,10 @@ class TestWeakVisibility:
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["lshape", "comb", "histogram", "radial"]),
            vertex_pair=st.booleans())
     def test_cones_toward_one_end_suffice(self, seed, shape, vertex_pair):
-        # the region takes each pivot's cones toward s.a only: the brute force
-        # agrees with it, and the cones toward s.b add no area to it
+        # the region takes the cones toward s.a of the pivots left of s's line
+        # and toward s.b of those right of it (`_seeing` of s and of s reversed):
+        # the brute force agrees with it, and every pivot's cones toward either
+        # end add no area to it
         rng = random.Random(seed)
         P = {"lshape": lshape, "comb": lambda: comb(rng.randint(2, 4)),
              "histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)),
@@ -571,7 +617,8 @@ class TestWeakVisibility:
             return
         w = weak_visibility_polygon(P, s)
         pivots = [P.vertices[i] for i in P.reflex_indices() if orientation(a, b, P.vertices[i]) is not Orientation.COLLINEAR]
-        assert region_union_all([w, *(_pivot_cones(_frame(P, v), b, a) for v in pivots)]).area == w.area, (P, s)
+        cones = [_pivot_cones(_frame(P, v), *ends) for v in pivots for ends in ((a, b), (b, a))]
+        assert region_union_all([w, *cones]).area == w.area, (P, s)
         for p in [*P.vertices, *region_sample_points(Region.of(P), rng, 12)]:
             assert w.covers(p) == _sees_some_point(P, p, s), (P, s, p)
 
