@@ -320,12 +320,13 @@ def memo_per_polygon(fn):
         if P._memo is None:
             P._memo = {}
         key = (fn, *args)
-        if key not in P._memo:
+        value = P._memo.get(key, memoized)  # one hash of the key; no result is the wrapper itself
+        if value is memoized:
             value = fn(P, *args)  # may add entries of its own
             if len(P._memo) >= MEMO_SIZE:
                 del P._memo[next(iter(P._memo))]
             P._memo[key] = value
-        return P._memo[key]
+        return value
 
     return memoized
 
@@ -578,9 +579,8 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
     falsy value, and runs between two edges of one line, are skipped. The
     run's trapezoid is built only when the region's parts are read: its area
     is the slab's width times the difference of the edges' integer row keys
-    over their scale, summed per slab and group on integers. Slab ends stay
-    reduced (numerator, denominator) pairs; a Fraction is built only per slab
-    and group, for its area.
+    over their scale, summed per group as a reduced (numerator, denominator)
+    pair, the form slab ends keep too: one Fraction is built per group.
     """
     nlayers = len(layers)
     segs: list[_SweepSeg] = []
@@ -646,10 +646,14 @@ def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: 
                 run_key, run_bottom, run_h = value, seg, h
         # a run's area is (xr - xl) * dh / scale, and xr - xl = (rn*ld - ln*rd) / (ld*rd)
         (ln, ld), (rn, rd) = xl, xr
+        wn, wd = rn * ld - ln * rd, ld * rd * scale
         for g, dh in heights.items():
-            areas[g] = areas.get(g, 0) + Fraction((rn * ld - ln * rd) * dh, ld * rd * scale)
+            an, ad = areas.get(g, (0, 1))
+            an, ad = an * wd + wn * dh * ad, ad * wd
+            c = gcd(an, ad)
+            areas[g] = (an // c, ad // c)
     return {g: Region._deferred(lambda r=r: tuple(_trapezoid(xs[k], xs[k + 1], b, t) for k, b, t in r),
-                                areas[g], (xs, r)) for g, r in runs.items()}
+                                Fraction(*areas[g]), (xs, r)) for g, r in runs.items()}
 
 
 def _rows(active: list[_SweepSeg], xl: tuple[int, int], xr: tuple[int, int]) -> tuple[int, list]:

@@ -1,27 +1,28 @@
 """Visibility extension through reflecting edges.
 
-Diffuse extension runs a bounce cascade: a part s of an edge e lit by the
-source re-emits to the points left of e that see a positive length of s,
-the fans weak visibility is also built from (`visibility._seeing`, which
-holds the argument), which give the sweep their edges in integers and build
-no polygon; the fans of one depth are unioned as one netted layer in one
-sweep, and newly lit parts of other designated edges, read off the boundary
-of the VP and the added region so far (`geom.sides_along`), re-emit at the
-next depth, up to the bounce budget. Each depth is a step memoized on the
-polygon (`geom.memo_per_polygon`) that extends the memoized depth before
-it, so a call at budget r reuses what earlier calls from the same source
-over the same edges ran. A depth carries the added cells so far, from one
-sweep of the VP, the previous depth's cells and its own region, and a call
-returns them as they are. Specular extension unfolds the source across the
-mirror line and splits the wedge from there through each lit part of the
-mirror at the vertex directions, in the integer frame of `visibility`: the
-first edge beyond the mirror in each sub-wedge closes one exact quad, and
-the quads of a part are one integer ring, a fan cut off by the mirror.
-Added regions are kept disjoint from direct visibility so their exact areas
-sum. The coordinate bit cap (`MG_BIT_CAP`) holds on the merged rings of
-every depth region, the added region and the specular region, on every
-call; cells whose bound from the sweep's runs is within it are not merged,
-nor built.
+Diffuse extension runs a bounce cascade. The source lights the VP's ring
+edges on the designated edges (a line through it hosts none), and a part s
+of an edge e re-emits to the points left of e that see a positive length of
+s: the fans weak visibility is also built from (`visibility._seeing`, which
+holds the argument, kept on the polygon), which give the sweep their edges
+in integers and build no polygon; the fans of one depth are unioned as one
+netted layer in one sweep, and newly lit parts of other designated edges,
+read off the boundary of the VP and the added region so far
+(`geom.sides_along`), re-emit at the next depth, up to the bounce budget.
+Each depth is a step memoized on the polygon (`geom.memo_per_polygon`) that
+extends the memoized depth before it, so a call at budget r reuses what
+earlier calls from the same source over the same edges ran. A depth carries
+the added cells so far, from one sweep of the VP, the previous depth's
+cells and its own region, and a call returns them as they are. Specular
+extension unfolds the source across the mirror line and splits the wedge
+from there through each lit part of the mirror at the vertex directions, in
+the integer frame of `visibility`: the first edge beyond the mirror in each
+sub-wedge closes one exact quad, and the quads of a part are one integer
+ring, a fan cut off by the mirror. Added regions are kept disjoint from
+direct visibility so their exact areas sum. The coordinate bit cap
+(`MG_BIT_CAP`) holds on the merged rings of every depth region, the added
+region and the specular region, on every call; cells whose bound from the
+sweep's runs is within it are not merged, nor built.
 """
 
 from __future__ import annotations
@@ -112,21 +113,17 @@ class ExtendedVisibility:
 def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
     """Maximal subsegments of edge e lit by the source, in order along e.
 
-    A point source lights the parts it sees directly; a region source,
-    which must lie in P, lights the parts of the edge the region reaches.
-    Both are read off a boundary: the VP ring's, or the region's.
+    A point source lights the parts it sees directly, its VP's; a region
+    source, which must lie in P, lights the parts of the edge the region
+    reaches. Both are read off the region's boundary (`geom.sides_along`).
     """
     if not (0 <= e < P.n):
         raise SpecMismatch(f"edge index {e} out of range")
-    a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
     if isinstance(src, Point):
-        vp = visibility_polygon(P, src)
-        if orientation(a, b, src) is not Orientation.COLLINEAR:
-            return vp.edge_parts(e)
-        return sides_along([vp.region], a, b)
-    if isinstance(src, Region):
-        return sides_along([src], a, b)
-    raise SpecMismatch(f"unsupported source {src!r}")
+        src = visibility_polygon(P, src).region
+    if not isinstance(src, Region):
+        raise SpecMismatch(f"unsupported source {src!r}")
+    return sides_along([src], P.vertices[e], P.vertices[(e + 1) % P.n])
 
 
 def _check_bits(region: Region, where: str, bits: int):
@@ -156,15 +153,17 @@ class _Cascade:
     added_bits: int  # a bound on the coordinate bit length of its cells
 
 
-def _light(P: SimplePolygon, edges, depth: int, parts_of, records: list):
-    """Append to records the parts of each designated edge first lit at this depth.
+def _light(P: SimplePolygon, edges, depth: int, covered: list[Region], records: list):
+    """Append to records the parts of each designated edge first lit at depth >= 1:
+    its pieces on the boundary of the covered regions, which lie in P (`geom.sides_along`).
 
     Parts are ordered, merged and subtracted by an exact coordinate along the
     edge (`geom.along`); every interval end is the coordinate of a part's
     endpoint, which the fresh parts are rebuilt from."""
     for e in sorted(edges):
-        t = along(P.vertices[e], P.vertices[(e + 1) % P.n])
-        parts, lit = parts_of(e), [s for x in records if x.edge == e for s in x.subsegments]
+        a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
+        t = along(a, b)
+        parts, lit = sides_along(covered, a, b), [s for x in records if x.edge == e for s in x.subsegments]
         ends = {t(p): p for s in parts + lit for p in (s.a, s.b)}
         fresh = subtract_intervals(merge_intervals([tuple(sorted((t(s.a), t(s.b)))) for s in parts]),
                                    merge_intervals([(t(s.a), t(s.b)) for s in lit]))
@@ -177,24 +176,19 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     """The cascade run to `depth` bounces: one step beyond the memoized cascade
     at depth - 1, whose light pass runs only now."""
     if depth == 0:
+        # an edge's maximal lit parts are the VP's ring edges on it: none if q is on its line
         vp = visibility_polygon(P, q)
-        records: list[IlluminatedEdgePart] = []
-        # an edge collinear with the source is only grazed and re-emits nothing
-        _light(P, edges, 0, lambda e: [] if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR
-               else vp.edge_parts(e), records)
-        return _Cascade(vp, tuple(records), (), (), Region.empty(), 0)
+        lit = ((e, vp.edge_parts(e)) for e in sorted(edges))
+        records = tuple(IlluminatedEdgePart(e, tuple(parts), 0) for e, parts in lit if parts)
+        return _Cascade(vp, records, (), (), Region.empty(), 0)
     prev = _cascade(P, q, edges, depth - 1)
     if len(prev.regions) < depth - 1:
         return prev  # stopped before depth - 1
     if prev.vp.area + prev.added.area == P.area:
         return prev  # saturated: nothing further to light
     records = list(prev.records)
-    if depth > 1:
-        # the covered region, the VP and `added`, lies in P, so an edge's lit parts are
-        # its pieces on their net boundary: no cell is built
-        covered = [prev.vp.region, prev.added]
-        _light(P, edges, depth - 1, lambda e: sides_along(covered, P.vertices[e], P.vertices[(e + 1) % P.n]),
-               records)
+    if depth > 1:  # no cell is built: the lit parts are read off the VP's and `added`'s boundaries
+        _light(P, edges, depth - 1, [prev.vp.region, prev.added], records)
 
     # a part s re-emits to the points left of its edge that see it (`_seeing`)
     dr = region_union_all([fan for part in records if part.bounce_depth == depth - 1

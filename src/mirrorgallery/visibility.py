@@ -26,11 +26,11 @@ the sweep its net boundary in integers, so a netted union of fans builds no
 `Point`.
 
 A visibility polygon keeps its integer ring, each edge labelled with the
-host edge it lies on, or -1 along a sight ray: the lit parts of an edge not
-collinear with the source, its area and, as a fan's, its net boundary are
-read off it, and its polygon and windows are built on first read. The last
-256 results of `visibility_polygon` per polygon are kept on the polygon
-(`geom.memo_per_polygon`), so they die with it.
+host edge it lies on, or -1 along a sight ray: the lit parts of an edge
+(none on a line through the source), its area and, as a fan's, its net
+boundary are read off it, and its polygon and windows are built on first
+read. The last 256 results of `visibility_polygon` and `_seeing` per polygon
+are kept on the polygon (`geom.memo_per_polygon`), so they die with it.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class VisibilityPolygon:
         return self.region.area
 
     def edge_parts(self, e: int) -> list[Segment]:
-        """Maximal lit parts of host edge e, in order along e; e must not be collinear with the source."""
+        """Maximal lit parts of host edge e, in order along e; none if e is collinear with the source."""
         ring, hv = self.ring, self.host_vertices
         point = (lambda p: Point(Fraction(p[0], p[2]), Fraction(p[1], p[2])))
         parts = [Segment(point(ring[k]), point(ring[(k + 1) % len(ring)]))
@@ -373,28 +373,30 @@ def _pivot_cones(f: _Frame, a: Point, b: Point) -> Region:
     return _fan(f, [lit for r0, r1 in runs for lit in _lit(f, (-r0[0], -r0[1]), (-r1[0], -r1[1]))])
 
 
-def _seeing(P: SimplePolygon, s: Segment) -> list[Region]:
+@memo_per_polygon
+def _seeing(P: SimplePolygon, s: Segment) -> tuple[Region, ...]:
     """Fans whose union is the set of points strictly left of s's line that see
-    a positive length of s, for s in P with no vertex strictly inside it. Such
-    a point sees an interval of s, P having no holes, whose end toward s.a is
-    s.a, and the lit run of the half-turn fan of s.a from s's direction on
-    holds the point (a later run lies past an edge at s.a, which hides s near
-    s.a from it), or is cut off by a reflex vertex strictly between the point
-    and the line, whose pivot cones toward s.a hold it."""
+    a positive length of s, for s in P with no vertex strictly inside it, kept on
+    P. Such a point sees an interval of s, P having no holes, whose end toward
+    s.a is s.a, and the first fan, the lit run of the half-turn fan of s.a from
+    s's direction on, holds the point (a later run lies past an edge at s.a,
+    which hides s near s.a from it), or is cut off by a reflex vertex strictly
+    between the point and the line, whose pivot cones toward s.a hold it."""
     f = _frame(P, s.a)
     dx, dy = d = _primitive(*f.local(s.b)[:2])
-    fans = [_fan(f, [run for run in _lit(f, d, (-dx, -dy))[:1] if run[0][0] == d])]
-    return fans + [_pivot_cones(_frame(P, i), s.a, s.b) for i in P.reflex_indices()
-                   if dx * f.edges[i][1] > dy * f.edges[i][0]]
+    fan = _fan(f, [run for run in _lit(f, d, (-dx, -dy))[:1] if run[0][0] == d])
+    return (fan, *(_pivot_cones(_frame(P, i), s.a, s.b) for i in P.reflex_indices()
+                   if dx * f.edges[i][1] > dy * f.edges[i][0]))
 
 
 def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     """Closed region of points seeing at least one point of the segment.
 
-    The points off the line of s that see a positive length of it, from each
-    side (`_seeing` of s and of s reversed), with the visibility polygons of
-    the endpoints, which hold the points on the line, and of the reflex
-    vertices strictly inside s, which bound views of s that no fan reaches.
+    The points off s's line that see a positive length of it, from each side
+    (`_seeing` of s and of s reversed, but the first fan, seen from an
+    endpoint), with the visibility polygons of the endpoints, which hold the
+    first fans and the points on the line, and of the reflex vertices strictly
+    inside s, which bound views of s that no fan reaches.
 
     Raises `SegmentOutsidePolygon` when s.a is outside the polygon, or when
     s.b is not in the closed visibility polygon of s.a, the first piece.
@@ -408,4 +410,4 @@ def weak_visibility_polygon(P: SimplePolygon, s: Segment) -> Region:
     inside = [visibility_polygon(P, v).region for v in (P.vertices[i] for i in P.reflex_indices())
               if v not in (s.a, s.b) and s.contains_point(v)]
     return region_union_all([first, visibility_polygon(P, s.b).region, *inside,
-                             *_seeing(P, s), *_seeing(P, Segment(s.b, s.a))])
+                             *_seeing(P, s)[1:], *_seeing(P, Segment(s.b, s.a))[1:]])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorgallery.geom import Point, Region, SimplePolygon
+from mirrorgallery.geom import Point, PointLocation, Region, SimplePolygon
 from mirrorgallery.special import detect_funnel
 
 from oracles import dir_cmp, region_sample_points
@@ -142,6 +142,17 @@ def random_funnel(rng: random.Random, left_n: int = 3, right_n: int = 3):
 
 def interior_point(rng: random.Random, poly: SimplePolygon) -> Point:
     return region_sample_points(Region.of(poly), rng, 1)[0]
+
+
+def on_edge_lines(poly: SimplePolygon) -> list[Point]:
+    """Interior points of poly on the line of one of its edges, off the edge."""
+    out = []
+    for a, b in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):
+        for t in (Fraction(-2), Fraction(-1), Fraction(-1, 3), Fraction(4, 3), Fraction(2), Fraction(3)):
+            p = a + (b - a) * t
+            if poly.contains(p) is PointLocation.INTERIOR:
+                out.append(p)
+    return out
 
 
 @pytest.fixture

@@ -16,6 +16,12 @@ of the fans: weak visibility and the cascade are built from the same ones
 checks them against `sees` at the midpoints between the crossings of the
 segment by sight lines through vertices.
 
+The lit parts reference builds the cascade's depth-0 records as
+`reflect._cascade` did before it read them off the visibility polygon's
+host labels: an orientation test drops every edge collinear with the
+source, and the lit parts of each other edge are merged by an exact
+coordinate along it, so touching parts join.
+
 The segment reference `segment_parts_inside` splits a segment at every
 edge of some polygons, in `Fraction`s, and locates each piece's midpoint
 in them: the pieces their closed union covers, which `geom.sides_along`
@@ -85,6 +91,7 @@ from mirrorgallery.geom import (
     SimplePolygon,
     _integer_ring,
     _shoelace2,
+    along,
     merge_intervals,
     orientation,
     overlay,
@@ -95,7 +102,8 @@ from mirrorgallery.geom import (
     segment_intersection,
     subtract_intervals,
 )
-from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
+from mirrorgallery.reflect import (IlluminatedEdgePart, ReflectionKind, ReflectionSpec, diffuse_extend,
+                                   reflect_point_across_line)
 from mirrorgallery.special import MirrorChoice, funnel_tangents
 from mirrorgallery.visibility import _Frame, visibility_polygon, weak_visibility_polygon
 
@@ -200,6 +208,24 @@ def segment_parts_inside(seg: Segment, parts) -> list[Segment]:
             else:
                 kept.append((t0, t1))
     return [Segment(seg.point_at(t0), seg.point_at(t1)) for t0, t1 in kept]
+
+
+def lit_parts_reference(P: SimplePolygon, q: Point, edges) -> tuple[IlluminatedEdgePart, ...]:
+    """The depth-0 illumination records of the diffuse cascade from q over edges:
+    per edge not collinear with q, in index order, its parts in the visibility
+    polygon, merged by their coordinate along the edge (`geom.along`)."""
+    vp = visibility_polygon(P, q)
+    records = []
+    for e in sorted(edges):
+        a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
+        if orientation(a, b, q) is Orientation.COLLINEAR:
+            continue
+        t, parts = along(a, b), vp.edge_parts(e)
+        ends = {t(p): p for s in parts for p in (s.a, s.b)}
+        merged = merge_intervals([tuple(sorted((t(s.a), t(s.b)))) for s in parts])
+        if merged:
+            records.append(IlluminatedEdgePart(e, tuple(Segment(ends[t0], ends[t1]) for t0, t1 in merged), 0))
+    return tuple(records)
 
 
 def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):

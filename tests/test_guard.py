@@ -26,7 +26,7 @@ from mirrorgallery.reflect import _cascade
 from mirrorgallery.visibility import visibility_polygon
 
 from conftest import comb, histogram_polygon, lshape, radial_polygon
-from oracles import midpoint, region_sample_points
+from oracles import midpoint, region_contains_reference, region_sample_points
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -190,6 +190,23 @@ class TestCovers:
             assert guard in d.signatures[ci]
             for s in region_sample_points(d.cells[ci], rng, 4):
                 assert sees(c, c.vertices[guard], s)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_certificate_checked_off_the_sweep(self, r):
+        # each class's first cell is a convex trapezoid of the sweep, so its vertex
+        # centroid is inside it; the certifying guard's extended region must cover
+        # that point, located by the scan over the region's parts, not by the sweep
+        # that made the classes
+        rng = random.Random(17)
+        for P in [lshape(), comb(3), histogram_polygon(rng, 5), radial_polygon(rng, 8)]:
+            sol, d = greedy_cover(P, r), decompose(P, r)
+            assert len(sol.coverage_certificate) == len(d.cells)
+            for cell, gi in zip(d.cells, sol.coverage_certificate):
+                assert _convex(cell.parts[0])
+                first = cell.parts[0].vertices
+                centroid = Point(sum(v.x for v in first) / len(first), sum(v.y for v in first) / len(first))
+                covering = extended_region(P, P.vertices[sol.guards[gi]], r)
+                assert region_contains_reference(covering, centroid) is not PointLocation.EXTERIOR, (P, r, cell)
 
 
 class TestGuardGraph:

@@ -34,8 +34,8 @@ from mirrorgallery.reflect import (
 )
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
-from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
-from oracles import (FrameReference, diffuse_added_reference, ray_point, region_sample_points,
+from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
+from oracles import (FrameReference, diffuse_added_reference, lit_parts_reference, ray_point, region_sample_points,
                      segment_parts_inside, specular_added_reference, validate_disjoint)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -79,6 +79,32 @@ class TestVisibleEdgeParts:
         # left wall of the hexagon: only the stretch below the shadow line is lit
         assert len(parts) == 1
         assert parts[0].contains_point(Point(0, F(1, 2)))
+
+
+class TestDepthZeroLight:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "snake"]),
+           at=st.sampled_from(["interior", "vertex", "edge", "line"]), subset=st.booleans())
+    def test_records_match_the_reference(self, seed, shape, at, subset):
+        # depth 0 reads the lit parts off the VP's host labels, with no orientation
+        # test and no merge: the reference takes both. A point source's
+        # `visible_edge_parts` are the same parts, or, on an edge collinear with
+        # it, the VP's sides along the edge
+        rng = random.Random(seed)
+        P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
+             "radial": lambda: radial_polygon(rng, 8), "snake": lambda: SNAKE}[shape]()
+        e = rng.randrange(P.n)
+        q = {"interior": lambda: interior_point(rng, P), "vertex": lambda: P.vertices[e],
+             "edge": lambda: P.edge(e).point_at(F(rng.randint(1, 6), 7)),
+             "line": lambda: rng.choice(on_edge_lines(P) or [P.vertices[e]])}[at]()
+        edges = set(rng.sample(range(P.n), P.n // 2)) if subset else set(range(P.n))
+        assert diffuse_extend(P, q, diffuse(edges, 0)).per_edge_illumination == lit_parts_reference(P, q, edges)
+        vp = visibility_polygon(P, q)
+        for e in range(P.n):
+            a, b = P.vertices[e], P.vertices[(e + 1) % P.n]
+            grazed = orientation(a, b, q) is Orientation.COLLINEAR
+            assert visible_edge_parts(P, q, e) == (geom.sides_along([vp.region], a, b) if grazed
+                                                   else vp.edge_parts(e)), (P, q, e)
 
 
 def _check_lit_parts(P, q, seen):

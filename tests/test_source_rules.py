@@ -20,7 +20,9 @@ integer rings and sweeps, built into polygons only when read. `reflect`
 re-emits a diffuse bounce through `visibility._seeing`, the fans weak
 visibility is built from, and calls neither `_pivot_cones` nor
 `weak_visibility_polygon`: the points that see a segment have one
-construction.
+construction. `reflect._cascade` calls no `orientation`: the light of
+depth 0 is read off the visibility polygon's host labels, on which an
+edge collinear with the source has no part.
 """
 
 import ast
@@ -180,6 +182,24 @@ def test_the_bounce_walk_finds_each_kind():
               "seeing = _seeing\n")
     assert _calls(source, "probe.py", {"_seeing", "_pivot_cones", "weak_visibility_polygon"}) == [
         "probe.py:2: _seeing", "probe.py:3: _pivot_cones", "probe.py:4: weak_visibility_polygon"]
+
+
+def _function(source: str, name: str) -> str:
+    # the module-level function's source, on its own lines of the module: line numbers hold
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return "\n" * (node.lineno - 1) + ast.get_source_segment(source, node)
+
+
+def test_depth_zero_light_is_read_off_the_vp():
+    path = next(p for p in SOURCES if p.name == "reflect.py")
+    assert _calls(_function(path.read_text(), "_cascade"), path.name, {"orientation"}) == []
+
+
+def test_the_function_walk_finds_each_kind():
+    source = ("def _light(P, e):\n    return orientation(a, b, q)\n"
+              "@memo_per_polygon\ndef _cascade(P, q):\n    side = geom.orientation(a, b, q)\n"
+              "    test = orientation\n    return side is Orientation.COLLINEAR\n")
+    assert _calls(_function(source, "_cascade"), "probe.py", {"orientation"}) == ["probe.py:5: orientation"]
 
 
 def _constructs(source: str, name: str, cls: str) -> list[str]:

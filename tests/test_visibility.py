@@ -5,12 +5,14 @@ import weakref
 from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mirrorgallery import visibility
 from mirrorgallery.errors import QueryOutsidePolygon, SegmentOutsidePolygon
 from mirrorgallery.geom import (
     MEMO_SIZE,
@@ -28,11 +30,11 @@ from mirrorgallery.geom import (
     region_union_all,
     sees,
 )
-from mirrorgallery.reflect import reflect_point_across_line
+from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
 from mirrorgallery.visibility import (_fan, _frame, _Frame, _lit, _pivot_cones, _seeing, visibility_polygon,
                                       weak_visibility_polygon)
 
-from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon, random_funnel
+from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
 from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, first_hit_reference, halfplane_rect,
                      hit_reference, midpoint, pivot_cones_reference, primitive_direction, region_sample_points,
                      segment_parts_inside, shoelace2_reference, visibility_area_oracle)
@@ -296,6 +298,20 @@ class TestSeeing:
         for p in left:
             assert seeing.covers(p) == _sees_some_length(P, p, s), (P, s, p)
 
+    def test_a_polygon_keeps_the_fans_of_a_part(self, monkeypatch):
+        # both sources see the whole bottom edge of the L-shape: the second cascade
+        # reads the fans of that part off the polygon and builds no pivot cone again
+        calls = []
+        pivot_cones = visibility._pivot_cones
+        monkeypatch.setattr(visibility, "_pivot_cones", lambda f, a, b: calls.append((a, b)) or pivot_cones(f, a, b))
+        L = lshape()
+        bottom = L.edge(0)
+        spec = ReflectionSpec(frozenset({0}), ReflectionKind.DIFFUSE, 1)
+        for q in (Point(F(1, 2), F(1, 2)), Point(F(3, 2), F(1, 4))):
+            assert diffuse_extend(L, q, spec).per_edge_illumination[0].subsegments == (bottom,)
+        assert calls == [(bottom.a, bottom.b)]  # the reflex corner (1, 1), once
+        assert isinstance(_seeing(L, bottom), tuple) and _seeing(L, bottom) is _seeing(L, bottom)
+
 
 class TestEdgeHosts:
     def test_labels_give_lit_edge_parts(self, rng):
@@ -330,6 +346,36 @@ class TestEdgeHosts:
                     assert parts == segment_parts_inside(s, [vp.polygon]), (P, q, e)
                     lit += len(parts)
         assert lit > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["lshape", "comb", "histogram", "radial"]),
+           at=st.sampled_from(["vertex", "edge", "line"]))
+    def test_no_part_on_a_line_through_the_source(self, seed, shape, at):
+        # no wedge hit lies on a line through the source (`_Frame.first_hit`), so an
+        # edge collinear with it hosts no ring edge: the diffuse cascade reads its
+        # depth-0 light off the labels with no orientation test. Sources at a vertex,
+        # inside an edge, and inside P on the line of an edge
+        rng = random.Random(seed)
+        P = {"lshape": lshape, "comb": lambda: comb(rng.randint(2, 4)),
+             "histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)),
+             "radial": lambda: radial_polygon(rng, rng.randint(6, 9))}[shape]()
+        line = on_edge_lines(P)
+        sources = {"vertex": lambda: [P.vertices[rng.randrange(P.n)]],
+                   "edge": lambda: [P.edge(rng.randrange(P.n)).point_at(F(rng.randint(1, 6), 7))],
+                   "line": lambda: rng.sample(line, min(3, len(line)))}[at]()
+        for q in sources:
+            vp = visibility_polygon(P, q)
+            collinear = [e for e in range(P.n) if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR]
+            assert collinear, (P, q)
+            for e in collinear:
+                assert vp.edge_parts(e) == [], (P, q, e)
+
+    def test_sources_on_edge_lines_are_drawn(self):
+        # the drawn shapes hold interior points on their edges' lines: the L-shape's
+        # at (2/3, 1), on the line of its edge (2, 1)-(1, 1)
+        assert Point(F(2, 3), 1) in on_edge_lines(lshape())
+        assert visibility_polygon(lshape(), Point(F(2, 3), 1)).edge_parts(2) == []
+        assert all(on_edge_lines(P) for P in (comb(3), histogram_polygon(random.Random(3), 4)))
 
 
 def _beyond(P: SimplePolygon, v: Point, s: Segment) -> SimplePolygon:
@@ -621,6 +667,24 @@ class TestWeakVisibility:
         assert region_union_all([w, *cones]).area == w.area, (P, s)
         for p in [*P.vertices, *region_sample_points(Region.of(P), rng, 12)]:
             assert w.covers(p) == _sees_some_point(P, p, s), (P, s, p)
+
+    def test_first_fans_lie_in_the_endpoint_vps(self):
+        # the first fan of `_seeing` is seen from s.a, so VP(s.a) holds it, and weak
+        # visibility leaves it out: on every vertex pair it adds no area back
+        rng = random.Random(7)
+        polys = [lshape(), comb(3), comb(4), *(histogram_polygon(rng, k) for k in (3, 4, 5)),
+                 *(radial_polygon(rng, k) for k in (6, 7, 8))]
+        accepted = 0
+        for P in polys:
+            for a, b in combinations(P.vertices, 2):
+                s = Segment(a, b)
+                try:
+                    w = weak_visibility_polygon(P, s)
+                except SegmentOutsidePolygon:
+                    continue
+                assert region_union_all([w, _seeing(P, s)[0], _seeing(P, Segment(b, a))[0]]).area == w.area, (P, s)
+                accepted += 1
+        assert accepted == 197  # of 381 pairs; the others raise SegmentOutsidePolygon
 
     def test_reflex_vertices_inside_the_segment(self, rng):
         # from between the notches, the view of s is bounded at both ends by
