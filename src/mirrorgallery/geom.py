@@ -14,8 +14,11 @@ rings (a fan of `visibility`) its net boundary; either builds its
 polygons only when its parts are read. A difference or intersection
 sweeps only the edges that meet the x-range where a kept cell can lie,
 and the pieces of a polygon edge that regions inside the polygon reach
-are read off their boundaries (`sides_along`). No floating point is
-used anywhere; all results are exact.
+are read off their boundaries (`sides_along`). The net boundary is the
+only boundary read: it leaves out vertical sides, but a boundary is
+closed, so the sides at an x are rebuilt from the edges ending there
+(`_verticals`), for a vertical edge and for the loops `merge_region`
+traces. No floating point is used anywhere; all results are exact.
 """
 
 from __future__ import annotations
@@ -351,8 +354,8 @@ class Region:
     output. A later sweep and a point query read the region's net boundary,
     kept on it, which a swept region joins from its runs' edges and a fan
     is given, with no polygon.
-    `merge_region` glues cells into maximal polygons only where merged
-    rings are wanted: SVG output and the coordinate bit cap. A region
+    `merge_region` traces that boundary into maximal polygons only where
+    merged rings are wanted: SVG output and the coordinate bit cap. A region
     counts a point once per part covering it, never negatively; only in
     a boolean's input, such as a depth's stacked fans, do parts overlap.
     """
@@ -375,7 +378,7 @@ class Region:
     def _from_rings(cls, rings: list[list[tuple[int, int, int]]], sides: list) -> "Region":
         """The region of counterclockwise rings of points (x, y, w), for (x/w, y/w),
         w > 0, and of its net boundary: sides (line, u, v) from point u to point v on
-        the line (A, B, C) of A*x + B*y = C, joined as `_net_runs` joins them, vertical
+        the line (A, B, C) of A*x + B*y = C, collinear touching ones joined, vertical
         ones dropped. The area is read off the rings, and their parts are built from
         them, when first read."""
         region = cls()
@@ -693,39 +696,10 @@ def _trapezoid(xl: tuple[int, int], xr: tuple[int, int], bottom: _SweepSeg, top:
 # ---------------------------------------------------------------------------
 
 
-def _line_key(a: Point, b: Point):
-    # Normalized (A, B, C) for the line A*x + B*y = C, primitive integers,
-    # sign-canonical, so collinear segments share a key.
-    A, B, C = _int_line(a, b)
-    g = gcd(A, B, C) or 1
-    if A < 0 or (A == 0 and B < 0):
-        g = -g
-    return (A // g, B // g, C // g)
-
-
-def _sides(parts: Iterable[SimplePolygon]):
-    return ((a, b, 1) for part in parts for a, b in zip(part.vertices, part.vertices[1:] + part.vertices[:1]))
-
-
-def _net_runs(sides: Iterable[tuple[Point, Point, int]]) -> list[tuple[Point, Point, int]]:
-    """The net boundary of directed sides (a, b, w), each w times from a to b: on each
-    line (`_line_key`) opposite sides cancel and collinear ones join into maximal runs
-    (a, b, w) of constant nonzero multiplicity w, a before b (by x, or by y on a
-    vertical line), w > 0 where the sides run from a to b."""
-    pts: dict[tuple, Point] = {}
-    pieces = []
-    for a, b, w in sides:
-        key = _line_key(a, b)
-        ta, tb = (a.x, b.x) if key[1] else (a.y, b.y)
-        pts[key, ta], pts[key, tb] = a, b
-        pieces.append((*key, ta, tb, w))
-    return [(pts[key, s], pts[key, t], w) for key, s, t, w in _joined(pieces)]
-
-
 def _runs_boundary(xs: list[tuple[int, int]], runs: list) -> list[tuple]:
-    """`_net_runs` over the non-vertical sides of the runs' cells, as integer edges
-    (`_edge`), without the cells: each run adds +1 over its slab k on its bottom
-    edge's line and -1 on its top edge's."""
+    """The net boundary of the runs' cells, as integer edges (`_edge`), without the
+    cells: each run adds +1 over its slab k on its bottom edge's line and -1 on its
+    top edge's, and `_joined` nets them per line."""
     pieces = ((s.A, s.B, s.C, k, k + 1, w) for k, bottom, top in runs for s, w in ((bottom, 1), (top, -1)))
     return [(*key, *xs[s], *xs[t], w) for key, s, t, w in _joined(pieces)]
 
@@ -742,7 +716,7 @@ def _joined(pieces: Iterable[tuple], order: Callable = sorted) -> list[tuple]:
     its coefficients over their gcd, and the parameters ordered by `order`."""
     lines: dict[tuple[int, int, int], dict] = {}
     for A, B, C, s, t, w in pieces:
-        g = gcd(A, B, C)  # a sweep edge has B > 0, and a `_line_key` is sign-canonical
+        g = gcd(A, B, C)  # every line has B > 0, so its key is sign-canonical
         events = lines.setdefault((A // g, B // g, C // g), {})
         events[s] = events.get(s, 0) + w
         events[t] = events.get(t, 0) - w
@@ -756,6 +730,22 @@ def _joined(pieces: Iterable[tuple], order: Callable = sorted) -> list[tuple]:
                 net += events[t]
                 start = t
     return runs
+
+
+def _verticals(edges: Iterable[tuple], x: tuple[int, int]) -> list[tuple[Fraction, Fraction, int]]:
+    """The vertical sides at x = (n, d), reduced, of the net boundary whose non-vertical
+    edges (`_edge`) are given, as maximal runs (y0, y1, m), y0 < y1, m times upward
+    (downward if m < 0): a boundary is closed, so at each point the vertical sides
+    balance the edges ending there, each w times out of its left end and into its right."""
+    n, d = x
+    net: dict[Fraction, int] = {}
+    for A, B, C, x0n, x0d, x1n, x1d, w in edges:
+        for end, flow in (((x0n, x0d), w), ((x1n, x1d), -w)):
+            if end == x:
+                y = Fraction(C * d - A * n, B * d)
+                net[y] = net.get(y, 0) + flow
+    ys = sorted(y for y, flow in net.items() if flow)
+    return [(y0, y1, -m) for y0, y1, m in zip(ys, ys[1:], accumulate(net[y] for y in ys)) if m]
 
 
 def _stacked(regions: Sequence[Region], area: Fraction | None = None) -> Region:
@@ -773,47 +763,51 @@ def region_join(regions: Sequence[Region]) -> Region:
 
 
 def merge_region(region: Region) -> Region:
-    """Glue region parts into maximal simple polygons by boundary tracing.
+    """Glue region parts into maximal simple polygons by tracing the loops of the
+    region's net boundary: its non-vertical edges and the vertical sides at their
+    ends (`_verticals`), so a swept region builds no cell.
 
     For output only (SVG rendering and the coordinate bit cap): queries and
     booleans read net boundaries, not polygons. Falls back to the input
     (still correct, just fragmented) whenever the union pinches to a
     point, produces a hole, or any consistency check fails.
     """
-    if len(region.parts) <= 1:
+    if region._runs is None and len(region.parts) <= 1:  # counting a swept region's parts builds its cells
         return region
+    edges = region._net_boundary()
+    at: dict[tuple[int, int], list[tuple]] = {}  # the edges by each end x
+    for e in edges:
+        for x in (e[3:5], e[5:7]):
+            at.setdefault(x, []).append(e)
+    sides = [((Fraction(x0n, x0d), Fraction(C * x0d - A * x0n, B * x0d)),
+              (Fraction(x1n, x1d), Fraction(C * x1d - A * x1n, B * x1d)), w)
+             for A, B, C, x0n, x0d, x1n, x1d, w in edges]
+    sides += [((Fraction(*x), y0), (Fraction(*x), y1), m)
+              for x, ends in at.items() for y0, y1, m in _verticals(ends, x)]
     # Trace closed loops of the net boundary; require out-degree exactly 1 everywhere.
-    out_map: dict[Point, list[Point]] = {}
-    for a, b, net in _net_runs(_sides(region.parts)):
+    out_map: dict[tuple, tuple] = {}
+    for a, b, net in sides:
         if abs(net) > 1:
             return region  # overlapping interiors; refuse to merge
-        out_map.setdefault(a if net > 0 else b, []).append(b if net > 0 else a)
-    for dests in out_map.values():
-        if len(dests) > 1:
-            return region
-    loops = []
-    visited = set()
-    for start in sorted(out_map, key=lambda p: (p.x, p.y)):
-        if start in visited:
-            continue
-        loop = [start]
-        visited.add(start)
-        cur = out_map[start][0]
-        while cur != start:
-            if cur in visited or cur not in out_map:
-                return region
-            loop.append(cur)
-            visited.add(cur)
-            cur = out_map[cur][0]
-        loops.append(loop)
+        a, b = (a, b) if net > 0 else (b, a)
+        if a in out_map:
+            return region  # the union pinches to a point
+        out_map[a] = b
     polys = []
-    for loop in loops:
+    for start in sorted(out_map):
+        if start not in out_map:
+            continue  # on a loop traced already: a point leaves the map as its loop passes it
+        loop, cur = [], start
+        while cur in out_map:
+            loop.append(Point(*cur))
+            cur = out_map.pop(cur)
+        if cur != start:
+            return region  # a chain that does not close on itself
         try:
             polys.append(SimplePolygon.unchecked(loop))
         except GeometryError:
             return region  # hole or degenerate loop: keep the cell soup
-    merged_area = sum((p.area for p in polys), Fraction(0))
-    if merged_area != region.area:
+    if sum((p.area for p in polys), Fraction(0)) != region.area:
         return region
     return Region(polys)
 
@@ -894,25 +888,15 @@ def sides_along(regions: Sequence[Region], a: Point, b: Point) -> list[Segment]:
     with disjoint interiors in a polygon of which ab is an edge, the pieces of ab
     their closed union covers.
 
-    A non-vertical ab reads the net boundary edges on its line that run its way. A
-    vertical ab reads the sides at its x that run its way: the runs of a swept region
-    whose slab ends there on ab's left, else the sides of its integer rings, or of its
-    parts'. No cell or polygon is built and no segment is intersected."""
+    A non-vertical ab reads the net boundary edges on its line that run its way, a
+    vertical ab the vertical sides at its x that run its way (`_verticals`). No cell
+    or polygon is built and no segment is intersected."""
     vertical = a.x == b.x
     sign = 1 if (a.y < b.y if vertical else a.x < b.x) else -1
-    spans = []  # (lo, hi) in y on a vertical ab, in x otherwise
     if vertical:
-        x, xn, xd = a.x, a.x.numerator, a.x.denominator
-        for region in regions:
-            if region._runs is not None:
-                xs, runs = region._runs
-                spans += [((bottom.C - bottom.A * x) / bottom.B, (top.C - top.A * x) / top.B)
-                          for k, bottom, top in runs if xs[k + (sign > 0)] == (xn, xd)]
-            else:
-                rings = region._rings or [[(*p, w) for p in pts] for w, pts in (q._int_ring() for q in region.parts)]
-                ys = [(Fraction(u[1], u[2]), Fraction(v[1], v[2])) for ring in rings for u, v in
-                      zip(ring, ring[1:] + ring[:1]) if u[0] * xd == xn * u[2] and v[0] * xd == xn * v[2]]
-                spans += [(min(y), max(y)) for y in ys if (y[1] - y[0]) * sign > 0]
+        x = a.x
+        spans = [(y0, y1) for region in regions
+                 for y0, y1, m in _verticals(region._net_boundary(), (x.numerator, x.denominator)) if m * sign > 0]
         ends = (a.y, b.y)
     else:
         A, B, C = _int_line(a, b)

@@ -10,11 +10,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from mirrorgallery.geom import Point, PointLocation, Region, SimplePolygon
 from mirrorgallery.special import detect_funnel
 
 from oracles import dir_cmp, region_sample_points
+
+# a failing property test prints the blob that replays it (`@reproduce_failure`);
+# every other setting is the one of the profile in force
+settings.register_profile("print-blob", settings(), print_blob=True)
+settings.load_profile("print-blob")
 
 
 def lshape() -> SimplePolygon:

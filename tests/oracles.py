@@ -50,8 +50,8 @@ The fan references build the fans of `visibility._fan` over the lit runs
 of `visibility._lit`, and `visibility._pivot_cones`, as they were before
 fans gave the sweep their edges in integers: one `SimplePolygon` per run
 of lit sub-wedges, its ring of `Point`s through `ray_point`. `edge_ends`
-reads an integer net boundary edge back as the side of `geom._net_runs`
-it stands for.
+reads an integer net boundary edge back as the side of
+`net_runs_reference` it stands for.
 
 The specular reference is the fold loop `reflect.specular_extend_single`
 ran before it took its breakpoints from the integer frame: per lit part,
@@ -68,6 +68,12 @@ it read the landing off the visibility polygon's side along that ray.
 The union reference sweeps every region as a layer of its own and keeps
 the cells some layer covers, as `geom.region_union_all` did before it
 swept the regions' summed count as one netted layer.
+
+The net runs reference nets the sides of a region's parts on `Point`s,
+every side, vertical ones too, per line keyed by the `Fraction` formula of
+its coefficients; the merge reference traces their loops, as
+`geom.merge_region` did before it traced the integer net boundary, with
+the vertical sides rebuilt from it (`geom._verticals`) and no cell built.
 
 The test aids at the end order directions by angle, sample random points
 of a region, check that a region's parts are pairwise disjoint, and take a
@@ -409,7 +415,7 @@ def pivot_cones_reference(f: _Frame, a: Point, b: Point) -> list[SimplePolygon]:
 
 def edge_ends(edge: tuple) -> tuple[Point, Point, int]:
     """A net boundary edge (A, B, C, x0n, x0d, x1n, x1d, w) of `Region._net_boundary`
-    as the side (a, b, w) of `geom._net_runs`: its ends on its line, left to right."""
+    as the side (a, b, w) of `net_runs_reference`: its ends on its line, left to right."""
     A, B, C, x0n, x0d, x1n, x1d, w = edge
     x0, x1 = Fraction(x0n, x0d), Fraction(x1n, x1d)
     return Point(x0, (C - A * x0) / B), Point(x1, (C - A * x1) / B), w
@@ -637,6 +643,84 @@ def union_reference(regions) -> Region:
     """The union of the regions in one sweep with a layer per region: a cell is
     kept where the winding count of some layer is nonzero."""
     return overlay(list(regions), any)
+
+
+def line_key_reference(a: Point, b: Point) -> tuple[int, int, int]:
+    """The line through a and b as primitive integers (A, B, C), A*x + B*y = C, with
+    A > 0, or A = 0 and B > 0, from its `Fraction` coefficients."""
+    A = b.y - a.y
+    B = a.x - b.x
+    C = A * a.x + B * a.y
+    denom = A.denominator * B.denominator * C.denominator
+    ai, bi, ci = int(A * denom), int(B * denom), int(C * denom)
+    g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
+    ai, bi, ci = ai // g, bi // g, ci // g
+    if ai < 0 or (ai == 0 and bi < 0):
+        ai, bi, ci = -ai, -bi, -ci
+    return (ai, bi, ci)
+
+
+def cell_sides(parts) -> list[tuple[Point, Point, int]]:
+    """Every side (a, b, 1) of the parts, from a vertex to the next."""
+    return [(a, b, 1) for part in parts for a, b in zip(part.vertices, part.vertices[1:] + part.vertices[:1])]
+
+
+def net_runs_reference(sides) -> list[tuple[Point, Point, int]]:
+    """The net boundary of directed sides (a, b, w), each w times from a to b: on each
+    line (`line_key_reference`) opposite sides cancel and collinear ones join into
+    maximal runs (a, b, w) of constant nonzero multiplicity w, a before b (by x, or by
+    y on a vertical line), w > 0 where the sides run from a to b."""
+    lines: dict[tuple, dict] = {}
+    for a, b, w in sides:
+        key = line_key_reference(a, b)
+        t = (lambda p: p.x) if key[1] else (lambda p: p.y)
+        events = lines.setdefault(key, {})
+        for p, dw in ((a, w), (b, -w)):
+            events[t(p)] = (p, events.get(t(p), (p, 0))[1] + dw)
+    runs = []
+    for events in lines.values():
+        net = 0
+        for s in sorted(events):
+            p, dw = events[s]
+            if dw:
+                if net:
+                    runs.append((start, p, net))
+                net += dw
+                start = p
+    return runs
+
+
+def merge_region_reference(region: Region) -> Region:
+    """`geom.merge_region` as it netted every side of the region's parts on `Point`s
+    (`net_runs_reference`) and traced the loops of the net runs, falling back to the
+    region itself where they pinch, hold a hole or overlap."""
+    if len(region.parts) <= 1:
+        return region
+    out_map: dict[Point, list[Point]] = {}
+    for a, b, net in net_runs_reference(cell_sides(region.parts)):
+        if abs(net) > 1:
+            return region
+        out_map.setdefault(a if net > 0 else b, []).append(b if net > 0 else a)
+    if any(len(dests) > 1 for dests in out_map.values()):
+        return region
+    loops, visited = [], set()
+    for start in sorted(out_map, key=lambda p: (p.x, p.y)):
+        if start in visited:
+            continue
+        loop, cur = [start], out_map[start][0]
+        visited.add(start)
+        while cur != start:
+            if cur in visited or cur not in out_map:
+                return region
+            loop.append(cur)
+            visited.add(cur)
+            cur = out_map[cur][0]
+        loops.append(loop)
+    try:
+        polys = [SimplePolygon.unchecked(loop) for loop in loops]
+    except GeometryError:
+        return region
+    return Region(polys) if sum((p.area for p in polys), Fraction(0)) == region.area else region
 
 
 def dir_cmp(d1, d2) -> int:

@@ -108,10 +108,11 @@ class TestDepthZeroLight:
 
 
 def _check_lit_parts(P, q, seen):
-    # the pieces read off the net boundary (and, on a vertical edge, the runs
-    # and ring sides) of the VP and the added region of cascade depths 1 and
-    # 2, and of the VP alone for an edge collinear with q, are the pieces the
-    # oracle finds by splitting the edge at every cell edge and locating midpoints
+    # the pieces read off the net boundary (and, on a vertical edge, the
+    # vertical sides rebuilt from it) of the VP and the added region of cascade
+    # depths 1 and 2, and of the VP alone for an edge collinear with q, are the
+    # pieces the oracle finds by splitting the edge at every cell edge and
+    # locating midpoints
     vp = visibility_polygon(P, q)
     cases = [([vp.region], [vp.polygon],
               [e for e in range(P.n) if orientation(P.edge(e).a, P.edge(e).b, q) is Orientation.COLLINEAR])]
@@ -150,8 +151,9 @@ class TestLitPartsFromBoundary:
 
     def test_vertical_edges_read_the_vp_ring(self):
         # the depth-2 light pass reads the sides of the VP at a vertical edge's
-        # x off its integer ring: the VP's polygon stays unbuilt, and the parts
-        # lit by depth 1 are the oracle's pieces of the edge in the VP and the cells
+        # x off its net boundary, given by its integer ring: the VP's polygon
+        # stays unbuilt, and the parts lit by depth 1 are the oracle's pieces of
+        # the edge in the VP and the cells
         rng = random.Random(61)
         lit = 0
         for q in [interior_point(rng, SNAKE) for _ in range(3)]:

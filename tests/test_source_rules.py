@@ -22,7 +22,9 @@ visibility is built from, and calls neither `_pivot_cones` nor
 `weak_visibility_polygon`: the points that see a segment have one
 construction. `reflect._cascade` calls no `orientation`: the light of
 depth 0 is read off the visibility polygon's host labels, on which an
-edge collinear with the source has no part.
+edge collinear with the source has no part. `geom.sides_along` reads a
+region only through its net boundary, with no runs, rings or parts: a
+vertical edge's sides are rebuilt from that boundary too.
 """
 
 import ast
@@ -35,6 +37,7 @@ CATCH_ALL = {"Exception", "BaseException"}
 EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "special.py"}
 SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg", "_boundary", "_net_boundary", "_netted"}
 SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints", "sees"}
+REGION_READS = {"_runs", "_rings", "_parts", "parts", "_int_ring"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -200,6 +203,24 @@ def test_the_function_walk_finds_each_kind():
               "@memo_per_polygon\ndef _cascade(P, q):\n    side = geom.orientation(a, b, q)\n"
               "    test = orientation\n    return side is Orientation.COLLINEAR\n")
     assert _calls(_function(source, "_cascade"), "probe.py", {"orientation"}) == ["probe.py:5: orientation"]
+
+
+def _attributes(source: str, name: str, attrs: set[str]) -> list[str]:
+    return [f"{name}:{node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
+def test_sides_along_reads_only_the_net_boundary():
+    path = next(p for p in SOURCES if p.name == "geom.py")
+    assert _attributes(_function(path.read_text(), "sides_along"), path.name, REGION_READS) == []
+
+
+def test_the_attribute_walk_finds_each_kind():
+    source = ("def sides_along(regions, a, b):\n    xs, runs = region._runs\n"
+              "    rings = region._rings or [q._int_ring() for q in region.parts]\n"
+              "    parts = geom.Region.of(P).parts\n    edges = region._net_boundary()\n")
+    assert sorted(_attributes(_function(source, "sides_along"), "probe.py", REGION_READS)) == [
+        "probe.py:2: _runs", "probe.py:3: _int_ring", "probe.py:3: _rings", "probe.py:3: parts", "probe.py:4: parts"]
 
 
 def _constructs(source: str, name: str, cls: str) -> list[str]:

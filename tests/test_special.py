@@ -106,6 +106,17 @@ class TestTangents:
             assert sees(P, q, quad.p2.point)
             assert quad.p2.point == ray_landing_reference(P, q, quad.p1.point)
 
+    def test_tangents_and_windows_build_no_vp_polygon(self, funnels):
+        # the sides along sight rays, and the windows cut from them, are read
+        # off the VP's integer ring; they are the polygon's edges so labelled
+        for f, q in funnels[:10]:
+            P = SimplePolygon(f.polygon.vertices)  # with no VP built yet
+            quad = funnel_tangents(detect_funnel(P), q)
+            vp = visibility_polygon(P, q)
+            assert vp.windows and not isinstance(vp.region._parts, tuple)
+            assert vp.ray_sides == tuple(vp.polygon.edge(k) for k, h in enumerate(vp.edge_hosts) if h < 0)
+            assert quad == funnel_tangents(f, q)
+
 
 class TestBestMirrors:
     def test_triangle_already_covered(self):
