@@ -1,9 +1,9 @@
 """Command-line surface: ``mg vp | extend | guard | reduce-gen | render``.
 
-Exit codes: 0 success, 1 unexpected error, 2 parse/input error,
-3 query outside polygon, 4 reflection spec mismatch, 5 coordinate bit
-blow-up, 6 instance verification failure (the file is still written,
-annotated with the failure, so it can be inspected).
+Exit codes: 0 success, 1 unexpected error, 2 parse/input error or an
+unreadable or unwritable path, 3 query outside polygon, 4 reflection spec
+mismatch, 5 coordinate bit blow-up, 6 instance verification failure (the
+file is still written, annotated with the failure, so it can be inspected).
 """
 
 from __future__ import annotations
@@ -82,10 +82,13 @@ def _query_from(args, inst: InstanceFile) -> Point:
 
 
 def _write(path: str | None, text: str):
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as ex:
+        raise ParseError(f"cannot write {path}: {ex}") from ex
 
 
 def cmd_vp(args) -> int:
@@ -108,7 +111,7 @@ def cmd_vp(args) -> int:
             regions=[(Region.of(vp.polygon), "#1f77b4")],
             extra_segments=list(vp.windows),
         )
-        Path(args.svg).write_text(scene)
+        _write(args.svg, scene)
     return 0
 
 
@@ -152,7 +155,7 @@ def cmd_extend(args) -> int:
             regions=[(Region.of(ev.direct.polygon), "#1f77b4"), (ev.added, "#2ca02c")],
             highlight_edges=edges,
         )
-        Path(args.svg).write_text(scene)
+        _write(args.svg, scene)
     return 0
 
 
@@ -180,6 +183,8 @@ def cmd_guard(args) -> int:
 
 def cmd_reduce_gen(args) -> int:
     if args.random is not None:
+        if args.max_value < 1:
+            raise ParseError(f"--max-value must be at least 1, not {args.max_value}")
         rng = random.Random(args.seed)
         values = tuple(rng.randint(1, args.max_value) for _ in range(args.random))
         chosen = [v for v in values if rng.random() < 0.5]

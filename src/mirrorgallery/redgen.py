@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .errors import GeometryError, InvalidInstance, TooLarge, VerificationFailed
+from .errors import GeometryError, InvalidInstance, InvariantViolated, TooLarge, VerificationFailed
 from .geom import (
     Point,
     PointLocation,
@@ -37,8 +38,8 @@ from .reflect import (
     ReflectionSpec,
     diffuse_extend,
     specular_extend_single,
-    visible_edge_parts,
 )
+from .visibility import visibility_polygon
 
 
 class ReductionKind(Enum):
@@ -100,13 +101,23 @@ class VerificationReport:
 
 def subset_sum_bruteforce(ss: SubsetSumInstance):
     """First witness subset in increasing bitmask order, or None."""
-    m = len(ss.values)
+    return _first_subset(ss.values, ss.target)
+
+
+def _first_subset(values: Sequence[int], target: int):
+    """Indices of the first subset, in increasing bitmask order, of the integers
+    that sums to the target, or None: the smallest high half of a mask whose
+    complement a table of the low halves' sums holds, with its smallest low half."""
+    m = len(values)
     if m > 20:
         raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
-    for mask in range(1 << m):
-        if sum(ss.values[i] for i in range(m) if mask >> i & 1) == ss.target:
-            return tuple(i for i in range(m) if mask >> i & 1)
-    return None
+    low, high = [0], [0]
+    for i, v in enumerate(values):
+        half = low if i < m // 2 else high
+        half += [s + v for s in half]
+    first = {s: lo for lo, s in reversed(list(enumerate(low)))}
+    mask = next((hi << m // 2 | first[target - s] for hi, s in enumerate(high) if target - s in first), None)
+    return None if mask is None else tuple(i for i in range(m) if mask >> i & 1)
 
 
 def _edge_index_of(P: SimplePolygon, a: Point, b: Point) -> int:
@@ -254,6 +265,12 @@ def _leak(shared: dict[frozenset[int], Region], layer: int, into) -> Fraction:
 def verify_instance(ri: ReductionInstance) -> VerificationReport:
     """Check every structural claim the reduction relies on, exactly.
 
+    The opaque clause reads one union: at one bounce an edge set adds the
+    union of what its edges add alone (outside the VP, the `_seeing` fans of
+    each edge's VP-lit parts), so the non-candidate edges leak spike area
+    exactly when one of them does, and only then are they walked in order
+    to name the first.
+
     Raises VerificationFailed carrying the report when any clause fails.
     """
     clauses: list[tuple[str, bool, str]] = []
@@ -281,12 +298,10 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
                     else f"mirror {leak[0]} leaks {leak[2]} into spike {leak[1]}"))
 
     if ri.kind is ReductionKind.SPECULAR_SINGLE:
+        vp = visibility_polygon(P, ri.q)  # the one the exact clause built
         for i, e in enumerate(ri.candidates.main):
-            parts = visible_edge_parts(P, ri.q, e)
-            whole = len(parts) == 1 and {parts[0].a, parts[0].b} == {P.edge(e).a, P.edge(e).b}
-            clauses.append(
-                (f"mirror-visible[{i}]", whole, f"mirror edge {e} fully visible from source")
-            )
+            whole = [{s.a, s.b} for s in vp.edge_parts(e)] == [{P.edge(e).a, P.edge(e).b}]
+            clauses.append((f"mirror-visible[{i}]", whole, f"mirror edge {e} fully visible from source"))
 
     if ri.kind is ReductionKind.DIFFUSE_MULTI:
         base = ri.candidates.base
@@ -305,8 +320,14 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
         else:
             candidate_set = ri.candidates.all_edges()
             others = [e for e in range(P.n) if e not in candidate_set]
-            shared = classes(spike_regions + [added_region_for_edge(ri, e) for e in others])
-            leak = next(((e, x) for k, e in enumerate(others) if (x := _leak(shared, ns + k, range(ns)))), None)
+            spikes = Region(tuple(ri.spikes))
+            union = diffuse_extend(P, ri.q, ReflectionSpec(frozenset(others), ReflectionKind.DIFFUSE, 1)).added
+            leak = None
+            if region_intersection(union, spikes).area:
+                leak = next(((e, x) for e in others
+                             if (x := region_intersection(added_region_for_edge(ri, e), spikes).area)), None)
+                if leak is None:
+                    raise InvariantViolated("the non-candidate edges leak together but none leaks alone")
             clauses.append(("opaque", leak is None, "non-candidate edges add no spike area" if leak is None
                             else f"non-candidate edge {leak[0]} adds {leak[1]} of spike area"))
 
@@ -322,17 +343,17 @@ def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
 
     Enumerates subsets in increasing bitmask order; returns the edge index
     tuple or None. Candidate added regions are pairwise disjoint (verified),
-    so the union area is the plain sum. `added` may pass the main edges'
-    added regions a `verify_instance` report already holds.
+    so the union area is the plain sum, taken in integers: the areas and the
+    target scaled by the lcm of their denominators. `added` may pass the
+    main edges' added regions a `verify_instance` report already holds.
     """
     m = len(ri.candidates.main)
     if m > 20:
         raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
     regions = list(added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
-    areas = [region.area for region in regions]
     if any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")
-    for mask in range(1 << m):
-        if sum((areas[i] for i in range(m) if mask >> i & 1), Fraction(0)) == ri.k:
-            return tuple(ri.candidates.main[i] for i in range(m) if mask >> i & 1)
-    return None
+    scale = lcm(ri.k.denominator, *(r.area.denominator for r in regions))
+    witness = _first_subset([r.area.numerator * (scale // r.area.denominator) for r in regions],
+                            ri.k.numerator * (scale // ri.k.denominator))
+    return None if witness is None else tuple(ri.candidates.main[i] for i in witness)

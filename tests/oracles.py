@@ -75,6 +75,10 @@ its coefficients; the merge reference traces their loops, as
 `geom.merge_region` did before it traced the integer net boundary, with
 the vertical sides rebuilt from it (`geom._verticals`) and no cell built.
 
+The enumeration reference is the subset-sum solver of
+`redgen.solve_by_enumeration` before it summed integers: every mask in
+increasing order, one `Fraction` sum of its areas per mask.
+
 The test aids at the end order directions by angle, sample random points
 of a region, check that a region's parts are pairwise disjoint, and take a
 direction's primitive integer vector and a segment's midpoint.
@@ -721,6 +725,15 @@ def merge_region_reference(region: Region) -> Region:
     except GeometryError:
         return region
     return Region(polys) if sum((p.area for p in polys), Fraction(0)) == region.area else region
+
+
+def enumeration_reference(main, areas, k: Fraction) -> tuple[int, ...] | None:
+    """The edges of `main` in the first mask, in increasing order, whose areas sum to k."""
+    m = len(main)
+    for mask in range(1 << m):
+        if sum((areas[i] for i in range(m) if mask >> i & 1), Fraction(0)) == k:
+            return tuple(main[i] for i in range(m) if mask >> i & 1)
+    return None
 
 
 def dir_cmp(d1, d2) -> int:

@@ -168,6 +168,25 @@ class TestExitCodes:
         bad.write_text("nonsense\n")
         assert cli.main(["vp", str(bad)]) == 2
 
+    @pytest.mark.parametrize("max_value", ["0", "-3"])
+    def test_max_value_below_one_is_2(self, capsys, max_value):
+        assert cli.main(["reduce-gen", "--kind", "specular", "--random", "3", "--max-value", max_value]) == 2
+        assert "--max-value" in capsys.readouterr().err
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "x.mg"
+        assert cli.main(["reduce-gen", "--kind", "specular", "--values", "1,2", "--target", "3",
+                         "--out", str(out_file)]) == 2
+        assert f"cannot write {out_file}" in capsys.readouterr().err
+
+    def test_unwritable_svg_is_2(self, tmp_path, capsys):
+        inp = tmp_path / "sq.mg"
+        inp.write_text(SQUARE_FILE)
+        svg = tmp_path / "missing" / "vp.svg"
+        assert cli.main(["vp", str(inp), "--out", str(tmp_path / "r.txt"), "--svg", str(svg)]) == 2
+        assert f"cannot write {svg}" in capsys.readouterr().err
+        assert (tmp_path / "r.txt").read_text().startswith("area: 1")
+
     def test_query_outside_is_3(self, tmp_path):
         inp = tmp_path / "sq.mg"
         inp.write_text(SQUARE_FILE)

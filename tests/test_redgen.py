@@ -19,6 +19,8 @@ from mirrorgallery.redgen import (
 )
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
 
+from oracles import enumeration_reference
+
 
 class TestSubsetSum:
     def test_zero_target_empty_witness(self):
@@ -182,6 +184,15 @@ class TestVerifyInstance:
             verify_instance(cut)
         assert err.value.report.first_failure() == ("opaque", "non-candidate edge 3 adds 7 of spike area")
 
+    def test_two_dropped_candidates_name_the_first_leak(self):
+        # the second and third gadgets' main edges both leak; the clause names
+        # the first of them in edge order, as one cascade per edge did
+        ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 12))
+        cut = replace(ri, candidates=replace(ri.candidates, main=ri.candidates.main[:1]))
+        with pytest.raises(VerificationFailed) as err:
+            verify_instance(cut)
+        assert err.value.report.first_failure() == ("opaque", "non-candidate edge 3 adds 7 of spike area")
+
 
 class TestEnumeration:
     def test_full_set(self):
@@ -228,3 +239,36 @@ class TestEnumeration:
             want = subset_sum_bruteforce(ss) is not None
             for gen in (gen_specular, gen_diffuse):
                 assert (solve_by_enumeration(gen(ss)) is not None) == want
+
+    def test_matches_the_fraction_reference(self, rng):
+        # the first witness in mask order, on both families, for solvable and
+        # unsolvable targets, with m up to 10; the arithmetic solver shares the
+        # integer enumeration and must give the same subset of indices
+        for gen in (gen_specular, gen_diffuse):
+            for m in (1, 4, 7, 10):
+                values = tuple(rng.randint(1, 12) for _ in range(m))
+                ri = gen(SubsetSumInstance(values, 0))
+                added = verify_instance(ri).added
+                areas = [region.area for region in added]
+                sums = {sum(v for i, v in enumerate(values) if mask >> i & 1) for mask in range(1 << m)}
+                missing = sorted(set(range(sum(values) + 3)) - sums)
+                targets = [rng.choice(sorted(sums)) for _ in range(3)] + missing[:2] + [sum(values) + 3]
+                for t in targets:
+                    want = enumeration_reference(ri.candidates.main, areas, F(t))
+                    assert solve_by_enumeration(replace(ri, k=F(t)), added) == want, (gen.__name__, values, t)
+                    assert (want is None) == (t not in sums)
+                    assert subset_sum_bruteforce(SubsetSumInstance(values, t)) == enumeration_reference(
+                        range(m), values, F(t))
+
+    def test_fractional_areas_scale_by_their_lcm(self, rng):
+        # disjoint rectangles whose areas have denominators 2 to 9 stand in for
+        # the added regions; the target is any subset sum or near miss
+        ri = gen_specular(SubsetSumInstance((1,) * 6, 0))
+        for _ in range(20):
+            areas = [F(rng.randint(1, 20), rng.randint(2, 9)) for _ in range(6)]
+            added = [Region.of(SimplePolygon([(3 * i, 0), (3 * i + 1, 0), (3 * i + 1, a), (3 * i, a)]))
+                     for i, a in enumerate(areas)]
+            assert [r.area for r in added] == areas
+            k = sum((a for i, a in enumerate(areas) if rng.random() < 0.5), F(0)) + rng.choice([0, 0, F(1, 7)])
+            want = enumeration_reference(ri.candidates.main, areas, k)
+            assert solve_by_enumeration(replace(ri, k=k), added) == want, (areas, k)

@@ -19,6 +19,7 @@ from mirrorgallery.geom import (
     orientation,
     region_difference,
     region_intersection,
+    region_union_all,
     sees,
 )
 from mirrorgallery.guard import extended_region
@@ -266,6 +267,28 @@ class TestDiffuseExtend:
         q = Point(F(3, 2), F(1, 2))
         ev = diffuse_extend(L, q, diffuse({5}, 1))
         assert any(rec.edge == 5 and rec.bounce_depth == 0 for rec in ev.per_edge_illumination)
+
+
+class TestOneBounceAdditivity:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "lshape", "snake"]),
+           at=st.sampled_from(["interior", "vertex", "edge"]))
+    def test_added_region_is_the_union_of_single_edges(self, seed, shape, at):
+        # at one bounce the depth-1 region is the union of the fans of the
+        # VP-lit parts, each edge's lit by the source alone: what an edge set
+        # adds is the union of what its edges add one at a time, which the
+        # opaque clause of reduction verification relies on
+        rng = random.Random(seed)
+        P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
+             "radial": lambda: radial_polygon(rng, 8), "lshape": lshape, "snake": lambda: SNAKE}[shape]()
+        e = rng.randrange(P.n)
+        q = {"interior": lambda: interior_point(rng, P), "vertex": lambda: P.vertices[e],
+             "edge": lambda: P.edge(e).point_at(F(rng.randint(1, 6), 7))}[at]()
+        edges = rng.sample(range(P.n), rng.randint(2, P.n))
+        together = diffuse_extend(P, q, diffuse(edges, 1)).added
+        alone = region_union_all([diffuse_extend(P, q, diffuse({f}, 1)).added for f in edges])
+        assert together.area == alone.area, (P, q, edges)
+        assert region_difference(together, alone).is_empty and region_difference(alone, together).is_empty
 
 
 class TestCascadeReference:

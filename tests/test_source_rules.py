@@ -24,7 +24,9 @@ construction. `reflect._cascade` calls no `orientation`: the light of
 depth 0 is read off the visibility polygon's host labels, on which an
 edge collinear with the source has no part. `geom.sides_along` reads a
 region only through its net boundary, with no runs, rings or parts: a
-vertical edge's sides are rebuilt from that boundary too.
+vertical edge's sides are rebuilt from that boundary too. `redgen` calls
+neither `visible_edge_parts` nor `sides_along`: a mirror's lit parts are
+the ones the visibility polygon labels.
 """
 
 import ast
@@ -185,6 +187,22 @@ def test_the_bounce_walk_finds_each_kind():
               "seeing = _seeing\n")
     assert _calls(source, "probe.py", {"_seeing", "_pivot_cones", "weak_visibility_polygon"}) == [
         "probe.py:2: _seeing", "probe.py:3: _pivot_cones", "probe.py:4: weak_visibility_polygon"]
+
+
+def test_redgen_reads_lit_parts_off_the_vp():
+    path = next(p for p in SOURCES if p.name == "redgen.py")
+    assert _calls(path.read_text(), path.name, {"visible_edge_parts", "sides_along"}) == []
+
+
+def test_the_lit_parts_walk_finds_each_kind():
+    source = ("from .reflect import visible_edge_parts\n"
+              "parts = visible_edge_parts(P, q, e)\n"
+              "sides = geom.sides_along([vp.region], a, b)\n"
+              "more = reflect.visible_edge_parts(P, q, e)\n"
+              "read = vp.edge_parts(e)\n"
+              "fn = sides_along\n")
+    assert _calls(source, "probe.py", {"visible_edge_parts", "sides_along"}) == [
+        "probe.py:2: visible_edge_parts", "probe.py:3: sides_along", "probe.py:4: visible_edge_parts"]
 
 
 def _function(source: str, name: str) -> str:
