@@ -1,9 +1,13 @@
 """Command-line surface: ``mg vp | extend | guard | reduce-gen | render``.
 
-Exit codes: 0 success, 1 unexpected error, 2 parse/input error or an
-unreadable or unwritable path, 3 query outside polygon, 4 reflection spec
-mismatch, 5 coordinate bit blow-up, 6 instance verification failure (the
-file is still written, annotated with the failure, so it can be inspected).
+Exit codes: 0 success; 2 parse/input error: a malformed file, an unreadable
+or unwritable path, values the reduction generator rejects, or more than the
+solvers enumerate (20 values with --solve, 16 vertices with --mode optimal);
+3 query outside polygon; 4 reflection spec mismatch, or a source on the
+mirror's line; 5 coordinate bit blow-up; 6 instance verification failure
+(the file is still written, annotated with the failure, so it can be
+inspected); 1 a library fault: a broken invariant, a guard set failing its
+coverage certificate or with a disconnected guard graph, or any other error.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ from pathlib import Path
 
 from .errors import (
     BitBlowup,
+    InvalidInstance,
     MirrorGalleryError,
     ParseError,
     QueryOutsidePolygon,
+    SourceOnMirrorLine,
     SpecMismatch,
+    TooLarge,
     VerificationFailed,
 )
 from .fileio import (
@@ -40,6 +47,7 @@ from .redgen import (
     SubsetSumInstance,
     gen_diffuse,
     gen_specular,
+    require_enumerable,
     solve_by_enumeration,
     verify_instance,
 )
@@ -54,8 +62,11 @@ from .visibility import visibility_polygon
 
 _EXIT_CODES = [
     (ParseError, 2),
+    (InvalidInstance, 2),
+    (TooLarge, 2),
     (QueryOutsidePolygon, 3),
     (SpecMismatch, 4),
+    (SourceOnMirrorLine, 4),
     (BitBlowup, 5),
     (VerificationFailed, 6),
 ]
@@ -198,6 +209,8 @@ def cmd_reduce_gen(args) -> int:
             raise ParseError(f"bad --values {args.values!r}") from ex
         target = args.target
     ss = SubsetSumInstance(values, target)
+    if args.solve:
+        require_enumerable(len(values))  # refused before the instance is generated and verified
     if args.kind == "specular":
         ri = gen_specular(ss)
     else:
@@ -240,55 +253,55 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's function, help line and arguments, as (flag, add_argument options)
+_COMMANDS = {
+    "vp": (cmd_vp, "visibility polygon of a query point", (
+        ("input", {}), ("--query", dict(help="X,Y rationals; defaults to the file's query")),
+        ("--out", dict(help="write the report here instead of stdout")),
+        ("--svg", dict(help="also write an SVG rendering")))),
+    "extend": (cmd_extend, "visibility extension through reflecting edges", (
+        ("input", {}), ("--query", {}),
+        ("--edges", dict(required=True, help="comma-separated edge indices")),
+        ("--kind", dict(choices=("diffuse", "specular"), default="diffuse")),
+        ("--bounces", dict(type=int, default=1)),
+        ("--out", {}), ("--svg", {}))),
+    "guard": (cmd_guard, "vertex guarding with reflection", (
+        ("input", {}), ("--bounces", dict(type=int, default=0)),
+        ("--mode", dict(choices=("greedy", "optimal", "reduce"), default="greedy")))),
+    "reduce-gen": (cmd_reduce_gen, "generate a subset-sum reduction polygon", (
+        ("--kind", dict(choices=("specular", "diffuse", "diffuse-multi"), required=True)),
+        ("--values", dict(help="comma-separated positive integers")),
+        ("--target", dict(type=int, default=0)),
+        ("--random", dict(type=int, help="draw this many random values instead")),
+        ("--max-value", dict(type=int, default=12)), ("--seed", dict(type=int, default=0)),
+        ("--solve", dict(action="store_true", help="also run the enumeration solver")),
+        ("--out", dict(help="write the instance file here instead of stdout")))),
+    "render": (cmd_render, "render an instance file to SVG", (
+        ("input", {}),
+        ("--layers", dict(help="comma list from: query,vp,candidates (empty: outline only)")),
+        ("--out", {}))),
+}
+
+
+def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The `mg` parser for the named commands only. With fewer than all, its usage line still
+    names all, so its "unrecognized arguments" error reads as the full parser's."""
     parser = argparse.ArgumentParser(prog="mg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("vp", help="visibility polygon of a query point")
-    p.add_argument("input")
-    p.add_argument("--query", help="X,Y rationals; defaults to the file's query")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--svg", help="also write an SVG rendering")
-    p.set_defaults(func=cmd_vp)
-
-    p = sub.add_parser("extend", help="visibility extension through reflecting edges")
-    p.add_argument("input")
-    p.add_argument("--query")
-    p.add_argument("--edges", required=True, help="comma-separated edge indices")
-    p.add_argument("--kind", choices=["diffuse", "specular"], default="diffuse")
-    p.add_argument("--bounces", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--svg")
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("guard", help="vertex guarding with reflection")
-    p.add_argument("input")
-    p.add_argument("--bounces", type=int, default=0)
-    p.add_argument("--mode", choices=["greedy", "optimal", "reduce"], default="greedy")
-    p.set_defaults(func=cmd_guard)
-
-    p = sub.add_parser("reduce-gen", help="generate a subset-sum reduction polygon")
-    p.add_argument("--kind", choices=["specular", "diffuse", "diffuse-multi"], required=True)
-    p.add_argument("--values", help="comma-separated positive integers")
-    p.add_argument("--target", type=int, default=0)
-    p.add_argument("--random", type=int, help="draw this many random values instead")
-    p.add_argument("--max-value", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solve", action="store_true", help="also run the enumeration solver")
-    p.add_argument("--out", help="write the instance file here instead of stdout")
-    p.set_defaults(func=cmd_reduce_gen)
-
-    p = sub.add_parser("render", help="render an instance file to SVG")
-    p.add_argument("input")
-    p.add_argument("--layers", help="comma list from: query,vp,candidates (empty: outline only)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
+    every = "{" + ",".join(_COMMANDS) + "}" if len(commands) < len(_COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in commands:
+        func, help_line, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    # the parser's reference cycles die young: it goes before the command runs
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser (help, a typo or none: all); it goes before the command runs
+    args = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except MirrorGalleryError as ex:

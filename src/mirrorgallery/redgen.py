@@ -104,13 +104,20 @@ def subset_sum_bruteforce(ss: SubsetSumInstance):
     return _first_subset(ss.values, ss.target)
 
 
+ENUMERATION_LIMIT = 20  # the most values the subset-sum solvers enumerate
+
+
+def require_enumerable(m: int):
+    if m > ENUMERATION_LIMIT:
+        raise TooLarge(f"{m} values exceeds the enumeration limit of {ENUMERATION_LIMIT}")
+
+
 def _first_subset(values: Sequence[int], target: int):
     """Indices of the first subset, in increasing bitmask order, of the integers
     that sums to the target, or None: the smallest high half of a mask whose
     complement a table of the low halves' sums holds, with its smallest low half."""
     m = len(values)
-    if m > 20:
-        raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
+    require_enumerable(m)
     low, high = [0], [0]
     for i, v in enumerate(values):
         half = low if i < m // 2 else high
@@ -347,9 +354,7 @@ def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
     target scaled by the lcm of their denominators. `added` may pass the
     main edges' added regions a `verify_instance` report already holds.
     """
-    m = len(ri.candidates.main)
-    if m > 20:
-        raise TooLarge(f"{m} values exceeds the enumeration limit of 20")
+    require_enumerable(len(ri.candidates.main))
     regions = list(added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
     if any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")

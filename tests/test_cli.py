@@ -1,4 +1,7 @@
+import argparse
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,8 @@ from mirrorgallery.fileio import (
 )
 from mirrorgallery.geom import Point
 from mirrorgallery.redgen import SubsetSumInstance, gen_diffuse
-from mirrorgallery.errors import ParseError
+from mirrorgallery import errors
+from mirrorgallery.errors import MirrorGalleryError, ParseError
 
 from conftest import comb, lshape
 
@@ -96,8 +100,7 @@ class TestCommands:
         assert "bound:" in out
 
     def test_successive_calls_share_no_arguments(self, tmp_path, capsys):
-        # each call sees only its own arguments and the defaults, also once
-        # the parser is kept between calls: --bounces 4 halves the printed bound
+        # each call sees only its own arguments and the defaults: --bounces 4 halves the printed bound
         inp = tmp_path / "c.mg"
         inp.write_text(format_instance(InstanceFile(polygon=comb(2))))
         assert cli.main(["guard", str(inp), "--mode", "reduce", "--bounces", "4"]) == 0
@@ -229,3 +232,142 @@ class TestExitCodes:
         assert rc == 6
         assert out_file.exists()
         assert "verify failed" in out_file.read_text() or "failed" in out_file.read_text()
+
+    @pytest.mark.parametrize("values", [("--random", "0"), ("--values", "0,3", "--target", "3"),
+                                        ("--values", "1,-2", "--target", "1")])
+    def test_rejected_values_are_2(self, tmp_path, capsys, values):
+        assert cli.main(["reduce-gen", "--kind", "specular", *values, "--out", str(tmp_path / "x.mg")]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_optimal_above_the_brute_force_limit_is_2(self, tmp_path, capsys):
+        inp = tmp_path / "c.mg"
+        inp.write_text(format_instance(InstanceFile(polygon=comb(5))))
+        assert cli.main(["guard", str(inp), "--mode", "optimal"]) == 2
+        assert "20 vertices exceeds the brute-force limit of 16" in capsys.readouterr().err
+
+    def test_source_on_the_mirror_line_is_4(self, tmp_path, capsys):
+        # (1/2, 1) is inside the L-shape, on the line y = 1 of edge 2
+        inp = tmp_path / "l.mg"
+        inp.write_text(format_instance(InstanceFile(polygon=lshape())))
+        assert cli.main(["extend", str(inp), "--edges", "2", "--kind", "specular", "--query", "1/2,1"]) == 4
+        assert "supporting line of edge 2" in capsys.readouterr().err
+
+    def test_solve_above_the_enumeration_limit_is_refused_before_generating(self, tmp_path, monkeypatch, capsys):
+        from mirrorgallery.redgen import ENUMERATION_LIMIT
+
+        def never(*args, **kwargs):
+            raise AssertionError("the instance was generated")
+
+        monkeypatch.setattr(cli, "gen_specular", never)
+        m = ENUMERATION_LIMIT + 1
+        assert cli.main(["reduce-gen", "--kind", "specular", "--random", str(m), "--solve",
+                         "--out", str(tmp_path / "x.mg")]) == 2
+        assert f"{m} values exceeds the enumeration limit of {ENUMERATION_LIMIT}" in capsys.readouterr().err
+        assert not (tmp_path / "x.mg").exists()
+
+
+# why a MirrorGalleryError that no `_EXIT_CODES` row maps leaves `mg` with 1
+EXIT_1 = {
+    errors.InvariantViolated: "a broken invariant is a library bug, not bad input",
+    errors.CoverageCertificationFailed: "every polygon has a covering vertex set, so a failed certificate is a bug",
+    errors.GraphDisconnected: "`mg guard --mode reduce` reduces a covering set, whose guard graph is connected",
+    errors.GeometryError: "`fileio` raises bad file geometry as ParseError; raised later it is a library bug",
+    errors.SegmentOutsidePolygon: "only weak visibility raises it, and no `mg` command calls it",
+    **dict.fromkeys((errors.NotAFunnel, errors.QueryOutside, errors.NotWeaklyVisible, errors.CertificationFailed),
+                    "the `special` errors are raised by no `mg` command"),
+}
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+class TestExitCodeContract:
+    def test_every_error_has_a_code_or_a_reason(self):
+        coded = tuple(cls for cls, _ in cli._EXIT_CODES)
+        assert [c.__name__ for c in _subclasses(MirrorGalleryError)
+                if not issubclass(c, coded) and c not in EXIT_1] == []
+
+    def test_a_reason_is_given_only_where_no_code_is(self):
+        coded = tuple(cls for cls, _ in cli._EXIT_CODES)
+        assert [c.__name__ for c in EXIT_1 if issubclass(c, coded)] == []
+
+    def test_no_command_reaches_special_or_weak_visibility(self):
+        # the modules cli imports, and theirs: none is `special`, and none calls weak visibility
+        trees, todo = {}, ["cli"]
+        while todo:
+            name = todo.pop()
+            if name not in trees:
+                trees[name] = ast.parse(Path(cli.__file__).with_name(f"{name}.py").read_text())
+                todo += [n.module for n in ast.walk(trees[name]) if isinstance(n, ast.ImportFrom) and n.level == 1]
+        assert "special" not in trees and {"redgen", "guard", "reflect", "visibility"} <= set(trees)
+        assert [name for name, tree in trees.items() for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and "weak_visibility_polygon" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))] == []
+
+    def test_the_walk_is_recursive(self):
+        class Child(errors.ParseError):
+            pass
+
+        class Grandchild(Child):
+            pass
+
+        assert {Child, Grandchild} <= set(_subclasses(MirrorGalleryError))
+
+
+# argv that parse; only parsing runs, so the files need not exist
+VALID = [
+    ["vp", "in.mg"],
+    ["vp", "in.mg", "--query", "1/2,1/2", "--out", "r.txt", "--svg", "v.svg"],
+    ["extend", "in.mg", "--edges", "5"],
+    ["extend", "in.mg", "--edges", "0,5", "--kind", "specular", "--bounces", "2", "--query", "1,1"],
+    ["guard", "in.mg"],
+    ["guard", "in.mg", "--mode", "reduce", "--bounces", "4"],
+    ["reduce-gen", "--kind", "specular", "--values", "1,2", "--target", "3", "--out", "x.mg"],
+    ["reduce-gen", "--kind", "diffuse-multi", "--random", "3", "--max-value", "5", "--seed", "7", "--solve"],
+    ["render", "in.mg"],
+    ["render", "in.mg", "--layers", "query,vp", "--out", "x.svg"],
+]
+# argv that argparse refuses or answers with help: missing, extra, bad choice, bad int, -h
+BAD = [
+    [], ["-h"], ["--help"], ["-x"], ["gaurd", "in.mg"], ["guard"], ["guard", "in.mg", "extra"],
+    ["guard", "in.mg", "--bounces", "notint"], ["guard", "in.mg", "--mode", "best"], ["guard", "-h"],
+    ["vp"], ["vp", "in.mg", "--nope"], ["extend", "in.mg"], ["extend", "in.mg", "--edges", "5", "--kind", "mirror"],
+    ["reduce-gen"], ["reduce-gen", "--kind", "specular", "--random", "x"], ["reduce-gen", "-h"], ["render", "-h"],
+]
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_one_command_parses_as_the_full_parser(self, argv):
+        assert cli.build_parser(argv[:1]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", BAD, ids=lambda argv: " ".join(argv) or "none")
+    def test_refusals_and_help_read_as_the_full_parser(self, monkeypatch, capsys, argv):
+        def run():
+            with pytest.raises(SystemExit) as ex:
+                cli.main(argv)
+            out = capsys.readouterr()
+            return out.out, out.err, ex.value.code
+
+        per_command = run()
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: full())
+        assert run() == per_command
+
+    def test_a_command_adds_its_own_subparser_only(self, tmp_path, monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        inp = tmp_path / "l.mg"
+        inp.write_text(format_instance(InstanceFile(polygon=lshape())))
+        assert cli.main(["guard", str(inp)]) == 0
+        assert added == ["guard"]
+        added.clear()
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert added == ["vp", "extend", "guard", "reduce-gen", "render"]

@@ -26,7 +26,10 @@ edge collinear with the source has no part. `geom.sides_along` reads a
 region only through its net boundary, with no runs, rings or parts: a
 vertical edge's sides are rebuilt from that boundary too. `redgen` calls
 neither `visible_edge_parts` nor `sides_along`: a mirror's lit parts are
-the ones the visibility polygon labels.
+the ones the visibility polygon labels. `cli` adds its subparsers at one
+site, the loop over its command table, so a new command goes through the
+table, and it caches no parser (`functools.cache` or `lru_cache`): a call
+builds the parser of its own command only.
 """
 
 import ast
@@ -40,6 +43,7 @@ EXACT = {"geom.py", "visibility.py", "reflect.py", "guard.py", "redgen.py", "spe
 SWEEP_INTERNALS = {"_runs", "_trapezoid", "_SweepSeg", "_boundary", "_net_boundary", "_netted"}
 SEGMENT_SPLITTERS = {"segment_intersection", "segment_breakpoints", "sees"}
 REGION_READS = {"_runs", "_rings", "_parts", "parts", "_int_ring"}
+CACHES = {"cache", "lru_cache"}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -93,7 +97,7 @@ def test_the_float_walk_finds_each_kind():
                                            "probe.py:3: float literal"]
 
 
-def _sweep_internals(source: str, name: str) -> list[str]:
+def _names(source: str, name: str, wanted: set[str]) -> list[str]:
     out = []
     for node in ast.walk(ast.parse(source, filename=name)):
         names = []
@@ -103,13 +107,13 @@ def _sweep_internals(source: str, name: str) -> list[str]:
             names = [node.id]
         elif isinstance(node, ast.ImportFrom):
             names = [alias.name for alias in node.names]
-        out += [f"{name}:{node.lineno}: {n}" for n in names if n in SWEEP_INTERNALS]
+        out += [f"{name}:{node.lineno}: {n}" for n in names if n in wanted]
     return out
 
 
 def test_only_geom_reads_the_sweep_runs():
     assert [v for path in SOURCES if path.name != "geom.py"
-            for v in _sweep_internals(path.read_text(), path.name)] == []
+            for v in _names(path.read_text(), path.name, SWEEP_INTERNALS)] == []
 
 
 def test_the_sweep_walk_finds_each_kind():
@@ -123,7 +127,7 @@ def test_the_sweep_walk_finds_each_kind():
               "region._boundary = geom._netted(edges)\n"
               "edges = _runs_boundary(xs, runs) + net_boundary(region)\n")
     # the walk is breadth first, so the order of its finds is not the lines' order
-    assert sorted(_sweep_internals(source, "probe.py")) == ["probe.py:1: _SweepSeg", "probe.py:1: _netted",
+    assert sorted(_names(source, "probe.py", SWEEP_INTERNALS)) == ["probe.py:1: _SweepSeg", "probe.py:1: _netted",
                                                             "probe.py:1: _trapezoid", "probe.py:2: _runs",
                                                             "probe.py:3: _trapezoid", "probe.py:5: _SweepSeg",
                                                             "probe.py:6: _SweepSeg", "probe.py:7: _net_boundary",
@@ -269,3 +273,22 @@ def test_the_construction_walk_finds_each_kind():
               "def g(P: SimplePolygon) -> SimplePolygon:\n"
               "    return P\n")
     assert _constructs(source, "probe.py", "SimplePolygon") == [f"probe.py:{k}: SimplePolygon" for k in (1, 2, 3, 4)]
+
+
+def test_cli_adds_subparsers_at_one_site_and_caches_nothing():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    source = path.read_text()
+    assert len(_calls(source, path.name, {"add_parser"})) == 1
+    assert _names(source, path.name, CACHES) == []
+
+
+def test_the_parser_walk_finds_each_kind():
+    source = ("sub.add_parser('vp')\n"
+              "for name in names:\n    p = sub.add_parser(name, help=h)\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.cache\ndef build_parser():\n    pass\n"
+              "@lru_cache(maxsize=None)\ndef f():\n    pass\n"
+              "add = sub.add_parser\n")
+    assert _calls(source, "probe.py", {"add_parser"}) == ["probe.py:1: add_parser", "probe.py:3: add_parser"]
+    assert sorted(_names(source, "probe.py", CACHES)) == ["probe.py:4: cache", "probe.py:4: lru_cache",
+                                                          "probe.py:5: cache", "probe.py:8: lru_cache"]
