@@ -178,6 +178,8 @@ def cmd_guard(args) -> int:
     elif args.mode == "optimal":
         sol = optimal_cover_bruteforce(P, args.bounces)
     else:
+        if args.bounces < 0:  # refused before the base cover is computed
+            raise SpecMismatch("bounce budget must be non-negative")
         base = optimal_cover_bruteforce(P, 0) if P.n <= 16 else greedy_cover(P, 0)
         graph = build_guard_graph(P, base)
         sol = spanning_tree_reduce(P, base, args.bounces)

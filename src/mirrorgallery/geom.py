@@ -14,9 +14,13 @@ rings (a fan of `visibility`) its net boundary; either builds its
 polygons only when its parts are read. A difference or intersection
 sweeps only the edges that meet the x-range where a kept cell can lie,
 and the pieces of a polygon edge that regions inside the polygon reach
-are read off their boundaries (`sides_along`). The net boundary is the
-only boundary read: it leaves out vertical sides, but a boundary is
-closed, so the sides at an x are rebuilt from the edges ending there
+are read off their boundaries (`sides_along`). The coverage classes
+sweep one layer: layer i weighs 2**i and collinear sides of all layers
+net before the sweep, so the winding count is the bitmask of the layers
+covering a point, exact as each layer counts a point at most once (a
+boolean's stacked input is never a layer of `classes`). The net boundary
+is the only boundary read: it leaves out vertical sides, but a boundary
+is closed, so the sides at an x are rebuilt from the edges ending there
 (`_verticals`), for a vertical edge and for the loops `merge_region`
 traces. No floating point is used anywhere; all results are exact.
 """
@@ -559,15 +563,24 @@ def overlay(layers: Sequence[Region], keep: Callable[[Sequence[int]], bool]) -> 
 
 
 def classes(layers: Sequence[Region]) -> dict[frozenset[int], Region]:
-    """Group the plane by which layers cover it, in one sweep.
+    """Group the plane by which layers cover it, in one sweep of one layer.
 
     Maps the set of indices of the layers covering a cell to the region of
     all cells with that set, in the order the sweep first meets each set.
     The classes are disjoint and every class boundary is a boundary of
-    some layer, so a layer covers a class wholly or not at all.
+    some layer, so a layer covers a class wholly or not at all. Each net
+    boundary edge of layer i and weight w weighs w << i, and the edges of all
+    layers are netted per line (`_netted`), so collinear sides of different
+    layers join before the sweep, and the winding count at a point is the
+    bitmask of the layers covering it. So each layer must count a point at
+    most once, as a region of interior-disjoint parts does; a boolean's
+    stacked input is never a layer, as a count of 2 would carry into the
+    next layer's bit.
     """
-    signature = cache(lambda counts: frozenset(i for i, c in enumerate(counts) if c))
-    return _sweep(layers, lambda c: tuple(c) if any(c) else None, signature)
+    boundary = _netted((*e[:7], e[7] << i) for i, layer in enumerate(layers) for e in layer._net_boundary())
+    members = cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+    # a sweep input only: the bitmask layer's parts are never read
+    return _sweep([Region._deferred(None, boundary=boundary)], lambda c: c[0] or None, members)
 
 
 def _sweep(layers: Sequence[Region], key: Callable[[list[int]], object], group: Callable) -> dict:

@@ -219,6 +219,8 @@ def reduce_guard_points(
     kept guards), after the coverage classes certify that the kept guards
     cover the polygon with r diffuse bounces over all edges.
     """
+    if r < 0:
+        raise SpecMismatch("bounce budget must be non-negative")
     idx = list(range(len(points)))
     edges = graph_from_points(P, points)
     root = 0

@@ -110,22 +110,6 @@ class ExtendedVisibility:
     per_edge_illumination: tuple[IlluminatedEdgePart, ...] = field(default_factory=tuple)
 
 
-def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
-    """Maximal subsegments of edge e lit by the source, in order along e.
-
-    A point source lights the parts it sees directly, its VP's; a region
-    source, which must lie in P, lights the parts of the edge the region
-    reaches. Both are read off the region's boundary (`geom.sides_along`).
-    """
-    if not (0 <= e < P.n):
-        raise SpecMismatch(f"edge index {e} out of range")
-    if isinstance(src, Point):
-        src = visibility_polygon(P, src).region
-    if not isinstance(src, Region):
-        raise SpecMismatch(f"unsupported source {src!r}")
-    return sides_along([src], P.vertices[e], P.vertices[(e + 1) % P.n])
-
-
 def _check_bits(region: Region, where: str, bits: int):
     # the cap measures merged rings: the sweep's slab crossings give cells
     # more bits than the region's own boundary. A merged ring keeps a subset

@@ -20,7 +20,10 @@ The lit parts reference builds the cascade's depth-0 records as
 `reflect._cascade` did before it read them off the visibility polygon's
 host labels: an orientation test drops every edge collinear with the
 source, and the lit parts of each other edge are merged by an exact
-coordinate along it, so touching parts join.
+coordinate along it, so touching parts join. `visible_edge_parts`, once
+public in `reflect`, reads the lit parts of one edge from a point source or
+a region source in the polygon off the region's boundary, as the later
+depths of the cascade do (`geom.sides_along`).
 
 The segment reference `segment_parts_inside` splits a segment at every
 edge of some polygons, in `Fraction`s, and locates each piece's midpoint
@@ -69,6 +72,11 @@ The union reference sweeps every region as a layer of its own and keeps
 the cells some layer covers, as `geom.region_union_all` did before it
 swept the regions' summed count as one netted layer.
 
+The classes reference sweeps every region as a layer of its own too and
+keys each cell by its tuple of per-layer counts, as `geom.classes` did
+before it swept one layer of the regions' edges weighted 2**i for layer i
+and netted per line, whose count is the bitmask of the covering layers.
+
 The net runs reference nets the sides of a region's parts on `Point`s,
 every side, vertical ones too, per line keyed by the `Fraction` formula of
 its coefficients; the merge reference traces their loops, as
@@ -87,6 +95,7 @@ direction's primitive integer vector and a segment's midpoint.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
@@ -101,6 +110,7 @@ from mirrorgallery.geom import (
     SimplePolygon,
     _integer_ring,
     _shoelace2,
+    _sweep,
     along,
     merge_intervals,
     orientation,
@@ -110,6 +120,7 @@ from mirrorgallery.geom import (
     sees,
     segment_breakpoints,
     segment_intersection,
+    sides_along,
     subtract_intervals,
 )
 from mirrorgallery.reflect import (IlluminatedEdgePart, ReflectionKind, ReflectionSpec, diffuse_extend,
@@ -236,6 +247,14 @@ def lit_parts_reference(P: SimplePolygon, q: Point, edges) -> tuple[IlluminatedE
         if merged:
             records.append(IlluminatedEdgePart(e, tuple(Segment(ends[t0], ends[t1]) for t0, t1 in merged), 0))
     return tuple(records)
+
+
+def visible_edge_parts(P: SimplePolygon, src, e: int) -> list[Segment]:
+    """Maximal subsegments of edge e lit by a point source, the parts it sees directly
+    (its VP's), or by a region source in P, the parts the region reaches, in order
+    along e: both read off the region's boundary (`geom.sides_along`)."""
+    region = visibility_polygon(P, src).region if isinstance(src, Point) else src
+    return sides_along([region], P.vertices[e], P.vertices[(e + 1) % P.n])
 
 
 def diffuse_added_reference(P: SimplePolygon, q: Point, edges, r: int):
@@ -641,6 +660,12 @@ def ray_landing_reference(P: SimplePolygon, q: Point, through: Point) -> Point:
             break
         landing = q + d * t1
     return landing
+
+
+def classes_reference(layers) -> dict[frozenset[int], Region]:
+    """`geom.classes` with a sweep layer per region, keyed by the per-layer counts."""
+    signature = cache(lambda counts: frozenset(i for i, c in enumerate(counts) if c))
+    return _sweep(layers, lambda c: tuple(c) if any(c) else None, signature)
 
 
 def union_reference(regions) -> Region:

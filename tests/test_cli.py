@@ -245,6 +245,21 @@ class TestExitCodes:
         assert cli.main(["guard", str(inp), "--mode", "optimal"]) == 2
         assert "20 vertices exceeds the brute-force limit of 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["greedy", "optimal", "reduce"])
+    @pytest.mark.parametrize("bounces", ["-1", "-4", "-5"])
+    def test_negative_bounces_are_4(self, tmp_path, monkeypatch, capsys, mode, bounces):
+        def never(*args, **kwargs):
+            raise AssertionError("the base cover was computed")
+
+        if mode == "reduce":  # refused before the base cover, which runs at 0 bounces
+            monkeypatch.setattr(cli, "greedy_cover", never)
+            monkeypatch.setattr(cli, "optimal_cover_bruteforce", never)
+        inp = tmp_path / "l.mg"
+        inp.write_text(format_instance(InstanceFile(polygon=lshape())))
+        assert cli.main(["guard", str(inp), "--mode", mode, "--bounces", bounces]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and "bounce budget must be non-negative" in out.err
+
     def test_source_on_the_mirror_line_is_4(self, tmp_path, capsys):
         # (1/2, 1) is inside the L-shape, on the line y = 1 of edge 2
         inp = tmp_path / "l.mg"

@@ -32,12 +32,14 @@ from mirrorgallery.geom import (
     sides_along,
     subtract_intervals,
 )
+from mirrorgallery.guard import extended_region
 from mirrorgallery.reflect import extend_all_edges
 from mirrorgallery.visibility import _fan, _Frame, _lit, visibility_polygon, weak_visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
 from oracles import (
     cell_sides,
+    classes_reference,
     contains_reference,
     dir_cmp,
     edge_ends,
@@ -590,6 +592,11 @@ def _union_matches_reference(regions):
         assert [p.vertices for p in merged[0].parts] == [p.vertices for p in merged[1].parts]
 
 
+def _shaped_polygon(rng, shape):
+    return {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
+            "radial": lambda: radial_polygon(rng, 8), "lshape": lshape}[shape]()
+
+
 def _captured_unions(P, q, r):
     # the regions each union of the cascade from q to depth r, and of a weak
     # visibility polygon of an edge, is asked for
@@ -622,8 +629,7 @@ class TestOneLayerUnion:
         # the fans of each cascade depth and the VPs and fans of weak
         # visibility (`_seeing`), as the library unions them
         rng = random.Random(seed)
-        P = {"histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)), "comb": lambda: comb(rng.randint(2, 3)),
-             "radial": lambda: radial_polygon(rng, 8), "lshape": lshape}[shape]()
+        P = _shaped_polygon(rng, shape)
         for regions in _captured_unions(P, interior_point(rng, P), 2):
             if sum(not r.is_empty for r in regions) > 1:  # else the union is its one input
                 _union_matches_reference(regions)
@@ -641,6 +647,53 @@ class TestOneLayerUnion:
         monkeypatch.setattr(geom, "_sweep", lambda ls, key, group: layers.append(len(ls)) or sweep(ls, key, group))
         region_union_all(fans)
         assert layers == [1]
+
+
+def _classes_match_reference(layers):
+    # one bit-weighted layer and a sweep layer per region: the same classes in the
+    # same order, of the same areas and net boundaries
+    got, ref = classes(layers), classes_reference(layers)
+    assert list(got) == list(ref)
+    for sig, region in ref.items():
+        assert got[sig].area == region.area
+        assert sorted(got[sig]._net_boundary()) == sorted(region._net_boundary())
+
+
+class TestBitWeightedClasses:
+    @settings(max_examples=60, deadline=None)
+    @example(a=Region.of(UNIT), b=Region.of(rect(1, 0, 2, 1)), c=Region.of(rect(0, 0, 2, 2)), picks=[0, 1, 2, 0, 6])
+    @given(a=convex_regions() | grid_rects.map(Region.of), b=convex_regions() | grid_rects.map(Region.of),
+           c=convex_regions() | grid_rects.map(Region.of), picks=st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    def test_matches_a_layer_per_region(self, a, b, c, picks):
+        # copies, booleans sharing sides with their inputs, swept regions of
+        # several parts and an empty layer, which leaves its bit unset
+        pool = [a, b, c, region_intersection(a, b), region_difference(a, b), region_union_all([b, c]), Region.empty()]
+        _classes_match_reference([pool[i] for i in picks])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["histogram", "comb", "radial", "lshape"]),
+           r=st.sampled_from([0, 1]))
+    def test_matches_a_layer_per_region_on_guard_layers(self, seed, shape, r):
+        # the polygon and its vertices' VPs (r = 0) or extended regions and the
+        # regions the cascade adds (r = 1), most of them on the polygon's edge lines
+        rng = random.Random(seed)
+        P = _shaped_polygon(rng, shape)
+        layers = [Region.of(P)] + [extended_region(P, v, r) for v in P.vertices]
+        if r:
+            layers += [extend_all_edges(P, v, r).added for v in rng.sample(P.vertices, 3)]
+        _classes_match_reference(layers)
+
+    def test_sweeps_one_layer_of_fewer_edges(self, monkeypatch):
+        # the layers' collinear sides join before the sweep: a vertex's VP lies
+        # mostly on the polygon's edge lines
+        P = comb(3)
+        layers = [Region.of(P)] + [extended_region(P, v, 0) for v in P.vertices]
+        swept = []
+        sweep = geom._sweep
+        monkeypatch.setattr(geom, "_sweep", lambda ls, key, group: swept.append(ls) or sweep(ls, key, group))
+        classes(layers)
+        assert len(swept) == 1 and len(swept[0]) == 1
+        assert 2 * len(swept[0][0]._net_boundary()) < sum(len(r._net_boundary()) for r in layers)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorgallery import geom
-from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, TooLarge
+from mirrorgallery.errors import CoverageCertificationFailed, GraphDisconnected, SpecMismatch, TooLarge
 from mirrorgallery.geom import MEMO_SIZE, Point, PointLocation, SimplePolygon, sees
 from mirrorgallery.guard import (
     GuardSolution,
@@ -261,6 +261,19 @@ class TestSpanningTreeReduce:
         assert len(red.coverage_certificate) == len(kept.cells)
         for gi, sig in zip(red.coverage_certificate, kept.signatures):
             assert gi == min(sig)
+
+    @pytest.mark.parametrize("r", [-1, -4, -5])
+    def test_negative_bounces_are_refused(self, monkeypatch, r):
+        # refused before the guard graph is built: k = 1 + r // 4 is 0 or below there
+        def never(*args):
+            raise AssertionError("the guard graph was built")
+
+        monkeypatch.setattr("mirrorgallery.guard.graph_from_points", never)
+        L = lshape()
+        with pytest.raises(SpecMismatch, match="non-negative"):
+            reduce_guard_points(L, list(L.vertices), r)
+        with pytest.raises(SpecMismatch, match="non-negative"):
+            spanning_tree_reduce(L, GuardSolution((0, 3), 0, ()), r)
 
     def test_uncovering_guards_fail_certification(self):
         # at r=0 every guard is kept, and one corner of a comb cannot see every tooth

@@ -31,13 +31,12 @@ from mirrorgallery.reflect import (
     extend_all_edges,
     reflect_point_across_line,
     specular_extend_single,
-    visible_edge_parts,
 )
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
 from oracles import (FrameReference, diffuse_added_reference, lit_parts_reference, ray_point, region_sample_points,
-                     segment_parts_inside, specular_added_reference, validate_disjoint)
+                     segment_parts_inside, specular_added_reference, validate_disjoint, visible_edge_parts)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])

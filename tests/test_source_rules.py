@@ -29,7 +29,10 @@ neither `visible_edge_parts` nor `sides_along`: a mirror's lit parts are
 the ones the visibility polygon labels. `cli` adds its subparsers at one
 site, the loop over its command table, so a new command goes through the
 table, and it caches no parser (`functools.cache` or `lru_cache`): a call
-builds the parser of its own command only.
+builds the parser of its own command only. `geom.classes` calls `_sweep`
+once, with a list of one layer, and `_sweep` keeps its `(layers, key,
+group)` signature with no flag: the layers' bit-weighted edges are netted
+in the sweep's input, not in a second walk.
 """
 
 import ast
@@ -292,3 +295,47 @@ def test_the_parser_walk_finds_each_kind():
     assert _calls(source, "probe.py", {"add_parser"}) == ["probe.py:1: add_parser", "probe.py:3: add_parser"]
     assert sorted(_names(source, "probe.py", CACHES)) == ["probe.py:4: cache", "probe.py:4: lru_cache",
                                                           "probe.py:5: cache", "probe.py:8: lru_cache"]
+
+
+def _sweep_rules(source: str, name: str) -> list[str]:
+    body = {n.name: n for n in ast.parse(source, filename=name).body if isinstance(n, ast.FunctionDef)}
+    sweep, out = body["_sweep"], []
+    args = sweep.args
+    if ([a.arg for a in args.posonlyargs + args.args] != ["layers", "key", "group"]
+            or args.vararg or args.kwonlyargs or args.kwarg):
+        out.append(f"{name}:{sweep.lineno}: _sweep signature")
+    calls = [n for n in ast.walk(body["classes"]) if isinstance(n, ast.Call)
+             and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) == "_sweep"]
+    if len(calls) != 1:
+        out.append(f"{name}:{body['classes'].lineno}: classes calls _sweep {len(calls)} times")
+    for call in calls:
+        layers = call.args[0] if call.args else None
+        if not (isinstance(layers, ast.List) and len(layers.elts) == 1 and len(call.args) == 3 and not call.keywords):
+            out.append(f"{name}:{call.lineno}: classes sweeps other than one layer")
+    return out
+
+
+def test_classes_sweeps_one_layer():
+    path = next(p for p in SOURCES if p.name == "geom.py")
+    assert _sweep_rules(path.read_text(), path.name) == []
+
+
+def test_the_one_layer_walk_finds_each_kind():
+    ok_sweep = "def _sweep(layers, key, group):\n    pass\n"
+    one = "def classes(layers):\n    return _sweep([bits], key, group)\n"
+    probes = {
+        "def _sweep(layers, key, group, netted=False):\n    pass\n" + one: ["probe.py:1: _sweep signature"],
+        "def _sweep(layers, key, *, group):\n    pass\n" + one: ["probe.py:1: _sweep signature"],
+        ok_sweep + "def classes(layers):\n    return _sweep(layers, key, group)\n": [
+            "probe.py:4: classes sweeps other than one layer"],
+        ok_sweep + "def classes(layers):\n    return geom._sweep([a, b], key, group)\n": [
+            "probe.py:4: classes sweeps other than one layer"],
+        ok_sweep + "def classes(layers):\n    return _sweep([bits], key, group, netted=True)\n": [
+            "probe.py:4: classes sweeps other than one layer"],
+        ok_sweep + "def classes(layers):\n    _sweep([a], key, group)\n    return _sweep([b], key, group)\n": [
+            "probe.py:3: classes calls _sweep 2 times"],
+        ok_sweep + "def classes(layers):\n    return overlay(layers, any)\n": ["probe.py:3: classes calls _sweep 0 times"],
+        ok_sweep + one: [],
+    }
+    for source, found in probes.items():
+        assert _sweep_rules(source, "probe.py") == found, source
