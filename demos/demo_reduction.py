@@ -30,7 +30,7 @@ print(f"arithmetic witness: {subset_sum_bruteforce(ss)}")
 
 for name, ri in [("mirror", gen_specular(ss)), ("bounce", gen_diffuse(ss))]:
     report = verify_instance(ri)
-    witness = solve_by_enumeration(ri, report.added)
+    witness = solve_by_enumeration(ri, report)
     print(f"{name} family: {ri.polygon.n} corners, "
           f"verification {'ok' if report.ok else 'FAILED'}, "
           f"edge witness {witness}")

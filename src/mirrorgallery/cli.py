@@ -230,7 +230,7 @@ def cmd_reduce_gen(args) -> int:
     text = format_instance(instance_to_file(ri, expect))
     _write(args.out, text)
     if args.solve:
-        witness = solve_by_enumeration(ri, report.added if report else ())
+        witness = solve_by_enumeration(ri, report or ())
         print(f"witness: {'none' if witness is None else ' '.join(map(str, witness))}")
     return code
 

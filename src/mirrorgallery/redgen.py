@@ -13,7 +13,11 @@ leaks only a fractional sliver.
 
 Every generated instance is verified clause by clause with the actual
 reflection machinery before use; verification failures are surfaced, not
-patched over.
+patched over. Each step runs once: a generator computes each gadget point
+once and finds its edges off one vertex map, the `simple` clause checks
+the instance polygon's own integer ring, and the report keeps the added
+regions and whether two of them overlap, read off the `exclusive` clause's
+sweep, for the solver.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class ReductionInstance:
 class VerificationReport:
     clauses: tuple[tuple[str, bool, str], ...]
     added: tuple[Region, ...] = ()  # per main candidate edge, in order
+    overlap: bool = False  # whether two of them share area, read off the exclusive clause's sweep
 
     @property
     def ok(self) -> bool:
@@ -127,11 +132,14 @@ def _first_subset(values: Sequence[int], target: int):
     return None if mask is None else tuple(i for i in range(m) if mask >> i & 1)
 
 
-def _edge_index_of(P: SimplePolygon, a: Point, b: Point) -> int:
-    i = next((i for i, v in enumerate(P.vertices) if v == a and P.vertices[(i + 1) % P.n] == b), None)
-    if i is None:
-        raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
-    return i
+def _edge_indices(P: SimplePolygon, edges: Sequence[tuple[Point, Point]]) -> tuple[int, ...]:
+    """The index in P of each edge a->b, read off one vertex -> index map."""
+    at = {v: i for i, v in enumerate(P.vertices)}
+    found = tuple(at.get(a, -1) for a, _ in edges)
+    for i, (a, b) in zip(found, edges):
+        if i < 0 or P.vertices[(i + 1) % P.n] != b:
+            raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
+    return found
 
 
 def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
@@ -147,38 +155,26 @@ def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
     spike_apex_y = Fraction(4 * (total + 2 * m))
     tall_roof_y = spike_apex_y + 1
     right_wall_x = Fraction(m + 2 * total + 1)
-
-    def llt(i):
-        return Point(Fraction(i + 2 * sums[i - 1]), 0)
-
-    def rlt(i):
-        return Point(Fraction(i + 2 * sums[i]), 0)
-
-    def blt(i):
-        return Point(Fraction(i + 2 * sums[i]), -1)
-
-    def lm(i):
-        return Point(Fraction(i + 2 * sums[i - 1], 2), mirror_y)
-
-    def rm(i):
-        return Point(Fraction(i + 2 * sums[i], 2), mirror_y)
-
-    def ut(i):
-        return Point(Fraction(i + 2 * sums[i], 2), spike_apex_y)
+    # per value i: the bottom spike's left foot, tip and right foot, and the
+    # top spike's apex over the mirror's right end, the mirror's right and left ends
+    bottom = [(Point(i + 2 * sums[i - 1], 0), Point(i + 2 * sums[i], -1), Point(i + 2 * sums[i], 0))
+              for i in range(1, m + 1)]
+    top = [(Point(Fraction(i + 2 * sums[i], 2), spike_apex_y), Point(Fraction(i + 2 * sums[i], 2), mirror_y),
+            Point(Fraction(i + 2 * sums[i - 1], 2), mirror_y)) for i in range(1, m + 1)]
 
     ring: list[Point] = [
         Point(-2, -1),
         Point(Fraction(1, 4), -1),
         Point(Fraction(1, 4), 0),
     ]
-    for i in range(1, m + 1):
-        ring.extend([llt(i), blt(i), rlt(i)])
+    for spike in bottom:
+        ring.extend(spike)
     ring.append(Point(right_wall_x, 0))
     ring.append(Point(right_wall_x, mirror_y))
     # rightmost top-spike foot closes the ceiling against the right wall
     ring.append(Point(Fraction(m + 1 + 2 * total, 2), mirror_y))
-    for i in range(m, 0, -1):
-        ring.extend([ut(i), rm(i), lm(i)])
+    for spike in reversed(top):
+        ring.extend(spike)
     ring.append(Point(Fraction(1, 2), tall_roof_y))
     ring.append(Point(-2, tall_roof_y))
 
@@ -186,10 +182,7 @@ def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
     q = Point(0, 0)
     if polygon.contains(q) is not PointLocation.INTERIOR:
         raise InvalidInstance("query point is not interior to the generated polygon")
-    main = tuple(_edge_index_of(polygon, rm(i), lm(i)) for i in range(1, m + 1))
-    spikes = tuple(
-        SimplePolygon([llt(i), blt(i), rlt(i)]) for i in range(1, m + 1)
-    )
+    main = _edge_indices(polygon, [(rm, lm) for _, rm, lm in top])
     return ReductionInstance(
         polygon=polygon,
         q=q,
@@ -197,7 +190,7 @@ def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
         kind=ReductionKind.SPECULAR_SINGLE,
         k=Fraction(ss.target),
         source=ss,
-        spikes=spikes,
+        spikes=tuple(SimplePolygon(spike) for spike in bottom),
     )
 
 
@@ -209,41 +202,28 @@ def gen_diffuse(ss: SubsetSumInstance, *, multi: bool = False) -> ReductionInsta
     sigma = sum(ss.values)
     Y = Fraction(m * m * (m + 1) * sigma)
     spacing = 2 * m * m * sigma
+    f = Fraction(1, m * m)
 
-    def rS(i):
-        return Point(Fraction(spacing * i * (i + 1), 2), Y)
+    gadgets = []  # per value i, in ring order: rS, tS, lT, bT, lS
+    for i in range(1, m + 1):
+        rS = Point(Fraction(spacing * i * (i + 1), 2), Y)
+        lS = Point(rS.x - i, Y)
+        tS = Point(rS.x, Y * rS.x / lS.x)  # on the sight ray from the origin through lS, above rS
+        bT = Point(tS.x + (lS.x - tS.x) * f, tS.y + (lS.y - tS.y) * f)
+        lT = Point(tS.x - 2 * Fraction(ss.values[i - 1]) / (tS.y - bT.y), tS.y)
+        gadgets.append((rS, tS, lT, bT, lS))
 
-    def lS(i):
-        return Point(Fraction(spacing * i * (i + 1), 2) - i, Y)
-
-    def tS(i):
-        # on the sight ray from the origin through lS(i), above rS(i)
-        x = rS(i).x
-        return Point(x, Y * x / lS(i).x)
-
-    def bT(i):
-        top = tS(i)
-        low = lS(i)
-        f = Fraction(1, m * m)
-        return Point(top.x + (low.x - top.x) * f, top.y + (low.y - top.y) * f)
-
-    def lT(i):
-        top = tS(i)
-        h = top.y - bT(i).y
-        return Point(top.x - 2 * Fraction(ss.values[i - 1]) / h, top.y)
-
-    X = rS(m).x
+    X = gadgets[-1][0].x
     ring: list[Point] = [Point(-X, -1), Point(2 * X, -1), Point(2 * X, Y)]
-    for i in range(m, 0, -1):
-        ring.extend([rS(i), tS(i), lT(i), bT(i), lS(i)])
+    for gadget in reversed(gadgets):
+        ring.extend(gadget)
     ring.append(Point(-X, Y))
     polygon = SimplePolygon(ring)
     q = Point(0, 0)
     if polygon.contains(q) is not PointLocation.INTERIOR:
         raise InvalidInstance("query point is not interior to the generated polygon")
-    main = tuple(_edge_index_of(polygon, rS(i), tS(i)) for i in range(1, m + 1))
-    base = _edge_index_of(polygon, Point(-X, -1), Point(2 * X, -1))
-    spikes = tuple(SimplePolygon([tS(i), lT(i), bT(i)]) for i in range(1, m + 1))
+    *main, base = _edge_indices(polygon, [g[:2] for g in gadgets] + [(ring[0], ring[1])])
+    main = tuple(main)
     return ReductionInstance(
         polygon=polygon,
         q=q,
@@ -251,7 +231,7 @@ def gen_diffuse(ss: SubsetSumInstance, *, multi: bool = False) -> ReductionInsta
         kind=ReductionKind.DIFFUSE_MULTI if multi else ReductionKind.DIFFUSE_SINGLE,
         k=Fraction(ss.target),
         source=ss,
-        spikes=spikes,
+        spikes=tuple(SimplePolygon(g[1:4]) for g in gadgets),
     )
 
 
@@ -285,24 +265,24 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
     values = ri.source.values
     m = len(values)
 
-    try:
-        SimplePolygon(list(P.vertices))
-        clauses.append(("simple", True, "boundary is simple"))
-    except GeometryError as ex:  # pragma: no cover - generator guards this already
+    try:  # the instance's own integer ring, checked as its construction does
+        P._check_simple(P._int_ring()[1])
+        clauses.append(("simple", P.area > 0, "boundary is simple with positive area"))
+    except GeometryError as ex:
         clauses.append(("simple", False, str(ex)))
 
     spike_regions = [Region.of(s) for s in ri.spikes]
-    added_regions = {}
-    for i, e in enumerate(ri.candidates.main):
-        added = added_regions[e] = added_region_for_edge(ri, e)
+    added_regions = [added_region_for_edge(ri, e) for e in ri.candidates.main]
+    for i, (e, added) in enumerate(zip(ri.candidates.main, added_regions)):
         clauses.append((f"exact[{i}]", added.area == values[i], f"edge {e} adds {added.area}, value is {values[i]}"))
 
     ns = len(spike_regions)
-    shared = classes(spike_regions + [added_regions[e] for e in ri.candidates.main])
+    shared = classes(spike_regions + added_regions)
     leak = next(((ej, i, x) for j, ej in enumerate(ri.candidates.main) for i in range(m)
                  if i != j and (x := _leak(shared, ns + j, (i,)))), None)
     clauses.append(("exclusive", leak is None, "no candidate reaches another value's spike" if leak is None
                     else f"mirror {leak[0]} leaks {leak[2]} into spike {leak[1]}"))
+    overlap = any(sum(i >= ns for i in sig) > 1 for sig in shared)  # a class of two added regions
 
     if ri.kind is ReductionKind.SPECULAR_SINGLE:
         vp = visibility_polygon(P, ri.q)  # the one the exact clause built
@@ -338,25 +318,27 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
             clauses.append(("opaque", leak is None, "non-candidate edges add no spike area" if leak is None
                             else f"non-candidate edge {leak[0]} adds {leak[1]} of spike area"))
 
-    report = VerificationReport(tuple(clauses), tuple(added_regions.values()))
+    report = VerificationReport(tuple(clauses), tuple(added_regions), overlap)
     if not report.ok:
         name, detail = report.first_failure()
         raise VerificationFailed(f"clause {name} failed: {detail}", report=report)
     return report
 
 
-def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] = ()):
+def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] | VerificationReport = ()):
     """Subset of main edges whose exact combined added area equals the target.
 
     Enumerates subsets in increasing bitmask order; returns the edge index
     tuple or None. Candidate added regions are pairwise disjoint (verified),
     so the union area is the plain sum, taken in integers: the areas and the
     target scaled by the lcm of their denominators. `added` may pass the
-    main edges' added regions a `verify_instance` report already holds.
+    main edges' added regions, or the `verify_instance` report that holds
+    them and whether they overlap; only without a report are they swept here.
     """
     require_enumerable(len(ri.candidates.main))
-    regions = list(added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
-    if any(len(sig) > 1 for sig in classes(regions)):
+    report = added if isinstance(added, VerificationReport) else None
+    regions = list(report.added if report else added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
+    if report.overlap if report else any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")
     scale = lcm(ri.k.denominator, *(r.area.denominator for r in regions))
     witness = _first_subset([r.area.numerator * (scale // r.area.denominator) for r in regions],

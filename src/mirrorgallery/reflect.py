@@ -18,7 +18,8 @@ extension unfolds the source across the mirror line and splits the wedge
 from there through each lit part of the mirror at the vertex directions, in
 the integer frame of `visibility`: the first edge beyond the mirror in each
 sub-wedge closes one exact quad, and the quads of a part are one integer
-ring, a fan cut off by the mirror. Added regions are kept disjoint from
+ring, a fan cut off by the mirror. The frame is kept on the polygon per
+unfolded source, so mirrors on one line share it. Added regions are kept disjoint from
 direct visibility so their exact areas sum. The coordinate bit cap
 (`MG_BIT_CAP`) holds on the merged rings of every depth region, the added
 region and the specular region, on every call; cells whose bound from the
@@ -51,6 +52,7 @@ from .geom import (
 )
 from .visibility import (
     VisibilityPolygon,
+    _Frame,
     _fan,
     _frame,
     _lit,
@@ -215,6 +217,12 @@ def reflect_point_across_line(p: Point, a: Point, b: Point) -> Point:
     return Point(p.x - scale * n.x, p.y - scale * n.y)
 
 
+@memo_per_polygon
+def _unfolded(P: SimplePolygon, q2: Point) -> _Frame:
+    """The frame of P from an unfolded source, kept on P: mirrors on one line share it and its answers."""
+    return _frame(P, q2)
+
+
 def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibility:
     """Single-bounce mirror extension of the visibility polygon via edge e."""
     if not (0 <= e < P.n):
@@ -235,7 +243,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     # of a part are one ring from the mirror, a fan cut off by its line. A lit
     # part runs along e, and q2 lies right of e, so its directions turn
     # counterclockwise from its end to its start
-    frame = _frame(P, reflect_point_across_line(q, a, b))
+    frame = _unfolded(P, reflect_point_across_line(q, a, b))
     runs = []
     for sigma in vis:
         da, db = (_primitive(*frame.local(w)[:2]) for w in (sigma.a, sigma.b))

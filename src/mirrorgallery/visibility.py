@@ -28,8 +28,9 @@ the sweep its net boundary in integers, so a netted union of fans builds no
 A visibility polygon keeps its integer ring, each edge labelled with the
 host edge it lies on, or -1 along a sight ray: the lit parts of an edge
 (none on a line through the source), the sides along sight rays and the
-windows, its area and, as a fan's, its net boundary are read off it; its
-polygon is built on first read. The last 256 results of
+windows, from its edges grouped by label in one pass and kept, its area
+and, as a fan's, its net boundary are read off it; its polygon is built
+on first read. The last 256 results of
 `visibility_polygon` and `_seeing` per polygon are kept on it
 (`geom.memo_per_polygon`), so they die with it.
 """
@@ -78,22 +79,24 @@ class VisibilityPolygon:
     def area(self) -> Fraction:
         return self.region.area
 
-    def _ring_edges(self, host: int) -> list[Segment]:
-        """The ring edges labelled host (-1: along a sight ray), in ring order, built off the integer ring."""
-        ring = self.ring
-        point = (lambda p: Point(Fraction(p[0], p[2]), Fraction(p[1], p[2])))
-        return [Segment(point(ring[k]), point(ring[(k + 1) % len(ring)]))
-                for k, h in enumerate(self.edge_hosts) if h == host]
+    @cached_property
+    def _by_host(self) -> dict[int, list[Segment]]:
+        """The ring edges per host label (-1: along a sight ray), in ring order: one pass over the integer ring."""
+        pts = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w in self.ring]
+        groups: dict[int, list[Segment]] = {}
+        for k, h in enumerate(self.edge_hosts):
+            groups.setdefault(h, []).append(Segment(pts[k], pts[(k + 1) % len(pts)]))
+        return groups
 
     def edge_parts(self, e: int) -> list[Segment]:
         """Maximal lit parts of host edge e, in order along e; none if e is collinear with the source."""
         hv = self.host_vertices
-        return sorted(self._ring_edges(e), key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
+        return sorted(self._by_host.get(e, ()), key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
     @cached_property
     def ray_sides(self) -> tuple[Segment, ...]:
         """The ring edges along sight rays, host edges on their line inside them."""
-        return tuple(self._ring_edges(-1))
+        return tuple(self._by_host.get(-1, ()))
 
     @cached_property
     def windows(self) -> tuple[Segment, ...]:

@@ -87,6 +87,11 @@ The enumeration reference is the subset-sum solver of
 `redgen.solve_by_enumeration` before it summed integers: every mask in
 increasing order, one `Fraction` sum of its areas per mask.
 
+The ring scan reference reads the ring edges of a visibility polygon
+with one host label by a scan of the whole ring, once per label, and its
+lit parts of an edge sorted along it, as `VisibilityPolygon` did before it
+grouped its ring edges by label in one pass.
+
 The test aids at the end order directions by angle, sample random points
 of a region, check that a region's parts are pairwise disjoint, and take a
 direction's primitive integer vector and a segment's midpoint.
@@ -126,7 +131,7 @@ from mirrorgallery.geom import (
 from mirrorgallery.reflect import (IlluminatedEdgePart, ReflectionKind, ReflectionSpec, diffuse_extend,
                                    reflect_point_across_line)
 from mirrorgallery.special import MirrorChoice, funnel_tangents
-from mirrorgallery.visibility import _Frame, visibility_polygon, weak_visibility_polygon
+from mirrorgallery.visibility import VisibilityPolygon, _Frame, visibility_polygon, weak_visibility_polygon
 
 
 def _line_through_box(a: Point, b: Point, box) -> tuple[Point, Point] | None:
@@ -442,6 +447,20 @@ def edge_ends(edge: tuple) -> tuple[Point, Point, int]:
     A, B, C, x0n, x0d, x1n, x1d, w = edge
     x0, x1 = Fraction(x0n, x0d), Fraction(x1n, x1d)
     return Point(x0, (C - A * x0) / B), Point(x1, (C - A * x1) / B), w
+
+
+def ring_edges_reference(vp: VisibilityPolygon, host: int) -> list[Segment]:
+    """The ring edges of vp labelled host (-1: along a sight ray), in ring order, from a scan of the whole ring."""
+    ring = vp.ring
+    point = (lambda p: Point(Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+    return [Segment(point(ring[k]), point(ring[(k + 1) % len(ring)]))
+            for k, h in enumerate(vp.edge_hosts) if h == host]
+
+
+def edge_parts_reference(vp: VisibilityPolygon, e: int) -> list[Segment]:
+    """The lit parts of host edge e, its ring edges from a scan of the whole ring, in order along e."""
+    hv = vp.host_vertices
+    return sorted(ring_edges_reference(vp, e), key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
 
 def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:

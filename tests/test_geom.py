@@ -472,9 +472,11 @@ class TestIntegerSweep:
     def test_runs_agree_with_their_cells(self, a, b, c):
         # a swept region's area and net boundary come from its runs; its cells,
         # built afterwards, must give the same shoelace areas and sides
-        both = Region(a.parts + b.parts)  # one layer of two parts that may overlap
+        # the booleans count overlaps, so they take one layer of two parts that
+        # may overlap; a layer of `classes` counts a point at most once
+        both = Region(a.parts + b.parts)
         out = [region_union_all([both, c]), region_intersection(both, c), region_difference(both, c),
-               region_difference(c, both), *classes([both, c, a]).values()]
+               region_difference(c, both), *classes([region_union_all([a, b]), c, a]).values()]
         for r in out:
             area, boundary = r.area, r._net_boundary()
             assert area == sum((SimplePolygon(cell.vertices).area for cell in r.parts), F(0))

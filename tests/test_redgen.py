@@ -1,10 +1,12 @@
+import io
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from mirrorgallery import geom, redgen
+from mirrorgallery import cli, geom, redgen
 from mirrorgallery.errors import GeometryError, InvalidInstance, TooLarge, VerificationFailed
 from mirrorgallery.geom import Point, Region, SimplePolygon, region_intersection
 from mirrorgallery.redgen import (
@@ -144,6 +146,18 @@ class TestDiffuseGenerator:
 
 
 class TestVerifyInstance:
+    def test_a_crossed_ring_fails_the_simple_clause(self):
+        # the clause checks the instance polygon's own integer ring, which an
+        # unchecked polygon carries as given
+        ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 8))
+        ring = list(ri.polygon.vertices)
+        n = len(ring)
+        ring[n // 2], ring[n // 2 + 1] = ring[n // 2 + 1], ring[n // 2]
+        with pytest.raises(VerificationFailed) as err:
+            verify_instance(replace(ri, polygon=SimplePolygon.unchecked(ring)))
+        assert str(err.value) == ("clause simple failed: polygon boundary is not simple: "
+                                  "edges 8 and 10 meet at Point(42019/52, 5672565/10504)")
+
     def test_tampered_mirror_detected(self):
         # sliding the mirror sideways misaligns its unfolded footprint with
         # the spike mouth (a vertical lift would not: the doubling is
@@ -272,3 +286,50 @@ class TestEnumeration:
             k = sum((a for i, a in enumerate(areas) if rng.random() < 0.5), F(0)) + rng.choice([0, 0, F(1, 7)])
             want = enumeration_reference(ri.candidates.main, areas, k)
             assert solve_by_enumeration(replace(ri, k=k), added) == want, (areas, k)
+
+
+def _cli_witness(kind, values, target, out):
+    # the witness line `mg reduce-gen --solve` prints, as a tuple of edges or None
+    buf = io.StringIO()
+    argv = ["reduce-gen", "--kind", kind, "--values", ",".join(map(str, values)), "--target", str(target),
+            "--solve", "--out", str(out)]
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    witness = buf.getvalue().split("witness:")[1].split()
+    return None if witness == ["none"] else tuple(map(int, witness))
+
+
+class TestSolveFromReport:
+    def test_cli_witness_matches_a_solve_alone(self, rng, tmp_path):
+        # the CLI solves from the verification report; a solve alone computes
+        # the added regions and sweeps them itself
+        for kind, gen in (("specular", gen_specular), ("diffuse", gen_diffuse)):
+            for m in (1, 4, 7):
+                values = tuple(rng.randint(1, 12) for _ in range(m))
+                solvable = sum(v for i, v in enumerate(values) if i % 2 == 0)
+                for target in (solvable, sum(values) + 1):
+                    want = solve_by_enumeration(gen(SubsetSumInstance(values, target)))
+                    assert (want is None) == (target > sum(values))
+                    assert _cli_witness(kind, values, target, tmp_path / "r.mg") == want, (kind, values, target)
+
+    def test_overlapping_added_regions_refused_on_both_paths(self):
+        # a candidate listed twice: the exclusive clause's sweep finds its
+        # region twice, the report records the overlap and the solver refuses
+        # it from the report as from its own sweep
+        ri = gen_specular(SubsetSumInstance((3, 5, 7), 12))
+        main = ri.candidates.main
+        twice = replace(ri, candidates=replace(ri.candidates, main=(main[0], main[0], main[2])))
+        with pytest.raises(VerificationFailed) as err:
+            verify_instance(twice)
+        report = err.value.report
+        assert report.overlap and len(report.added) == 3
+        assert not verify_instance(ri).overlap
+        for added in (report, ()):
+            with pytest.raises(VerificationFailed, match="^candidate added regions overlap; enumeration is unsound$"):
+                solve_by_enumeration(twice, added)
+
+    def test_one_solve_run_sweeps_classes_once(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(redgen, "classes", lambda layers: calls.append(len(layers)) or geom.classes(layers))
+        assert _cli_witness("specular", (3, 5, 7, 2), 12, tmp_path / "r.mg") is not None
+        assert calls == [8]  # the spikes and the added regions, in the exclusive clause

@@ -486,6 +486,61 @@ class TestSpecularReference:
                 assert self._cells(added) == self._cells(specular_added_reference(ri.polygon, ri.q, e)), (values, e)
 
 
+class TestSharedUnfoldedFrame:
+    # mirrors on one line unfold the source to one point, whose frame and its
+    # first-hit answers (keyed with the mirror as `beyond`) they share
+    @staticmethod
+    def _added(P, q, mirrors):
+        return {e: specular_extend_single(P, q, e).added for e in mirrors}
+
+    def _check(self, P, q, mirrors):
+        want = {e: specular_added_reference(SimplePolygon(P.vertices), q, e) for e in mirrors}
+        for order in (mirrors, mirrors[::-1]):
+            got = self._added(SimplePolygon(P.vertices), q, order)  # a fresh polygon holds no frame
+            for e in mirrors:
+                assert got[e].area == want[e].area, (P, q, e)
+                assert sorted(got[e]._net_boundary()) == sorted(want[e]._net_boundary()), (P, q, e)
+        return want
+
+    def test_mirror_family_matches_the_fold_loop(self, rng):
+        for m in (6, 8):
+            ri = gen_specular(SubsetSumInstance(tuple(rng.randint(1, 12) for _ in range(m)), 0))
+            want = self._check(ri.polygon, ri.q, list(ri.candidates.main))
+            assert [want[e].area for e in ri.candidates.main] == list(ri.source.values)
+
+    def test_comb_matches_the_fold_loop(self):
+        # every edge off the source's lines; the tooth tops lie on one line,
+        # and from the second source two of them are lit and share its frame
+        P = comb(4)
+        tops = [e for e in range(P.n) if P.edge(e).a.y == P.edge(e).b.y == 2]
+        assert len(tops) == 4
+        for q in (Point(F(1, 3), F(1, 2)), Point(F(7, 2), F(1, 3)), Point(F(1, 2), F(3, 2)), Point(F(9, 2), F(5, 3))):
+            mirrors = [e for e in range(P.n) if orientation(P.edge(e).a, P.edge(e).b, q) is not Orientation.COLLINEAR]
+            assert set(tops) <= set(mirrors)
+            want = self._check(P, q, mirrors)
+            assert sum(not r.is_empty for r in want.values()) >= 2, q
+        assert sum(bool(visibility_polygon(P, Point(F(7, 2), F(1, 3))).edge_parts(e)) for e in tops) == 2
+
+    def test_four_mirrors_build_one_unfolded_frame(self, monkeypatch):
+        origins = Counter()
+
+        class Counted(_Frame):
+            __slots__ = ()
+
+            def __init__(self, P, o):
+                origins[o] += 1
+                super().__init__(P, o)
+
+        monkeypatch.setattr(visibility, "_Frame", Counted)
+        ri = gen_specular(SubsetSumInstance((3, 1, 4, 1), 5))
+        unfolded = {reflect_point_across_line(ri.q, ri.polygon.edge(e).a, ri.polygon.edge(e).b)
+                    for e in ri.candidates.main}
+        assert len(unfolded) == 1
+        areas = [specular_extend_single(ri.polygon, ri.q, e).added.area for e in ri.candidates.main]
+        assert areas == [3, 1, 4, 1]
+        assert origins[unfolded.pop()] == 1
+
+
 class TestSpecular:
     def test_reflect_point(self):
         assert reflect_point_across_line(Point(1, 1), Point(0, 2), Point(2, 2)) == Point(1, 3)

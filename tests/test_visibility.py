@@ -35,9 +35,10 @@ from mirrorgallery.visibility import (_fan, _frame, _Frame, _lit, _pivot_cones, 
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
-from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, first_hit_reference, halfplane_rect,
-                     hit_reference, midpoint, pivot_cones_reference, primitive_direction, region_sample_points,
-                     segment_parts_inside, shoelace2_reference, visibility_area_oracle)
+from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, edge_parts_reference, first_hit_reference,
+                     halfplane_rect, hit_reference, midpoint, pivot_cones_reference, primitive_direction,
+                     region_sample_points, ring_edges_reference, segment_parts_inside, shoelace2_reference,
+                     visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -369,6 +370,24 @@ class TestEdgeHosts:
             assert collinear, (P, q)
             for e in collinear:
                 assert vp.edge_parts(e) == [], (P, q, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["lshape", "comb", "histogram", "radial", "funnel"]),
+           at=st.sampled_from(["inside", "vertex", "edge"]))
+    def test_host_groups_match_a_ring_scan_per_edge(self, seed, shape, at):
+        # the ring edges grouped by host label in one pass give every edge's
+        # lit parts and the sides along sight rays a scan of the ring per label gives
+        rng = random.Random(seed)
+        P = {"lshape": lshape, "comb": lambda: comb(rng.randint(2, 4)),
+             "histogram": lambda: histogram_polygon(rng, rng.randint(3, 5)),
+             "radial": lambda: radial_polygon(rng, rng.randint(6, 9)),
+             "funnel": lambda: random_funnel(rng, rng.randint(2, 3), rng.randint(2, 3)).polygon}[shape]()
+        q = {"inside": lambda: interior_point(rng, P), "vertex": lambda: P.vertices[rng.randrange(P.n)],
+             "edge": lambda: P.edge(rng.randrange(P.n)).point_at(F(rng.randint(1, 6), 7))}[at]()
+        vp = visibility_polygon(P, q)
+        assert [vp.edge_parts(e) for e in range(P.n)] == [edge_parts_reference(vp, e) for e in range(P.n)], (P, q)
+        assert list(vp.ray_sides) == ring_edges_reference(vp, -1), (P, q)
+        assert sum(map(len, vp._by_host.values())) == len(vp.ring)
 
     def test_sources_on_edge_lines_are_drawn(self):
         # the drawn shapes hold interior points on their edges' lines: the L-shape's
