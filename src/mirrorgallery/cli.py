@@ -285,25 +285,44 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
-    """The `mg` parser for the named commands only. With fewer than all, its usage line still
-    names all, so its "unrecognized arguments" error reads as the full parser's."""
-    parser = argparse.ArgumentParser(prog="mg", description=__doc__)
-    every = "{" + ",".join(_COMMANDS) + "}" if len(commands) < len(_COMMANDS) else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in commands:
-        func, help_line, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, reading the terminal width only when it lays out text, not per `add_argument`."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=0)
+
+    def format_help(self) -> str:
+        laid = argparse.HelpFormatter(self._prog)  # reads the width as argparse's own would
+        self._width, self._max_help_position = laid._width, laid._max_help_position
+        return super().format_help()
+
+
+def _command(name: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """Command `name`'s own parser, `mg <name>`, or `parser`, given the command's arguments."""
+    parser = parser or argparse.ArgumentParser(prog=f"mg {name}", formatter_class=_Formatter)
+    func, _, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `mg` parser: a subparser per command."""
+    parser = argparse.ArgumentParser(prog="mg", description=__doc__, formatter_class=_Formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, _) in _COMMANDS.items():
+        _command(name, sub.add_parser(name, help=help_line, formatter_class=_Formatter))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run `mg`. A command line that starts with a command is parsed by that command's own parser;
+    leftover arguments, help, a misspelt command or none go to the full parser, which refuses or helps."""
     argv = sys.argv[1:] if argv is None else argv
-    # only the named command's parser (help, a typo or none: all); it goes before the command runs
-    args = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
+    args, rest = _command(argv[0]).parse_known_args(argv[1:]) if argv and argv[0] in _COMMANDS else (None, ())
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MirrorGalleryError as ex:

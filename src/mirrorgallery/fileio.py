@@ -19,11 +19,8 @@ from .redgen import CandidateEdges, ReductionInstance
 FORMAT_HEADER = "mgv1"
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Fraction | int) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:

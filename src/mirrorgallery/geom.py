@@ -214,7 +214,8 @@ class SimplePolygon:
 
     @classmethod
     def unchecked(cls, vertices: Iterable) -> "SimplePolygon":
-        """Fast path for internally constructed rings known to be simple."""
+        """Built without the simplicity check: the caller guarantees a simple ring, or checks it
+        itself (the reduction generators leave it to `redgen.verify_instance`'s `simple` clause)."""
         return cls(vertices, _skip_simplicity_check=True)
 
     @classmethod

@@ -14,10 +14,11 @@ leaks only a fractional sliver.
 Every generated instance is verified clause by clause with the actual
 reflection machinery before use; verification failures are surfaced, not
 patched over. Each step runs once: a generator computes each gadget point
-once and finds its edges off one vertex map, the `simple` clause checks
-the instance polygon's own integer ring, and the report keeps the added
-regions and whether two of them overlap, read off the `exclusive` clause's
-sweep, for the solver.
+once and builds its ring unchecked, with its edges at known positions; the
+`simple` clause alone certifies the ring, and if it fails verification
+stops (`mg reduce-gen` exits 6). The report keeps the added regions and
+whether two of them overlap, read off the `exclusive` clause's sweep, for
+the solver.
 """
 
 from __future__ import annotations
@@ -132,14 +133,13 @@ def _first_subset(values: Sequence[int], target: int):
     return None if mask is None else tuple(i for i in range(m) if mask >> i & 1)
 
 
-def _edge_indices(P: SimplePolygon, edges: Sequence[tuple[Point, Point]]) -> tuple[int, ...]:
-    """The index in P of each edge a->b, read off one vertex -> index map."""
-    at = {v: i for i, v in enumerate(P.vertices)}
-    found = tuple(at.get(a, -1) for a, _ in edges)
-    for i, (a, b) in zip(found, edges):
-        if i < 0 or P.vertices[(i + 1) % P.n] != b:
+def _edges_at(P: SimplePolygon, ring: list[Point], at: list[int]) -> tuple[int, ...]:
+    """The edges ring[i] -> ring[i + 1] at the positions `at` of the ring P was built from, confirmed on P."""
+    for i in at:
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        if (P.vertices[i % P.n], P.vertices[(i + 1) % P.n]) != (a, b):
             raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
-    return found
+    return tuple(at)
 
 
 def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
@@ -178,11 +178,12 @@ def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
     ring.append(Point(Fraction(1, 2), tall_roof_y))
     ring.append(Point(-2, tall_roof_y))
 
-    polygon = SimplePolygon(ring)
+    polygon = SimplePolygon.unchecked(ring)  # the `simple` clause of `verify_instance` checks it
     q = Point(0, 0)
     if polygon.contains(q) is not PointLocation.INTERIOR:
         raise InvalidInstance("query point is not interior to the generated polygon")
-    main = _edge_indices(polygon, [(rm, lm) for _, rm, lm in top])
+    # each mirror rm -> lm, past the 3m + 6 points before the top spikes, which run from the last
+    main = _edges_at(polygon, ring, [6 * m + 4 - 3 * i for i in range(m)])
     return ReductionInstance(
         polygon=polygon,
         q=q,
@@ -190,7 +191,7 @@ def gen_specular(ss: SubsetSumInstance) -> ReductionInstance:
         kind=ReductionKind.SPECULAR_SINGLE,
         k=Fraction(ss.target),
         source=ss,
-        spikes=tuple(SimplePolygon(spike) for spike in bottom),
+        spikes=tuple(SimplePolygon.unchecked(spike) for spike in bottom),
     )
 
 
@@ -218,20 +219,20 @@ def gen_diffuse(ss: SubsetSumInstance, *, multi: bool = False) -> ReductionInsta
     for gadget in reversed(gadgets):
         ring.extend(gadget)
     ring.append(Point(-X, Y))
-    polygon = SimplePolygon(ring)
+    polygon = SimplePolygon.unchecked(ring)  # the `simple` clause of `verify_instance` checks it
     q = Point(0, 0)
     if polygon.contains(q) is not PointLocation.INTERIOR:
         raise InvalidInstance("query point is not interior to the generated polygon")
-    *main, base = _edge_indices(polygon, [g[:2] for g in gadgets] + [(ring[0], ring[1])])
-    main = tuple(main)
+    # each main edge rS -> tS starts its gadget, the last gadget first; the base edge is the ring's first edge
+    main = _edges_at(polygon, ring, [3 + 5 * (m - i) for i in range(1, m + 1)])
     return ReductionInstance(
         polygon=polygon,
         q=q,
-        candidates=CandidateEdges(main=main, second=main if multi else None, base=base),
+        candidates=CandidateEdges(main=main, second=main if multi else None, base=_edges_at(polygon, ring, [0])[0]),
         kind=ReductionKind.DIFFUSE_MULTI if multi else ReductionKind.DIFFUSE_SINGLE,
         k=Fraction(ss.target),
         source=ss,
-        spikes=tuple(SimplePolygon(g[1:4]) for g in gadgets),
+        spikes=tuple(SimplePolygon.unchecked(g[1:4]) for g in gadgets),
     )
 
 
@@ -260,16 +261,16 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
 
     Raises VerificationFailed carrying the report when any clause fails.
     """
-    clauses: list[tuple[str, bool, str]] = []
     P = ri.polygon
     values = ri.source.values
     m = len(values)
 
-    try:  # the instance's own integer ring, checked as its construction does
+    try:  # the one check of the ring, which the generators build unchecked; the rest need it simple
         P._check_simple(P._int_ring()[1])
-        clauses.append(("simple", P.area > 0, "boundary is simple with positive area"))
     except GeometryError as ex:
-        clauses.append(("simple", False, str(ex)))
+        raise VerificationFailed(f"clause simple failed: {ex}",
+                                 report=VerificationReport((("simple", False, str(ex)),))) from ex
+    clauses = [("simple", P.area > 0, "boundary is simple with positive area")]
 
     spike_regions = [Region.of(s) for s in ri.spikes]
     added_regions = [added_region_for_edge(ri, e) for e in ri.candidates.main]
@@ -287,7 +288,7 @@ def verify_instance(ri: ReductionInstance) -> VerificationReport:
     if ri.kind is ReductionKind.SPECULAR_SINGLE:
         vp = visibility_polygon(P, ri.q)  # the one the exact clause built
         for i, e in enumerate(ri.candidates.main):
-            whole = [{s.a, s.b} for s in vp.edge_parts(e)] == [{P.edge(e).a, P.edge(e).b}]
+            whole = vp.edge_parts(e) == [P.edge(e)]  # one lit part, a -> b as the VP's ring runs along e
             clauses.append((f"mirror-visible[{i}]", whole, f"mirror edge {e} fully visible from source"))
 
     if ri.kind is ReductionKind.DIFFUSE_MULTI:
@@ -337,6 +338,8 @@ def solve_by_enumeration(ri: ReductionInstance, added: Sequence[Region] | Verifi
     """
     require_enumerable(len(ri.candidates.main))
     report = added if isinstance(added, VerificationReport) else None
+    if report and not report.added:
+        raise VerificationFailed("the report stops at its simple clause; enumeration is unsound", report=report)
     regions = list(report.added if report else added) or [added_region_for_edge(ri, e) for e in ri.candidates.main]
     if report.overlap if report else any(len(sig) > 1 for sig in classes(regions)):
         raise VerificationFailed("candidate added regions overlap; enumeration is unsound")

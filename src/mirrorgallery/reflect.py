@@ -19,7 +19,8 @@ from there through each lit part of the mirror at the vertex directions, in
 the integer frame of `visibility`: the first edge beyond the mirror in each
 sub-wedge closes one exact quad, and the quads of a part are one integer
 ring, a fan cut off by the mirror. The frame is kept on the polygon per
-unfolded source, so mirrors on one line share it. Added regions are kept disjoint from
+source and mirror line, so mirrors on one line unfold the source once and
+share it. Added regions are kept disjoint from
 direct visibility so their exact areas sum. The coordinate bit cap
 (`MG_BIT_CAP`) holds on the merged rings of every depth region, the added
 region and the specular region, on every call; cells whose bound from the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from math import gcd
 
 from .errors import BitBlowup, ParseError, SourceOnMirrorLine, SpecMismatch
 from .geom import (
@@ -39,6 +41,7 @@ from .geom import (
     Region,
     Segment,
     SimplePolygon,
+    _int_line,
     along,
     memo_per_polygon,
     merge_intervals,
@@ -210,17 +213,12 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
     return ExtendedVisibility(state.vp, state.added, state.records)
 
 
-def reflect_point_across_line(p: Point, a: Point, b: Point) -> Point:
-    d = b - a
-    n = Point(-d.y, d.x)
-    scale = 2 * (p - a).dot(n) / n.dot(n)
-    return Point(p.x - scale * n.x, p.y - scale * n.y)
-
-
 @memo_per_polygon
-def _unfolded(P: SimplePolygon, q2: Point) -> _Frame:
-    """The frame of P from an unfolded source, kept on P: mirrors on one line share it and its answers."""
-    return _frame(P, q2)
+def _unfolded(P: SimplePolygon, q: Point, line: tuple[int, int, int]) -> _Frame:
+    """P's frame from q mirrored in the line A*x + B*y = C, kept on P: mirrors on one line share it."""
+    A, B, C = line
+    t = 2 * (A * q.x + B * q.y - C) / (A * A + B * B)
+    return _frame(P, Point(q.x - t * A, q.y - t * B))
 
 
 def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibility:
@@ -243,7 +241,9 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
     # of a part are one ring from the mirror, a fan cut off by its line. A lit
     # part runs along e, and q2 lies right of e, so its directions turn
     # counterclockwise from its end to its start
-    frame = _unfolded(P, reflect_point_across_line(q, a, b))
+    A, B, C = _int_line(a, b)  # the mirror's line, reduced with A > 0 or A = 0 < B, keys the unfolding
+    g = gcd(A, B, C) if (A, B) > (0, 0) else -gcd(A, B, C)
+    frame = _unfolded(P, q, (A // g, B // g, C // g))
     runs = []
     for sigma in vis:
         da, db = (_primitive(*frame.local(w)[:2]) for w in (sigma.a, sigma.b))

@@ -105,7 +105,7 @@ from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
 
-from mirrorgallery.errors import GeometryError
+from mirrorgallery.errors import GeometryError, InvalidInstance
 from mirrorgallery.geom import (
     Orientation,
     Point,
@@ -128,8 +128,7 @@ from mirrorgallery.geom import (
     sides_along,
     subtract_intervals,
 )
-from mirrorgallery.reflect import (IlluminatedEdgePart, ReflectionKind, ReflectionSpec, diffuse_extend,
-                                   reflect_point_across_line)
+from mirrorgallery.reflect import IlluminatedEdgePart, ReflectionKind, ReflectionSpec, diffuse_extend
 from mirrorgallery.special import MirrorChoice, funnel_tangents
 from mirrorgallery.visibility import VisibilityPolygon, _Frame, visibility_polygon, weak_visibility_polygon
 
@@ -463,6 +462,14 @@ def edge_parts_reference(vp: VisibilityPolygon, e: int) -> list[Segment]:
     return sorted(ring_edges_reference(vp, e), key=lambda s, t=along(hv[e], hv[(e + 1) % len(hv)]): t(s.a))
 
 
+def reflect_point_across_line(p: Point, a: Point, b: Point) -> Point:
+    """p mirrored across the line through a and b, in `Fraction`s."""
+    d = b - a
+    n = Point(-d.y, d.x)
+    scale = 2 * (p - a).dot(n) / n.dot(n)
+    return Point(p.x - scale * n.x, p.y - scale * n.y)
+
+
 def specular_added_reference(P: SimplePolygon, q: Point, e: int) -> Region:
     """The added region of `reflect.specular_extend_single(P, q, e)`, for q
     inside P and off the line of edge e, before the bit cap."""
@@ -769,6 +776,16 @@ def merge_region_reference(region: Region) -> Region:
     except GeometryError:
         return region
     return Region(polys) if sum((p.area for p in polys), Fraction(0)) == region.area else region
+
+
+def edge_indices_reference(P: SimplePolygon, edges) -> tuple[int, ...]:
+    """The index in P of each edge a->b, read off one vertex -> index map."""
+    at = {v: i for i, v in enumerate(P.vertices)}
+    found = tuple(at.get(a, -1) for a, _ in edges)
+    for i, (a, b) in zip(found, edges):
+        if i < 0 or P.vertices[(i + 1) % P.n] != b:
+            raise InvalidInstance(f"edge {a!r}->{b!r} not found in generated polygon")
+    return found
 
 
 def enumeration_reference(main, areas, k: Fraction) -> tuple[int, ...] | None:

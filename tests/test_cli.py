@@ -1,5 +1,6 @@
 import argparse
 import ast
+import shutil
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -348,41 +349,60 @@ BAD = [
     ["guard", "in.mg", "--bounces", "notint"], ["guard", "in.mg", "--mode", "best"], ["guard", "-h"],
     ["vp"], ["vp", "in.mg", "--nope"], ["extend", "in.mg"], ["extend", "in.mg", "--edges", "5", "--kind", "mirror"],
     ["reduce-gen"], ["reduce-gen", "--kind", "specular", "--random", "x"], ["reduce-gen", "-h"], ["render", "-h"],
+    ["vp", "-h"], ["extend", "-h"],
 ]
 
 
 class TestParserPerCommand:
     @pytest.mark.parametrize("argv", VALID, ids=" ".join)
     def test_one_command_parses_as_the_full_parser(self, argv):
-        assert cli.build_parser(argv[:1]).parse_args(argv) == cli.build_parser().parse_args(argv)
+        own, rest = cli._command(argv[0]).parse_known_args(argv[1:])
+        full = vars(cli.build_parser().parse_args(argv))
+        assert rest == [] and full.pop("command") == argv[0]
+        assert vars(own) == full
 
     @pytest.mark.parametrize("argv", BAD, ids=lambda argv: " ".join(argv) or "none")
     def test_refusals_and_help_read_as_the_full_parser(self, monkeypatch, capsys, argv):
-        def run():
+        # the reference is the full parser alone, with argparse's own formatter, at three widths
+        def run(parse):
             with pytest.raises(SystemExit) as ex:
-                cli.main(argv)
+                parse(argv)
             out = capsys.readouterr()
             return out.out, out.err, ex.value.code
 
-        per_command = run()
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda commands=None: full())
-        assert run() == per_command
+        seen = {}
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            seen[columns] = run(cli.main)
+            with monkeypatch.context() as stock:
+                stock.setattr(cli, "_Formatter", argparse.HelpFormatter)
+                assert run(lambda argv: cli.build_parser().parse_args(argv)) == seen[columns], columns
+        assert seen["40"] != seen["200"]  # the width is read when the text is laid out
 
-    def test_a_command_adds_its_own_subparser_only(self, tmp_path, monkeypatch, capsys):
-        added = []
-        add_parser = argparse._SubParsersAction.add_parser
+    def test_a_command_builds_one_parser_and_reads_no_width(self, tmp_path, monkeypatch, capsys):
+        built, calls = [], []
+        init = argparse.ArgumentParser.__init__
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        get_terminal_size = shutil.get_terminal_size
 
-        def counted(self, name, **kwargs):
-            added.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-        inp = tmp_path / "l.mg"
-        inp.write_text(format_instance(InstanceFile(polygon=lshape())))
-        assert cli.main(["guard", str(inp)]) == 0
-        assert added == ["guard"]
-        added.clear()
+        def counted(name, fn):
+            return lambda *args, **kwargs: (calls.append(name), fn(*args, **kwargs))[1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted("add_subparsers", add_subparsers))
+        monkeypatch.setattr(shutil, "get_terminal_size", counted("get_terminal_size", get_terminal_size))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.mg").write_text(format_instance(InstanceFile(polygon=lshape(), query=Point(F(1, 2), F(1, 2)))))
+        for argv in VALID:  # each runs its command too, on in.mg or a generated instance
+            cli.main(argv)
+            assert (built, calls) == ([f"mg {argv[0]}"], []), argv
+            built.clear()
         with pytest.raises(SystemExit):
-            cli.main(["--help"])
-        assert added == ["vp", "extend", "guard", "reduce-gen", "render"]
+            cli.main(["guard", "in.mg", "extra"])  # a leftover: the full parser refuses it
+        assert built == ["mg guard", "mg", *(f"mg {name}" for name in cli._COMMANDS)]
+        assert calls[0] == "add_subparsers" and "get_terminal_size" in calls
+        assert "unrecognized arguments: extra" in capsys.readouterr().err

@@ -1,12 +1,19 @@
 import io
+import os
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrorgallery import cli, geom, redgen
+from mirrorgallery import cli, geom, redgen, reflect
 from mirrorgallery.errors import GeometryError, InvalidInstance, TooLarge, VerificationFailed
 from mirrorgallery.geom import Point, Region, SimplePolygon, region_intersection
 from mirrorgallery.redgen import (
@@ -21,7 +28,7 @@ from mirrorgallery.redgen import (
 )
 from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
 
-from oracles import enumeration_reference
+from oracles import edge_indices_reference, enumeration_reference
 
 
 class TestSubsetSum:
@@ -134,29 +141,56 @@ class TestDiffuseGenerator:
         verify_instance(gen_diffuse(SubsetSumInstance((1, 2), 2), multi=True))
 
     def test_simplicity_random(self, rng):
-        # the constructor rejects self-intersections, so surviving generation
-        # is the simplicity check; gadget count must match the value count
+        # generation builds the ring unchecked: the constructor's check must
+        # pass on it; gadget count must match the value count
         for _ in range(6):
             m = rng.randint(1, 6)
             values = tuple(rng.randint(1, 12) for _ in range(m))
             ri = gen_diffuse(SubsetSumInstance(values, 0))
+            assert SimplePolygon(ri.polygon.vertices).vertices == ri.polygon.vertices
             assert len(ri.spikes) == m
             assert len(ri.candidates.main) == m
             assert sum((s.area for s in ri.spikes), F(0)) == sum(values)
 
 
+def _crossed():
+    # a bounce-family instance whose ring has vertices n//2 and n//2 + 1 swapped
+    ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 8))
+    ring = list(ri.polygon.vertices)
+    n = len(ring)
+    ring[n // 2], ring[n // 2 + 1] = ring[n // 2 + 1], ring[n // 2]
+    return replace(ri, polygon=SimplePolygon.unchecked(ring))
+
+
+CROSSED = "polygon boundary is not simple: edges 8 and 10 meet at Point(42019/52, 5672565/10504)"
+
+
 class TestVerifyInstance:
-    def test_a_crossed_ring_fails_the_simple_clause(self):
+    def test_a_crossed_ring_fails_the_simple_clause(self, monkeypatch):
         # the clause checks the instance polygon's own integer ring, which an
-        # unchecked polygon carries as given
-        ri = gen_diffuse(SubsetSumInstance((3, 5, 7), 8))
-        ring = list(ri.polygon.vertices)
-        n = len(ring)
-        ring[n // 2], ring[n // 2 + 1] = ring[n // 2 + 1], ring[n // 2]
+        # unchecked polygon carries as given, and verification stops there:
+        # no visibility, reflection or sweep runs on the crossed ring
+        ran = []
+        for module, name in ((redgen, "visibility_polygon"), (redgen, "diffuse_extend"),
+                             (redgen, "specular_extend_single"), (redgen, "classes"), (reflect, "_cascade")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: ran.append(name))
         with pytest.raises(VerificationFailed) as err:
-            verify_instance(replace(ri, polygon=SimplePolygon.unchecked(ring)))
-        assert str(err.value) == ("clause simple failed: polygon boundary is not simple: "
-                                  "edges 8 and 10 meet at Point(42019/52, 5672565/10504)")
+            verify_instance(_crossed())
+        assert str(err.value) == f"clause simple failed: {CROSSED}"
+        assert err.value.report.clauses == (("simple", False, CROSSED),)
+        assert ran == []
+
+    @pytest.mark.parametrize("solve", [[], ["--solve"]])
+    def test_mg_reduce_gen_exits_6_on_a_crossed_ring(self, tmp_path, monkeypatch, capsys, solve):
+        monkeypatch.setattr(cli, "gen_diffuse", lambda ss, multi=False: _crossed())
+        out = tmp_path / "x.mg"
+        argv = ["reduce-gen", "--kind", "diffuse", "--values", "3,5,7", "--target", "8", *solve, "--out", str(out)]
+        assert cli.main(argv) == 6
+        # the file is written with the crossed ring, which `parse_instance` refuses: read its expect section
+        assert out.read_text().split("expect:\n")[1] == "k 8\nverify-simple fail\nverify failed\n"
+        printed = capsys.readouterr()
+        assert "witness" not in printed.out  # the solver refuses a report that stopped at the simple clause
+        assert printed.err == ("error: the report stops at its simple clause; enumeration is unsound\n" if solve else "")
 
     def test_tampered_mirror_detected(self):
         # sliding the mirror sideways misaligns its unfolded footprint with
@@ -333,3 +367,45 @@ class TestSolveFromReport:
         monkeypatch.setattr(redgen, "classes", lambda layers: calls.append(len(layers)) or geom.classes(layers))
         assert _cli_witness("specular", (3, 5, 7, 2), 12, tmp_path / "r.mg") is not None
         assert calls == [8]  # the spikes and the added regions, in the exclusive clause
+
+
+class TestEdgePositions:
+    # the generators read their main and base edges off their ring positions;
+    # the reference finds each edge's endpoints by a vertex lookup
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+           kind=st.sampled_from(["specular", "diffuse", "diffuse-multi"]))
+    def test_positions_match_a_vertex_lookup(self, values, kind):
+        ss = SubsetSumInstance(tuple(values), 0)
+        ri = gen_specular(ss) if kind == "specular" else gen_diffuse(ss, multi=kind == "diffuse-multi")
+        P = ri.polygon
+        assert SimplePolygon(P.vertices).vertices == P.vertices  # the ring is simple as built
+        if kind == "specular":
+            # each mirror spans half its floor spike's x-range, at the height of the mirror line
+            y = 2 * (sum(values) + len(values))
+            edges = [(Point(s.vertices[2].x / 2, y), Point(s.vertices[0].x / 2, y)) for s in ri.spikes]
+            assert edge_indices_reference(P, edges) == ri.candidates.main
+            return
+        # each main edge rises from the rectangle's top to its top triangle's corner; the base is the floor
+        top = P.vertices[2].y
+        edges = [(Point(s.vertices[0].x, top), s.vertices[0]) for s in ri.spikes]
+        assert edge_indices_reference(P, edges) == ri.candidates.main
+        xs = sorted({v.x for v in P.vertices})
+        assert edge_indices_reference(P, [(Point(xs[0], -1), Point(xs[-1], -1))]) == (ri.candidates.base,)
+        assert ri.candidates.second == (ri.candidates.main if kind == "diffuse-multi" else None)
+
+
+def test_the_reduction_demo_runs(tmp_path):
+    # generates, verifies and solves both families through the library calls, in a copy of demos/
+    root = Path(__file__).resolve().parent.parent
+    demos = shutil.copytree(root / "demos", tmp_path / "demos", ignore=shutil.ignore_patterns("out"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demos / "demo_reduction.py")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["values (3, 5, 7), target 12", "arithmetic witness: (1, 2)"]
+    for family in ("mirror", "bounce"):
+        line = next(ln for ln in lines if ln.startswith(f"{family} family:"))
+        assert "verification ok" in line and "edge witness (" in line, line
+        assert (demos / "out" / f"reduction_{family}.svg").exists() and (demos / "out" / f"reduction_{family}.mg").exists()

@@ -29,14 +29,14 @@ from mirrorgallery.reflect import (
     ReflectionSpec,
     diffuse_extend,
     extend_all_edges,
-    reflect_point_across_line,
     specular_extend_single,
 )
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
-from oracles import (FrameReference, diffuse_added_reference, lit_parts_reference, ray_point, region_sample_points,
-                     segment_parts_inside, specular_added_reference, validate_disjoint, visible_edge_parts)
+from oracles import (FrameReference, diffuse_added_reference, line_key_reference, lit_parts_reference, ray_point,
+                     reflect_point_across_line, region_sample_points, segment_parts_inside, specular_added_reference,
+                     validate_disjoint, visible_edge_parts)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -486,6 +486,9 @@ class TestSpecularReference:
                 assert self._cells(added) == self._cells(specular_added_reference(ri.polygon, ri.q, e)), (values, e)
 
 
+RATIONAL_POINTS = st.builds(Point, *[st.builds(F, st.integers(-60, 60), st.integers(1, 12))] * 2)
+
+
 class TestSharedUnfoldedFrame:
     # mirrors on one line unfold the source to one point, whose frame and its
     # first-hit answers (keyed with the mirror as `beyond`) they share
@@ -495,11 +498,15 @@ class TestSharedUnfoldedFrame:
 
     def _check(self, P, q, mirrors):
         want = {e: specular_added_reference(SimplePolygon(P.vertices), q, e) for e in mirrors}
+        lines = {line_key_reference(P.edge(e).a, P.edge(e).b) for e in mirrors}
         for order in (mirrors, mirrors[::-1]):
-            got = self._added(SimplePolygon(P.vertices), q, order)  # a fresh polygon holds no frame
+            fresh = SimplePolygon(P.vertices)  # holds no frame
+            got = self._added(fresh, q, order)
             for e in mirrors:
                 assert got[e].area == want[e].area, (P, q, e)
                 assert sorted(got[e]._net_boundary()) == sorted(want[e]._net_boundary()), (P, q, e)
+            # each unfolding is kept by its mirror's reduced line
+            assert {key[2] for key in fresh._memo if key[0] is reflect._unfolded.__wrapped__} <= lines
         return want
 
     def test_mirror_family_matches_the_fold_loop(self, rng):
@@ -539,6 +546,20 @@ class TestSharedUnfoldedFrame:
         areas = [specular_extend_single(ri.polygon, ri.q, e).added.area for e in ri.candidates.main]
         assert areas == [3, 1, 4, 1]
         assert origins[unfolded.pop()] == 1
+        # and the source is unfolded once, kept by the mirrors' one reduced line
+        lines = {line_key_reference(ri.polygon.edge(e).a, ri.polygon.edge(e).b) for e in ri.candidates.main}
+        assert len(lines) == 1
+        kept = [key[1:] for key in ri.polygon._memo if key[0] is reflect._unfolded.__wrapped__]
+        assert kept == [(ri.q, lines.pop())]
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=RATIONAL_POINTS, a=RATIONAL_POINTS, b=RATIONAL_POINTS)
+    def test_the_unfolded_source_is_the_reflection(self, q, a, b):
+        # unfolding across the reduced integer line mirrors q as the Fraction formula does
+        if a == b:
+            return
+        frame = reflect._unfolded(SimplePolygon([(0, 0), (1, 0), (0, 1)]), q, line_key_reference(a, b))
+        assert frame.origin == reflect_point_across_line(q, a, b)
 
 
 class TestSpecular:

@@ -30,15 +30,15 @@ from mirrorgallery.geom import (
     region_union_all,
     sees,
 )
-from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend, reflect_point_across_line
+from mirrorgallery.reflect import ReflectionKind, ReflectionSpec, diffuse_extend
 from mirrorgallery.visibility import (_fan, _frame, _Frame, _lit, _pivot_cones, _seeing, visibility_polygon,
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
 from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, edge_parts_reference, first_hit_reference,
                      halfplane_rect, hit_reference, midpoint, pivot_cones_reference, primitive_direction,
-                     region_sample_points, ring_edges_reference, segment_parts_inside, shoelace2_reference,
-                     visibility_area_oracle)
+                     reflect_point_across_line, region_sample_points, ring_edges_reference, segment_parts_inside,
+                     shoelace2_reference, visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
