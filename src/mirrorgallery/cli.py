@@ -5,8 +5,9 @@ or unwritable path, values the reduction generator rejects, or more than the
 solvers enumerate (20 values with --solve, 16 vertices with --mode optimal);
 3 query outside polygon; 4 reflection spec mismatch, or a source on the
 mirror's line; 5 coordinate bit blow-up; 6 instance verification failure
-(the file is still written, annotated with the failure, so it can be
-inspected); 1 a library fault: a broken invariant, a guard set failing its
+(the file is still written, annotated with the failure; after a failed
+simple clause it is text only, as mg refuses to load it: exit 2, invalid
+polygon); 1 a library fault: a broken invariant, a guard set failing its
 coverage certificate or with a disconnected guard graph, or any other error.
 """
 
@@ -36,7 +37,7 @@ from .fileio import (
     parse_instance,
     parse_rational,
 )
-from .geom import Point, Region
+from .geom import Point
 from .guard import (
     build_guard_graph,
     greedy_cover,
@@ -106,7 +107,7 @@ def cmd_vp(args) -> int:
     inst = _load(args.input)
     q = _query_from(args, inst)
     vp = visibility_polygon(inst.polygon, q)
-    lines = [f"area: {format_rational(vp.polygon.area)}", "vertices:"]
+    lines = [f"area: {format_rational(vp.area)}", "vertices:"]
     lines += [f"{format_rational(v.x)} {format_rational(v.y)}" for v in vp.polygon.vertices]
     lines.append("windows:")
     lines += [
@@ -119,7 +120,7 @@ def cmd_vp(args) -> int:
         scene = render_scene(
             inst.polygon,
             query=q,
-            regions=[(Region.of(vp.polygon), "#1f77b4")],
+            regions=[(vp.region, "#1f77b4")],
             extra_segments=list(vp.windows),
         )
         _write(args.svg, scene)
@@ -163,7 +164,7 @@ def cmd_extend(args) -> int:
         scene = render_scene(
             inst.polygon,
             query=q,
-            regions=[(Region.of(ev.direct.polygon), "#1f77b4"), (ev.added, "#2ca02c")],
+            regions=[(ev.direct.region, "#1f77b4"), (ev.added, "#2ca02c")],
             highlight_edges=edges,
         )
         _write(args.svg, scene)
@@ -247,7 +248,7 @@ def cmd_render(args) -> int:
         if inst.query is None:
             raise ParseError("vp layer needs a query point in the file")
         vp = visibility_polygon(inst.polygon, inst.query)
-        regions.append((Region.of(vp.polygon), "#1f77b4"))
+        regions.append((vp.region, "#1f77b4"))
     if "candidates" in layers and inst.candidates is not None:
         highlight = sorted(inst.candidates.all_edges())
     scene = render_scene(inst.polygon, query=query, regions=regions, highlight_edges=highlight)

@@ -22,7 +22,8 @@ boolean's stacked input is never a layer of `classes`). The net boundary
 is the only boundary read: it leaves out vertical sides, but a boundary
 is closed, so the sides at an x are rebuilt from the edges ending there
 (`_verticals`), for a vertical edge and for the loops `merge_region`
-traces. No floating point is used anywhere; all results are exact.
+traces; a region's coordinate bits are its net boundary's vertices'. No
+floating point is used anywhere; all results are exact.
 """
 
 from __future__ import annotations
@@ -359,10 +360,10 @@ class Region:
     output. A later sweep and a point query read the region's net boundary,
     kept on it, which a swept region joins from its runs' edges and a fan
     is given, with no polygon.
-    `merge_region` traces that boundary into maximal polygons only where
-    merged rings are wanted: SVG output and the coordinate bit cap. A region
-    counts a point once per part covering it, never negatively; only in
-    a boolean's input, such as a depth's stacked fans, do parts overlap.
+    `merge_region` traces that boundary into maximal polygons only for SVG
+    output. A region counts a point once per part covering it, never
+    negatively; only in a boolean's input, such as a depth's stacked fans,
+    do parts overlap.
     """
 
     __slots__ = ("_parts", "_runs", "_rings", "_area", "_boundary")
@@ -452,24 +453,19 @@ class Region:
         return self._boundary
 
     def max_coordinate_bits(self) -> int:
-        return max((c.bit_length() for part in self.parts for v in part.vertices for f in (v.x, v.y)
-                    for c in (f.numerator, f.denominator)), default=0)
-
-    def _bits_bound(self) -> int:
-        """An upper bound on `max_coordinate_bits()`, with no part built: a fan's is the
-        largest integer of its rings; a swept region's cell corner (x, (C*xd - A*xn) /
-        (B*xd)) is bounded from the largest slab end x = xn/xd and line coefficients of
-        its runs, as bits(C*xd - A*xn) <= max(bits(C) + bits(xd), bits(A) + bits(xn)) + 1."""
-        if self._rings is not None:
-            return max(c.bit_length() for ring in self._rings for p in ring for c in p)
-        if self._runs is None:
-            return self.max_coordinate_bits()
-        xs, runs = self._runs
-        ends = [xs[j] for k in {k for k, _, _ in runs} for j in (k, k + 1)]
-        edges = {s for _, bottom, top in runs for s in (bottom, top)}
-        xn, xd = (max(x[i].bit_length() for x in ends) for i in (0, 1))
-        A, B, C = (max(getattr(s, f).bit_length() for s in edges) for f in "ABC")
-        return max(xn, max(C + xd, A + xn) + 1, B + xd)
+        """The largest bit length of a reduced coordinate, numerator or denominator, of a
+        vertex of the net boundary, with no part built: an edge's x ends are reduced, and
+        its y at x = xn/xd is (C*xd - A*xn) / (B*xd), reduced with one gcd. Where
+        `merge_region` traces the region, these are its rings' vertices."""
+        bits = 0
+        for A, B, C, x0n, x0d, x1n, x1d, _ in self._net_boundary():
+            for xn, xd in ((x0n, x0d), (x1n, x1d)):
+                yn, yd = C * xd - A * xn, B * xd
+                # no gcd unless this end can add bits: xd <= yd, and reducing lengthens no term
+                if xn.bit_length() > bits or yn.bit_length() > bits or yd.bit_length() > bits:
+                    g = gcd(yn, yd)
+                    bits = max(bits, xn.bit_length(), xd.bit_length(), (yn // g).bit_length(), (yd // g).bit_length())
+        return bits
 
     def __repr__(self):
         return f"Region({len(self.parts)} parts, area={self.area})"
@@ -781,10 +777,10 @@ def merge_region(region: Region) -> Region:
     region's net boundary: its non-vertical edges and the vertical sides at their
     ends (`_verticals`), so a swept region builds no cell.
 
-    For output only (SVG rendering and the coordinate bit cap): queries and
-    booleans read net boundaries, not polygons. Falls back to the input
-    (still correct, just fragmented) whenever the union pinches to a
-    point, produces a hole, or any consistency check fails.
+    For SVG output only: queries, booleans and the coordinate bit cap read
+    net boundaries, not polygons. Falls back to the input (still correct,
+    just fragmented) whenever the union pinches to a point, produces a
+    hole, or any consistency check fails.
     """
     if region._runs is None and len(region.parts) <= 1:  # counting a swept region's parts builds its cells
         return region

@@ -223,8 +223,7 @@ def reduce_guard_points(
         raise SpecMismatch("bounce budget must be non-negative")
     idx = list(range(len(points)))
     edges = graph_from_points(P, points)
-    root = 0
-    levels = _bfs_levels(idx, edges, root)
+    levels = _bfs_levels(idx, edges, 0)  # point 0 is in class 0, so the least class is never empty
     if len(levels) != len(points):
         raise GraphDisconnected("guard graph is not connected")
     k = 1 + r // 4
@@ -233,8 +232,6 @@ def reduce_guard_points(
         classes[lv % k].append(v)
     best_class = min(range(k), key=lambda c: (len(classes[c]) if classes[c] else len(points) + 1, c))
     kept = sorted(classes[best_class])
-    if not kept:
-        kept = [root]
     bound = -(-len(points) // k)  # ceil
     if len(kept) > bound:
         raise InvariantViolated(f"kept {len(kept)} guards, pigeonhole bound is {bound}")

@@ -22,9 +22,8 @@ ring, a fan cut off by the mirror. The frame is kept on the polygon per
 source and mirror line, so mirrors on one line unfold the source once and
 share it. Added regions are kept disjoint from
 direct visibility so their exact areas sum. The coordinate bit cap
-(`MG_BIT_CAP`) holds on the merged rings of every depth region, the added
-region and the specular region, on every call; cells whose bound from the
-sweep's runs is within it are not merged, nor built.
+(`MG_BIT_CAP`) holds on every depth region, the added region and the
+specular region, on every call, read off their net boundaries' vertices.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .geom import (
     along,
     memo_per_polygon,
     merge_intervals,
-    merge_region,
     orientation,
     overlay,
     region_difference,
@@ -115,14 +113,9 @@ class ExtendedVisibility:
     per_edge_illumination: tuple[IlluminatedEdgePart, ...] = field(default_factory=tuple)
 
 
-def _check_bits(region: Region, where: str, bits: int):
-    # the cap measures merged rings: the sweep's slab crossings give cells
-    # more bits than the region's own boundary. A merged ring keeps a subset
-    # of the cells' vertices, so cells whose bound (bits) is within the cap
-    # need no merge
-    cap = _bit_cap()
-    if bits > cap:
-        bits = merge_region(region).max_coordinate_bits()
+def _check_bits(region: Region, where: str):
+    # the region's boundary vertices, not its cells, which slab crossings give more bits
+    bits, cap = region.max_coordinate_bits(), _bit_cap()
     if bits > cap:
         raise BitBlowup(f"{bits} coordinate bits after {where} exceeds cap {cap}")
 
@@ -137,9 +130,7 @@ class _Cascade:
     vp: VisibilityPolygon
     records: tuple[IlluminatedEdgePart, ...]  # the parts first lit at each depth below max(d, 1)
     regions: tuple[Region, ...]  # the region reached at each depth from 1 to d, fewer if it stopped
-    bits: tuple[int, ...]  # a bound on the cells' coordinate bit length of each region
     added: Region  # the cells outside the VP that the regions cover
-    added_bits: int  # a bound on the coordinate bit length of its cells
 
 
 def _light(P: SimplePolygon, edges, depth: int, covered: list[Region], records: list):
@@ -169,7 +160,7 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
         vp = visibility_polygon(P, q)
         lit = ((e, vp.edge_parts(e)) for e in sorted(edges))
         records = tuple(IlluminatedEdgePart(e, tuple(parts), 0) for e, parts in lit if parts)
-        return _Cascade(vp, records, (), (), Region.empty(), 0)
+        return _Cascade(vp, records, (), Region.empty())
     prev = _cascade(P, q, edges, depth - 1)
     if len(prev.regions) < depth - 1:
         return prev  # stopped before depth - 1
@@ -183,10 +174,9 @@ def _cascade(P: SimplePolygon, q: Point, edges: frozenset[int], depth: int) -> _
     dr = region_union_all([fan for part in records if part.bounce_depth == depth - 1
                            for s in part.subsegments for fan in _seeing(P, s)])
     if dr.is_empty:  # the cascade stops here
-        return _Cascade(prev.vp, tuple(records), prev.regions, prev.bits, prev.added, prev.added_bits)
+        return _Cascade(prev.vp, tuple(records), prev.regions, prev.added)
     added = overlay([prev.vp.region, prev.added, dr], lambda c: not c[0] and (c[1] or c[2]))
-    return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), (*prev.bits, dr._bits_bound()), added,
-                    added._bits_bound())
+    return _Cascade(prev.vp, tuple(records), (*prev.regions, dr), added)
 
 
 def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> ExtendedVisibility:
@@ -208,8 +198,8 @@ def diffuse_extend(P: SimplePolygon, q: Point, spec: ReflectionSpec) -> Extended
         state = _cascade(P, q, spec.edges, depth)
         if len(state.regions) < depth:
             break
-        _check_bits(state.regions[-1], f"bounce depth {depth}", state.bits[-1])
-    _check_bits(state.added, "the added region", state.added_bits)
+        _check_bits(state.regions[-1], f"bounce depth {depth}")
+    _check_bits(state.added, "the added region")
     return ExtendedVisibility(state.vp, state.added, state.records)
 
 
@@ -249,7 +239,7 @@ def specular_extend_single(P: SimplePolygon, q: Point, e: int) -> ExtendedVisibi
         da, db = (_primitive(*frame.local(w)[:2]) for w in (sigma.a, sigma.b))
         runs += _lit(frame, db, da, beyond=e)
     added = region_difference(_fan(frame, runs, near=e), vp.region)
-    _check_bits(added, "specular bounce", added._bits_bound())
+    _check_bits(added, "specular bounce")
     return ExtendedVisibility(vp, added, (IlluminatedEdgePart(e, tuple(vis), 0),))
 
 

@@ -83,6 +83,14 @@ its coefficients; the merge reference traces their loops, as
 `geom.merge_region` did before it traced the integer net boundary, with
 the vertical sides rebuilt from it (`geom._verticals`) and no cell built.
 
+The coordinate bits reference reads the bits of the vertices of a region's
+parts, a swept region's cells, as `Region.max_coordinate_bits` did before it
+read the net boundary's vertices: the slab crossings give cells vertices
+that no merged ring keeps, so it bounds the library's count from above.
+
+The layer count check reads whether `geom.classes` saw each layer count a
+point at most once, off the classes' and the layers' areas alone.
+
 The enumeration reference is the subset-sum solver of
 `redgen.solve_by_enumeration` before it summed integers: every mask in
 increasing order, one `Fraction` sum of its areas per mask.
@@ -776,6 +784,23 @@ def merge_region_reference(region: Region) -> Region:
     except GeometryError:
         return region
     return Region(polys) if sum((p.area for p in polys), Fraction(0)) == region.area else region
+
+
+def coordinate_bits_reference(region: Region) -> int:
+    """The largest bit length of a coordinate's numerator or denominator over the
+    vertices of the region's parts (a swept region's cells), as
+    `Region.max_coordinate_bits` counted before it read the net boundary."""
+    return max((c.bit_length() for part in region.parts for v in part.vertices for f in (v.x, v.y)
+                for c in (f.numerator, f.denominator)), default=0)
+
+
+def counts_each_layer_once(layers, shared) -> bool:
+    """Whether `geom.classes(layers)` = shared counts each layer once: the sum of
+    |set| * area over the classes equals the sum of the layers' areas exactly when no
+    layer counts a point twice, as a count of 2 carries into the next layer's bit
+    and a carry leaves fewer bits set than the counts' sum."""
+    return (sum((len(sig) * region.area for sig, region in shared.items()), Fraction(0))
+            == sum((layer.area for layer in layers), Fraction(0)))
 
 
 def edge_indices_reference(P: SimplePolygon, edges) -> tuple[int, ...]:

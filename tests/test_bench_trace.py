@@ -35,7 +35,7 @@ ops = [
     lambda: reflect.diffuse_extend(L, q, ReflectionSpec(frozenset(range(L.n)), ReflectionKind.DIFFUSE, 1)),
     lambda: reflect.specular_extend_single(L, q, 5),
     lambda: guard.greedy_cover(L, 1),
-    # the bit cap merges no cells within it, so SVG output is what merges here
+    # the bit cap reads net boundaries and merges nothing, so SVG output is what merges here
     lambda: svg.render_scene(L, query=q, regions=[(reflect.diffuse_extend(
         L, q, ReflectionSpec(frozenset(range(L.n)), ReflectionKind.DIFFUSE, 2)).added, "#1f77b4")]),
 ]

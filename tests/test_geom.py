@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mirrorgallery import geom, reflect, visibility
+from mirrorgallery import geom, guard, redgen, reflect, special, visibility
 from mirrorgallery.errors import GeometryError, InvariantViolated
 from mirrorgallery.geom import (
     Orientation,
@@ -33,7 +33,9 @@ from mirrorgallery.geom import (
     subtract_intervals,
 )
 from mirrorgallery.guard import extended_region
+from mirrorgallery.redgen import SubsetSumInstance, gen_diffuse, gen_specular, solve_by_enumeration, verify_instance
 from mirrorgallery.reflect import extend_all_edges
+from mirrorgallery.special import funnel_best_mirrors
 from mirrorgallery.visibility import _fan, _Frame, _lit, visibility_polygon, weak_visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, radial_polygon
@@ -41,6 +43,8 @@ from oracles import (
     cell_sides,
     classes_reference,
     contains_reference,
+    coordinate_bits_reference,
+    counts_each_layer_once,
     dir_cmp,
     edge_ends,
     halfplane_rect,
@@ -559,13 +563,26 @@ class TestIntegerSweep:
     @settings(max_examples=40, deadline=None)
     @example(a=THIN, b=THIN, c=THIN)  # the corners' bits come from A*xn, on a line through the origin
     @given(a=convex_regions(), b=convex_regions(), c=tie_regions())
-    def test_bits_bound_bounds_the_cells(self, a, b, c):
-        # the bound read off the runs' slab ends and lines is at least the
-        # cells' coordinate bits, and so at least those of merged rings
+    def test_coordinate_bits_are_the_merged_rings(self, a, b, c):
+        # the bits read off the net boundary are the merged rings' wherever
+        # `merge_region` traces the region, and never more than the cells'
         for r in (region_union_all([a, b]), region_intersection(a, b), region_difference(a, b),
                   region_union_all([a, c]), *classes([a, b, c]).values()):
             if not r.is_empty:
-                assert r._bits_bound() >= r.max_coordinate_bits() >= merge_region(r).max_coordinate_bits()
+                bits, merged = r.max_coordinate_bits(), merge_region(r)
+                if merged is not r or len(r.parts) == 1:
+                    assert bits == coordinate_bits_reference(merged)
+                assert bits <= coordinate_bits_reference(r)
+
+    def test_coordinate_bits_of_a_region_with_a_hole(self):
+        # the loops hold a hole, so `merge_region` gives the cells back; the
+        # boundary's vertices need 3 bits, and the cell corners at x = 1/3 on
+        # the slope-1/4 side, (1/3, 1/12), need 4
+        t = F(1, 3)
+        r = region_difference(Region.of(SimplePolygon([(0, 0), (4, 1), (4, 4), (0, 4)])),
+                              Region.of(SimplePolygon([(t, 2), (3, 2), (3, 3), (t, 3)])))
+        assert merge_region(r) is r and len(r.parts) > 1
+        assert r.max_coordinate_bits() == 3 < coordinate_bits_reference(r) == 4
 
     def test_trusted_refuses_non_positive_area(self):
         ring = (Point(0, 0), Point(1, 0), Point(0, 1))
@@ -696,6 +713,54 @@ class TestBitWeightedClasses:
         classes(layers)
         assert len(swept) == 1 and len(swept[0]) == 1
         assert 2 * len(swept[0][0]._net_boundary()) < sum(len(r._net_boundary()) for r in layers)
+
+    def test_an_overlapping_layer_breaks_the_count(self):
+        # layer 0 counts the overlap [1, 2]^2 of its squares twice, which carries
+        # into layer 1's bit: the classes hold 8 of the layers' 9 counted units
+        layers = [Region((rect(0, 0, 2, 2), rect(1, 1, 3, 3))), Region.of(rect(10, 10, 11, 11))]
+        shared = classes(layers)
+        assert {sig: r.area for sig, r in shared.items()} == {frozenset({0}): 6, frozenset({1}): 2}
+        assert not counts_each_layer_once(layers, shared)
+        layers[0] = overlay(layers[:1], lambda c: c[0] > 0)
+        assert counts_each_layer_once(layers, classes(layers))
+
+
+def _funnel_mirrors(funnels):
+    for f, q in funnels[:12]:
+        for include_chord in (False, True):
+            funnel_best_mirrors(f, q, include_chord=include_chord)
+
+
+# each library caller of `classes`, the module it calls it from, and a run of it on
+# instances of each kind: the guard layers at r = 0 and 1, the three reduction kinds
+REDUCTIONS = [(gen_specular, (1, 2, 3), 3), (gen_diffuse, (2, 3), 5), (lambda ss: gen_diffuse(ss, multi=True), (1, 2), 2)]
+CALLERS = {
+    "coverage_classes": (guard, lambda funnels: [guard.coverage_classes(P, P.vertices, r)
+                                                 for P in (lshape(), comb(3)) for r in (0, 1)]),
+    "verify_instance": (redgen, lambda funnels: [verify_instance(gen(SubsetSumInstance(values, target)))
+                                                 for gen, values, target in REDUCTIONS]),
+    "solve_by_enumeration": (redgen, lambda funnels: [solve_by_enumeration(gen(SubsetSumInstance(values, target)))
+                                                      for gen, values, target in REDUCTIONS]),
+    "funnel_best_mirrors": (special, _funnel_mirrors),
+}
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_every_caller_of_classes_counts_each_layer_once(monkeypatch, funnels, caller):
+    # the bitmask is exact only where no layer counts a point twice; the library
+    # does not check it, so each of its callers is checked here
+    module, run = CALLERS[caller]
+    seen = []
+
+    def checked(layers):
+        shared = classes(layers)
+        assert counts_each_layer_once(layers, shared), (caller, layers)
+        seen.append(len(layers))
+        return shared
+
+    monkeypatch.setattr(module, "classes", checked)
+    run(funnels)
+    assert seen and all(n > 1 for n in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ class TestVerifyInstance:
         assert "witness" not in printed.out  # the solver refuses a report that stopped at the simple clause
         assert printed.err == ("error: the report stops at its simple clause; enumeration is unsound\n" if solve else "")
 
+    def test_the_file_of_a_crossed_ring_is_text_only(self, tmp_path, monkeypatch, capsys):
+        # `mg` loads a polygon with the simplicity check, so it refuses the file it wrote
+        monkeypatch.setattr(cli, "gen_diffuse", lambda ss, multi=False: _crossed())
+        out = tmp_path / "x.mg"
+        assert cli.main(["reduce-gen", "--kind", "diffuse", "--values", "3,5,7", "--target", "8", "--out", str(out)]) == 6
+        capsys.readouterr()
+        assert cli.main(["render", str(out), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid polygon: ")
+        assert not (tmp_path / "x.svg").exists()
+
     def test_tampered_mirror_detected(self):
         # sliding the mirror sideways misaligns its unfolded footprint with
         # the spike mouth (a vertical lift would not: the doubling is

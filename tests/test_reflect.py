@@ -34,9 +34,9 @@ from mirrorgallery.reflect import (
 from mirrorgallery.visibility import _Frame, visibility_polygon
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
-from oracles import (FrameReference, diffuse_added_reference, line_key_reference, lit_parts_reference, ray_point,
-                     reflect_point_across_line, region_sample_points, segment_parts_inside, specular_added_reference,
-                     validate_disjoint, visible_edge_parts)
+from oracles import (FrameReference, coordinate_bits_reference, diffuse_added_reference, line_key_reference,
+                     lit_parts_reference, ray_point, reflect_point_across_line, region_sample_points,
+                     segment_parts_inside, specular_added_reference, validate_disjoint, visible_edge_parts)
 
 SQUARE = SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 DEEP_FUNNEL = SimplePolygon([(0, 0), (10, 0), (6, 1), (5, 4), (4, 1)])
@@ -471,8 +471,12 @@ class TestSpecularReference:
                         continue
                     added = specular_extend_single(P, q, e).added
                     assert self._cells(added) == self._cells(specular_added_reference(P, q, e)), (P, q, e)
-                    # the bound the bit cap reads is one on the cells' bits
-                    assert added._bits_bound() >= added.max_coordinate_bits(), (P, q, e)
+                    # the bits the cap reads are the merged rings' where the region
+                    # merges, and never more than the cells'
+                    bits, merged = added.max_coordinate_bits(), merge_region(added)
+                    if merged is not added or len(added.parts) == 1:
+                        assert bits == coordinate_bits_reference(merged), (P, q, e)
+                    assert bits <= coordinate_bits_reference(added), (P, q, e)
                     compared += 1
                     nonempty += not added.is_empty
         assert nonempty > 20 and compared > 4 * nonempty / 3
@@ -624,7 +628,8 @@ class TestBitCap:
 
     def test_cap_measures_merged_rings(self, monkeypatch):
         ev = extend_all_edges(self.HIST, self.Q, 2)
-        assert merge_region(ev.added).max_coordinate_bits() == 3 < ev.added.max_coordinate_bits()
+        assert ev.added.max_coordinate_bits() == coordinate_bits_reference(merge_region(ev.added)) == 3
+        assert coordinate_bits_reference(ev.added) == 4
         monkeypatch.setenv("MG_BIT_CAP", "3")
         assert extend_all_edges(self.HIST, self.Q, 2).added.area == ev.added.area
         monkeypatch.setenv("MG_BIT_CAP", "2")
@@ -643,4 +648,4 @@ class TestBitCap:
             extend_all_edges(P, q, 1)
         monkeypatch.setenv("MG_BIT_CAP", "20")
         added = extend_all_edges(P, q, 1).added
-        assert merge_region(added).max_coordinate_bits() == 20
+        assert added.max_coordinate_bits() == coordinate_bits_reference(merge_region(added)) == 20

@@ -32,10 +32,14 @@ table, and it caches no parser (`functools.cache` or `lru_cache`): a call
 builds the parser of its own command only. `geom.classes` calls `_sweep`
 once, with a list of one layer, and `_sweep` keeps its `(layers, key,
 group)` signature with no flag: the layers' bit-weighted edges are netted
-in the sweep's input, not in a second walk.
+in the sweep's input, not in a second walk. `Region.max_coordinate_bits`
+reads the region only through its net boundary, with no runs, rings or
+parts, and `reflect` calls no `merge_region`: the bit cap measures one
+thing, the boundary's vertices, and merged rings are for SVG output.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import mirrorgallery
@@ -212,10 +216,14 @@ def test_the_lit_parts_walk_finds_each_kind():
         "probe.py:2: visible_edge_parts", "probe.py:3: sides_along", "probe.py:4: visible_edge_parts"]
 
 
-def _function(source: str, name: str) -> str:
-    # the module-level function's source, on its own lines of the module: line numbers hold
-    node = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == name)
-    return "\n" * (node.lineno - 1) + ast.get_source_segment(source, node)
+def _function(source: str, name: str, cls: str | None = None) -> str:
+    # the module-level function's source, or the method's of the module-level class
+    # cls, dedented, on its own lines of the module: line numbers hold
+    body = ast.parse(source).body
+    if cls:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    node = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return "\n" * (node.lineno - 1) + textwrap.dedent(ast.get_source_segment(source, node, padded=True))
 
 
 def test_depth_zero_light_is_read_off_the_vp():
@@ -246,6 +254,33 @@ def test_the_attribute_walk_finds_each_kind():
               "    parts = geom.Region.of(P).parts\n    edges = region._net_boundary()\n")
     assert sorted(_attributes(_function(source, "sides_along"), "probe.py", REGION_READS)) == [
         "probe.py:2: _runs", "probe.py:3: _int_ring", "probe.py:3: _rings", "probe.py:3: parts", "probe.py:4: parts"]
+
+
+def _bit_measure_rules(geom: str, reflect: str) -> list[str]:
+    measure = _function(geom, "max_coordinate_bits", "Region")
+    out = _attributes(measure, "geom.py", REGION_READS)
+    if not _calls(measure, "geom.py", {"_net_boundary"}):
+        out.append("geom.py: max_coordinate_bits reads no _net_boundary")
+    return out + _calls(reflect, "reflect.py", {"merge_region"})
+
+
+def test_the_bit_cap_reads_the_net_boundary():
+    source = {p.name: p.read_text() for p in SOURCES if p.name in ("geom.py", "reflect.py")}
+    assert _bit_measure_rules(source["geom.py"], source["reflect.py"]) == []
+
+
+def test_the_bit_measure_walk_finds_each_kind():
+    ok = ("class Region:\n    def area(self):\n        return sum(p.area for p in self.parts)\n\n"
+          "    def max_coordinate_bits(self):\n        return max(bits(e) for e in self._net_boundary())\n")
+    cells = ("class Region:\n    def max_coordinate_bits(self):\n"
+             "        edges = self._net_boundary() if self._runs else self._rings\n"
+             "        return max(bits(p) for p in self.parts + self._parts)\n")
+    merged = "from .geom import merge_region\nbits = geom.merge_region(region).max_coordinate_bits()\nm = merge_region\n"
+    assert _bit_measure_rules(ok, "bits = region.max_coordinate_bits()\n") == []
+    assert sorted(_bit_measure_rules(cells, "")) == ["geom.py:3: _rings", "geom.py:3: _runs",
+                                                     "geom.py:4: _parts", "geom.py:4: parts"]
+    assert _bit_measure_rules(ok.replace("self._net_boundary()", "edges"), merged) == [
+        "geom.py: max_coordinate_bits reads no _net_boundary", "reflect.py:2: merge_region"]
 
 
 def _constructs(source: str, name: str, cls: str) -> list[str]:

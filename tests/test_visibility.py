@@ -35,10 +35,10 @@ from mirrorgallery.visibility import (_fan, _frame, _Frame, _lit, _pivot_cones, 
                                       weak_visibility_polygon)
 
 from conftest import comb, histogram_polygon, interior_point, lshape, on_edge_lines, radial_polygon, random_funnel
-from oracles import (between_reference, cone_reference, dir_cmp, edge_ends, edge_parts_reference, first_hit_reference,
-                     halfplane_rect, hit_reference, midpoint, pivot_cones_reference, primitive_direction,
-                     reflect_point_across_line, region_sample_points, ring_edges_reference, segment_parts_inside,
-                     shoelace2_reference, visibility_area_oracle)
+from oracles import (between_reference, cone_reference, coordinate_bits_reference, dir_cmp, edge_ends,
+                     edge_parts_reference, first_hit_reference, halfplane_rect, hit_reference, midpoint,
+                     pivot_cones_reference, primitive_direction, reflect_point_across_line, region_sample_points,
+                     ring_edges_reference, segment_parts_inside, shoelace2_reference, visibility_area_oracle)
 
 PENTA_FUNNEL = SimplePolygon([(0, 0), (6, 0), (4, 2), (3, 5), (2, 2)])
 
@@ -517,7 +517,9 @@ def _check_fans(fans, samples):
         reference = Region(ref)
         assert Counter(map(edge_ends, fan._net_boundary())) == Counter(map(edge_ends, reference._net_boundary()))
         assert fan.area == reference.area
-        assert fan._bits_bound() >= reference.max_coordinate_bits()  # read off the rings, before the parts
+        # read off the net boundary, before the parts: no more than the parts' bits
+        assert fan.max_coordinate_bits() == reference.max_coordinate_bits() <= coordinate_bits_reference(reference)
+        assert fan.is_empty or not isinstance(fan._parts, tuple)
         assert fan.parts == reference.parts
         swept = overlay([fan], any)
         assert swept.area == fan.area
@@ -543,13 +545,13 @@ class TestFanEdges:
         _check_fans([(fan, ref)], region_sample_points(Region.of(L), rng, 20))
         assert (Point(0, 2), Point(2, 0), 1) in map(edge_ends, fan._net_boundary())
 
-    def test_bits_bound_reads_the_ring_denominators(self):
+    def test_coordinate_bits_read_the_ring_denominators(self):
         # coordinates far below 1: the parts' reduced denominators carry the bits
         s = F(1, 2**20 + 7)
         L = SimplePolygon([(0, 0), (2 * s, 0), (2 * s, s), (s, s), (s, 2 * s), (0, 2 * s)])
         f = _Frame(L, Point(3 * s / 2, s / 2))
         fan = _fan(f, _lit(f, (1, 0), (-1, 0)))
-        assert fan._bits_bound() >= fan.max_coordinate_bits() > 20
+        assert fan.max_coordinate_bits() == coordinate_bits_reference(fan) > 20
 
     def test_fans_build_no_point_before_their_parts_are_read(self, monkeypatch):
         P = comb(3)
